@@ -29,12 +29,20 @@ from .sweep import run_sweep
 
 DEFAULT_TOL = 1e-8
 
+# Operands of each family, in the order its solver takes them.
 SOLVE_FLAGS = {
     "douglas": ("A", "B"),
     "axb": ("A", "B", "C"),
     "congruence": ("A", "C"),
     "pt": ("H", "K"),
     "riccati": ("A", "B"),
+}
+
+# Families whose solver returns a ReducedSolution.
+REDUCED_SOLVERS = {
+    "douglas": douglas_reduced_solve,
+    "axb": axb_reduced_solve,
+    "congruence": congruence_solve,
 }
 
 CHECK_FLAGS = {
@@ -122,20 +130,8 @@ def _cmd_solve(args) -> RunReport:
     detail = {}
     solution = None
 
-    if args.family == "douglas":
-        rep = douglas_reduced_solve(mats["A"], mats["B"], tol=tol)
-        conditions = rep.conditions_met
-        residuals["solve"] = rep.residual
-        solved = rep.solvable and rep.residual <= tol
-        solution = rep.solution if solved else None
-    elif args.family == "axb":
-        rep = axb_reduced_solve(mats["A"], mats["B"], mats["C"], tol=tol)
-        conditions = rep.conditions_met
-        residuals["solve"] = rep.residual
-        solved = rep.solvable and rep.residual <= tol
-        solution = rep.solution if solved else None
-    elif args.family == "congruence":
-        rep = congruence_solve(mats["A"], mats["C"], tol=tol)
+    if args.family in REDUCED_SOLVERS:
+        rep = REDUCED_SOLVERS[args.family](*(mats[n] for n in SOLVE_FLAGS[args.family]), tol=tol)
         conditions = rep.conditions_met
         residuals["solve"] = rep.residual
         solved = rep.solvable and rep.residual <= tol

@@ -8,7 +8,6 @@ how close a verdict was.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,16 +16,15 @@ from .linalg import (
     TOL_NONSINGULAR,
     TOL_PSD,
     InputError,
-    adjoint,
+    PsdFactor,
     as_matrix,
     frob,
+    hermitian_part,
     herm_eig,
-    pinv,
+    psd_factor,
     psd_gap,
-    psd_power,
-    psd_sqrt,
-    range_projector,
     spectral_norm,
+    svd,
 )
 
 # Default decision tolerance for range tests; CLI --tol and OPEQ_TOL land here.
@@ -51,27 +49,32 @@ class ConditionReport:
     detail: str = ""
 
 
-def range_inclusion(b, a, tol: float = TOL_RANGE) -> ConditionReport:
-    """Does the column space of b lie inside the column space of a?
-
-    Decided through the range projector of a: holds iff
-    ||(I - A A^+) B||_F <= tol * (1 + ||B||_F).
-    """
+def basis_inclusion(b, basis: np.ndarray, tol: float = TOL_RANGE,
+                    name: str = "range_inclusion") -> ConditionReport:
+    """Does the column space of b lie inside the span of the orthonormal
+    columns of ``basis``? Holds iff ||B - U_r U_r* B||_F <= tol * (1 + ||B||_F)."""
     bm = as_matrix(b)
-    am = as_matrix(a)
-    if bm.shape[0] != am.shape[0]:
+    if bm.shape[0] != basis.shape[0]:
         raise InputError(
-            f"range_inclusion needs equal row counts, got {bm.shape} vs {am.shape}"
+            f"range_inclusion needs equal row counts, got {bm.shape} vs {basis.shape[0]} rows"
         )
-    proj = range_projector(am)
-    witness = frob(bm - proj @ bm)
+    witness = frob(bm - basis @ (basis.conj().T @ bm))
     bound = tol * (1.0 + frob(bm))
     return ConditionReport(
-        name="range_inclusion",
+        name=name,
         holds=witness <= bound,
         witness=witness,
         detail=f"projector residual {witness:.3e}, bound {bound:.3e}",
     )
+
+
+def range_inclusion(b, a, tol: float = TOL_RANGE) -> ConditionReport:
+    """Does the column space of b lie inside the column space of a?
+
+    Decided against the range basis U_r of ``svd(a)``: holds iff
+    ||B - U_r U_r* B||_F <= tol * (1 + ||B||_F).
+    """
+    return basis_inclusion(b, svd(a).range_basis, tol)
 
 
 def majorization_lambda(b, a, tol: float = TOL_RANGE) -> float | None:
@@ -79,14 +82,16 @@ def majorization_lambda(b, a, tol: float = TOL_RANGE) -> float | None:
 
     In finite dimensions such a lambda exists exactly when range(B) is
     contained in range(A), and then equals the squared spectral norm of
-    A^+ B. The value is re-verified as an operator inequality (with a
-    small multiplicative slack) before being returned.
+    A^+ B. Both the inclusion and A^+ come from one ``svd(a)``. The value
+    is re-verified as an operator inequality (with a small multiplicative
+    slack) before being returned.
     """
     bm = as_matrix(b)
     am = as_matrix(a)
-    if not range_inclusion(bm, am, tol).holds:
+    f = svd(am)
+    if not basis_inclusion(bm, f.range_basis, tol).holds:
         return None
-    lam = spectral_norm(pinv(am) @ bm) ** 2
+    lam = spectral_norm(f.pinv() @ bm) ** 2
     bb = bm @ bm.conj().T
     aa = am @ am.conj().T
     y = lam * (1.0 + LAMBDA_SLACK) * aa
@@ -96,55 +101,53 @@ def majorization_lambda(b, a, tol: float = TOL_RANGE) -> float | None:
     return lam
 
 
-def _require_psd(m, label: str) -> np.ndarray:
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise InputError(f"{label} must be square, got {a.shape}")
-    if frob(a - a.conj().T) > TOL_PSD * max(frob(a), 1e-300):
-        raise InputError(f"{label} is not Hermitian within tolerance")
-    vals = herm_eig(0.5 * (a + a.conj().T)).values
-    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    if float(vals[0]) < -TOL_PSD * scale:
-        raise InputError(
-            f"{label} is not PSD: min eigenvalue {vals[0]:.3e} at scale {scale:.3e}"
-        )
-    return 0.5 * (a + a.conj().T)
+@dataclass
+class PtBattery:
+    """The condition battery for XHX = K together with what it factored.
 
-
-def pt_conditions(h, k, tol: float = TOL_RANGE) -> list[ConditionReport]:
-    """Condition battery for solvability of XHX = K with X positive.
-
-    Reports, in order:
-      ii-a  range((H^{1/2} K H^{1/2})^{1/2})      within range(H^{1/2})
-      ii-b  range((H^{1/2+} (...)^{1/2})*)        within range(H^{1/2})
-      iii   range((H^{1/2} K H^{1/2})^{1/4})      within range(H^{1/2})
-      iv    existence of lambda with (H^{1/2} K H^{1/2})^{1/2} <= lambda H
-
-    The four are equivalent when H is nonsingular; for singular H the
-    first two are the necessary pair and the reports may disagree, which
-    is why each is evaluated independently.
+    ``h`` and ``k`` are the Hermitian parts of the operands. ``candidate``
+    is H^{1/2+} (H^{1/2} K H^{1/2})^{1/2} H^{1/2+}: the positive solution
+    when H is nonsingular. ``lam`` is its largest eigenvalue (floored at
+    zero): the least constant of condition iv when condition iii holds,
+    and for nonsingular H the solution's spectral norm.
     """
-    hm = _require_psd(h, "H")
-    km = _require_psd(k, "K")
+
+    reports: list[ConditionReport]
+    h: np.ndarray
+    k: np.ndarray
+    h_factor: PsdFactor
+    candidate: np.ndarray
+    lam: float
+
+
+def pt_battery(h, k, tol: float = TOL_RANGE) -> PtBattery:
+    """Evaluate the XHX = K conditions, factoring H, K and the inner
+    sandwich H^{1/2} K H^{1/2} once each (see :func:`pt_conditions`)."""
+    hm = hermitian_part(h, "H")
+    km = hermitian_part(k, "K")
     if hm.shape != km.shape:
         raise InputError(f"H and K must have equal shape, got {hm.shape} vs {km.shape}")
-    hs = psd_sqrt(hm)
+    hf = psd_factor(hm, "H")
+    psd_factor(km, "K", tol=TOL_PSD)  # input validation only
+    hs = hf.power(0.5)
+    hsp = hf.power(-0.5)
     inner = hs @ km @ hs
-    inner = 0.5 * (inner + inner.conj().T)
-    sq = psd_sqrt(inner)
-    quarter = psd_power(inner, 0.25)
-    hsp = pinv(hs)
+    inner_factor = psd_factor(0.5 * (inner + inner.conj().T))
+    sq = inner_factor.power(0.5)
+    quarter = inner_factor.power(0.25)
+    basis = hf.range_basis
 
-    ii_a = dataclasses.replace(range_inclusion(sq, hs, tol), name="ii-a")
-    ii_b = dataclasses.replace(
-        range_inclusion(adjoint(hsp @ sq), hs, tol), name="ii-b"
-    )
-    iii = dataclasses.replace(range_inclusion(quarter, hs, tol), name="iii")
+    ii_a = basis_inclusion(sq, basis, tol, name="ii-a")
+    ii_b = basis_inclusion((hsp @ sq).conj().T, basis, tol, name="ii-b")
+    iii = basis_inclusion(quarter, basis, tol, name="iii")
 
-    # (iv) is the majorization form; quarter @ quarter* reproduces the
-    # square root and hs @ hs* reproduces H, so the generic helper applies
-    lam = majorization_lambda(quarter, hs, tol)
-    if lam is None:
+    # (iv) is the majorization form sq = quarter quarter* <= lambda H with
+    # H = hs hs*; its range half is exactly (iii), and its least lambda is
+    # ||H^{1/2+} quarter||^2, the top eigenvalue of H^{1/2+} sq H^{1/2+}
+    x = hsp @ sq @ hsp
+    x = 0.5 * (x + x.conj().T)
+    lam = max(float(herm_eig(x).values[-1]), 0.0)
+    if not iii.holds:
         probe = 1e6
         iv = ConditionReport(
             name="iv",
@@ -161,7 +164,23 @@ def pt_conditions(h, k, tol: float = TOL_RANGE) -> list[ConditionReport]:
             witness=gap,
             detail=f"lambda={lam:.9e}",
         )
-    return [ii_a, ii_b, iii, iv]
+    return PtBattery([ii_a, ii_b, iii, iv], hm, km, hf, x, lam)
+
+
+def pt_conditions(h, k, tol: float = TOL_RANGE) -> list[ConditionReport]:
+    """Condition battery for solvability of XHX = K with X positive.
+
+    Reports, in order:
+      ii-a  range((H^{1/2} K H^{1/2})^{1/2})      within range(H^{1/2})
+      ii-b  range((H^{1/2+} (...)^{1/2})*)        within range(H^{1/2})
+      iii   range((H^{1/2} K H^{1/2})^{1/4})      within range(H^{1/2})
+      iv    existence of lambda with (H^{1/2} K H^{1/2})^{1/2} <= lambda H
+
+    The four are equivalent when H is nonsingular; for singular H the
+    first two are the necessary pair and the reports may disagree, which
+    is why each is evaluated independently.
+    """
+    return pt_battery(h, k, tol).reports
 
 
 VERIFY_KINDS = ("ax_b", "axb_c", "axastar_c", "xhx_k", "riccati")

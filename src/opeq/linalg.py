@@ -2,9 +2,13 @@
 
 Everything numerically delicate in this package funnels through one trusted
 eigensolver: cyclic Jacobi rotations on Hermitian matrices with a fixed
-row-major sweep order. SVD, pseudoinverse, PSD square roots and range
-projectors are all derived from it, so results are deterministic: the same
-input bits produce the same output bits within one build.
+row-major sweep order, so results are deterministic: the same input bits
+produce the same output bits within one build.
+
+Each operand is factored once and everything else is read off that one
+factorization. A general matrix gets an :class:`SvdResult`, which gives its
+rank, pseudoinverse and range basis; a PSD matrix gets a :class:`PsdFactor`,
+which gives its rank, range basis and every (pseudoinverse) power.
 
 Matrices are plain numpy arrays with dtype complex128. Helpers here accept
 anything ``np.asarray`` can turn into a finite 2-D array.
@@ -18,9 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 # Assertion tolerances (relative). Tests and callers may override per call.
-TOL_UNITARY = 1e-10
-TOL_RECON = 1e-10
-TOL_PENROSE = 1e-10
 TOL_PSD = 1e-9
 TOL_HERMITIAN = 1e-10
 
@@ -109,6 +110,57 @@ class SvdResult:
     @property
     def rank(self) -> int:
         return int(np.count_nonzero(self.singulars))
+
+    @property
+    def range_basis(self) -> np.ndarray:
+        """Orthonormal basis U_r of the column space (the kept left columns)."""
+        return self.left[:, : self.rank]
+
+    def pinv(self) -> np.ndarray:
+        """Moore-Penrose pseudoinverse V_r diag(1/sigma) U_r*."""
+        kept = self.rank
+        core = self.right[:, :kept] * (1.0 / self.singulars[:kept])
+        return core @ self.left[:, :kept].conj().T
+
+
+@dataclass
+class PsdFactor:
+    """Eigenpairs of a Hermitian PSD matrix with its zero eigenvalues made exact.
+
+    ``values`` are ascending and nonnegative: the clamp window and the zero
+    floor have already been applied, so rank, range basis and every power
+    agree on which directions are null.
+    """
+
+    values: np.ndarray
+    vectors: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        return int(np.count_nonzero(self.values))
+
+    @property
+    def nonsingular(self) -> bool:
+        """Least eigenvalue above TOL_NONSINGULAR times the largest."""
+        top = float(self.values[-1])
+        return top > 0.0 and float(self.values[0]) > TOL_NONSINGULAR * top
+
+    @property
+    def range_basis(self) -> np.ndarray:
+        """Orthonormal basis U_r of the range: eigenvectors of nonzero eigenvalues."""
+        return self.vectors[:, self.values > 0]
+
+    def power(self, exponent: float) -> np.ndarray:
+        """m^exponent; a negative exponent gives the pseudoinverse power
+        (m^+)^-exponent, which leaves the zero eigenvalues at zero."""
+        if exponent >= 0:
+            lam = self.values ** exponent
+        else:
+            lam = np.zeros_like(self.values)
+            pos = self.values > 0
+            lam[pos] = 1.0 / self.values[pos] ** -exponent
+        out = (self.vectors * lam) @ self.vectors.conj().T
+        return 0.5 * (out + out.conj().T)
 
 
 def herm_eig(m, tol: float = TOL_HERMITIAN) -> HermitianEig:
@@ -242,49 +294,55 @@ def svd(m, policy: RankPolicy | None = None) -> SvdResult:
 
 
 def pinv(m, policy: RankPolicy | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse.
+    """Moore-Penrose pseudoinverse, read off :func:`svd`.
 
-    Assembled from the same factorization as :func:`svd`, so the rank
-    decision is shared: a direction survives only if both its Gram
-    eigenvalue estimate and its directly measured action ||m v|| clear the
-    policy cutoff. Eigenvalue noise from squaring sits near
-    sqrt(eps) * sigma_max, far above the true action of a null vector, so
-    gating on ||m v|| is what keeps exact rank deficiency honest.
+    The rank decision is the factorization's: a direction survives only if
+    both its Gram eigenvalue estimate and its directly measured action
+    ||m v|| clear the policy cutoff. Eigenvalue noise from squaring sits
+    near sqrt(eps) * sigma_max, far above the true action of a null
+    vector, so gating on ||m v|| is what keeps exact rank deficiency honest.
     """
+    return svd(m, policy).pinv()
+
+
+def hermitian_part(m, label: str) -> np.ndarray:
+    """Check that m is square and Hermitian within TOL_PSD * ||m||_F, and
+    return its exact Hermitian part."""
     a = as_matrix(m)
-    f = svd(a, policy)
-    kept = f.rank
-    if kept == 0:
-        return np.zeros((a.shape[1], a.shape[0]), dtype=np.complex128)
-    core = f.right[:, :kept] * (1.0 / f.singulars[:kept])
-    return core @ f.left[:, :kept].conj().T
+    if a.shape[0] != a.shape[1]:
+        raise InputError(f"{label} must be square, got {a.shape}")
+    if frob(a - a.conj().T) > TOL_PSD * max(frob(a), 1e-300):
+        raise InputError(f"{label} is not Hermitian within tolerance")
+    return 0.5 * (a + a.conj().T)
+
+
+def psd_factor(m, label: str = "matrix", tol: float = PSD_CLAMP_TOL,
+               zero_floor: float = PSD_ZERO_FLOOR) -> PsdFactor:
+    """Factor a PSD Hermitian matrix with one eigendecomposition.
+
+    Eigenvalues inside the window [-tol * ||m||, 0) are clamped to zero;
+    anything more negative raises InputError naming ``label``. Eigenvalues
+    below zero_floor * max are treated as exact zeros: matrices arriving
+    here are typically products (Gram squares, sandwiches like S K S),
+    whose zero eigenspaces carry formation noise around 1e-15 relative, and
+    a fractional power would amplify that to sqrt(eps).
+    """
+    eig = herm_eig(as_matrix(m))
+    scale = float(np.max(np.abs(eig.values)))
+    floor = -tol * scale
+    if float(eig.values[0]) < floor:
+        raise InputError(
+            f"{label} is not PSD: min eigenvalue {eig.values[0]:.3e} "
+            f"below clamp window {floor:.3e}"
+        )
+    values = np.where(eig.values <= zero_floor * scale, 0.0, eig.values)
+    return PsdFactor(values=values, vectors=eig.vectors)
 
 
 def psd_power(m, exponent: float, tol: float = PSD_CLAMP_TOL,
               zero_floor: float = PSD_ZERO_FLOOR) -> np.ndarray:
-    """Fractional power of a PSD Hermitian matrix.
-
-    Eigenvalues inside the window [-tol * ||m||, 0) are clamped to zero;
-    anything more negative raises InputError. Eigenvalues below
-    zero_floor * max are treated as exact zeros: matrices arriving here
-    are typically products (Gram squares, sandwiches like S K S), whose
-    zero eigenspaces carry formation noise around 1e-15 relative, and a
-    fractional power would amplify that to sqrt(eps). One code path
-    serves every exponent used here (1/2 and 1/4).
-    """
-    a = as_matrix(m)
-    eig = herm_eig(a)
-    scale = float(np.max(np.abs(eig.values))) if eig.values.size else 0.0
-    floor = -tol * scale
-    if float(eig.values[0]) < floor:
-        raise InputError(
-            f"matrix is not PSD: min eigenvalue {eig.values[0]:.3e} "
-            f"below clamp window {floor:.3e}"
-        )
-    vals = np.where(eig.values <= zero_floor * scale, 0.0, eig.values)
-    lam = vals ** exponent
-    out = (eig.vectors * lam) @ eig.vectors.conj().T
-    return 0.5 * (out + out.conj().T)
+    """Fractional power of a PSD Hermitian matrix (see :func:`psd_factor`)."""
+    return psd_factor(m, tol=tol, zero_floor=zero_floor).power(exponent)
 
 
 def psd_sqrt(m, tol: float = PSD_CLAMP_TOL) -> np.ndarray:

@@ -69,10 +69,6 @@ class GridFunction:
         return np.arange(n + 1) / float(n)
 
     @classmethod
-    def from_callable(cls, fn, n: int) -> "GridFunction":
-        return cls(np.asarray([fn(x) for x in cls.nodes(n)], dtype=np.complex128))
-
-    @classmethod
     def from_samples_of(cls, fn, n: int) -> "GridFunction":
         """Vectorized constructor: fn acts on the whole node array."""
         return cls(np.asarray(fn(cls.nodes(n)), dtype=np.complex128))

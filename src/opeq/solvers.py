@@ -10,25 +10,22 @@ non-PSD input where the equation requires it).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conditions import ConditionReport, TOL_RANGE, pt_conditions, range_inclusion
+from .conditions import ConditionReport, TOL_RANGE, basis_inclusion, pt_battery
 from .linalg import (
-    TOL_NONSINGULAR,
     TOL_PSD,
     InputError,
     as_matrix,
     frob,
+    hermitian_part,
     herm_eig,
-    pinv,
+    psd_factor,
     psd_sqrt,
+    svd,
 )
-
-TOL_SOLVE = 1e-8
-TOL_REDUCED = 1e-8
 
 
 @dataclass
@@ -67,10 +64,11 @@ def douglas_reduced_solve(a, b, tol: float = TOL_RANGE) -> ReducedSolution:
     bm = as_matrix(b)
     if am.shape[0] != bm.shape[0]:
         raise InputError(f"row mismatch: A is {am.shape}, B is {bm.shape}")
-    ap = pinv(am)
+    fa = svd(am)
+    ap = fa.pinv()
     d = ap @ bm
     residual = frob(am @ d - bm) / (1.0 + frob(bm))
-    cond = dataclasses.replace(range_inclusion(bm, am, tol), name="range(B) in range(A)")
+    cond = basis_inclusion(bm, fa.range_basis, tol, name="range(B) in range(A)")
     n_left = _hermitize(np.eye(am.shape[1], dtype=np.complex128) - ap @ am)
     n_right = np.zeros((bm.shape[1], bm.shape[1]), dtype=np.complex128)
     return ReducedSolution(d, residual, n_left, n_right, [cond])
@@ -91,14 +89,16 @@ def axb_reduced_solve(a, b, c, tol: float = TOL_RANGE) -> ReducedSolution:
             f"shape mismatch: A {am.shape}, B {bm.shape}, C {cm.shape} "
             "need A.rows == C.rows and B.cols == C.cols"
         )
-    ap = pinv(am)
-    bp = pinv(bm)
+    fa = svd(am)
+    fb = svd(bm)
+    ap = fa.pinv()
+    bp = fb.pinv()
     d = ap @ cm @ bp
     residual = frob(am @ d @ bm - cm) / (1.0 + frob(cm))
-    cond1 = dataclasses.replace(range_inclusion(cm, am, tol), name="range(C) in range(A)")
-    cond2 = dataclasses.replace(
-        range_inclusion((ap @ cm).conj().T, bm.conj().T, tol),
-        name="range((A+C)*) in range(B*)",
+    cond1 = basis_inclusion(cm, fa.range_basis, tol, name="range(C) in range(A)")
+    # range(B*) is spanned by the kept right singular vectors of B
+    cond2 = basis_inclusion(
+        (ap @ cm).conj().T, fb.right[:, : fb.rank], tol, name="range((A+C)*) in range(B*)"
     )
     n_left = _hermitize(np.eye(am.shape[1], dtype=np.complex128) - ap @ am)
     n_right = _hermitize(np.eye(bm.shape[0], dtype=np.complex128) - bm @ bp)
@@ -136,14 +136,9 @@ def congruence_solve(a, c, tol: float = TOL_RANGE) -> ReducedSolution:
     rejected outright.
     """
     am = as_matrix(a)
-    cm = as_matrix(c)
-    if cm.shape[0] != cm.shape[1]:
-        raise InputError(f"C must be square, got {cm.shape}")
+    cm = hermitian_part(c, "C")
     if am.shape[0] != cm.shape[0]:
         raise InputError(f"row mismatch: A is {am.shape}, C is {cm.shape}")
-    if frob(cm - cm.conj().T) > TOL_PSD * max(frob(cm), 1e-300):
-        raise InputError("C is not Hermitian within tolerance")
-    cm = _hermitize(cm)
 
     vals = herm_eig(cm).values
     scale = float(np.max(np.abs(vals))) if vals.size else 0.0
@@ -154,13 +149,13 @@ def congruence_solve(a, c, tol: float = TOL_RANGE) -> ReducedSolution:
         detail=f"min eigenvalue at scale {scale:.3e}",
     )
 
-    ap = pinv(am)
+    fa = svd(am)
+    ap = fa.pinv()
     x = _hermitize(ap @ cm @ ap.conj().T)
     residual = frob(am @ x @ am.conj().T - cm) / (1.0 + frob(cm))
-    cond1 = dataclasses.replace(range_inclusion(cm, am, tol), name="range(C) in range(A)")
-    cond2 = dataclasses.replace(
-        range_inclusion((ap @ cm).conj().T, am, tol),
-        name="range((A+C)*) in range(A)",
+    cond1 = basis_inclusion(cm, fa.range_basis, tol, name="range(C) in range(A)")
+    cond2 = basis_inclusion(
+        (ap @ cm).conj().T, fa.range_basis, tol, name="range((A+C)*) in range(A)"
     )
     n_a = _hermitize(np.eye(am.shape[1], dtype=np.complex128) - ap @ am)
     return ReducedSolution(x, residual, n_a, n_a.copy(), [psd_cond, cond1, cond2])
@@ -196,21 +191,18 @@ def pt_solve(h, k, tol: float = TOL_RANGE) -> PtReport:
     """Solve XHX = K for the positive X, H and K Hermitian PSD.
 
     With H nonsingular the unique positive solution is
-    X = (H^{1/2})^+ (H^{1/2} K H^{1/2})^{1/2} (H^{1/2})^+, computed here
-    from a single eigendecomposition of H. H is declared nonsingular when
-    its least eigenvalue exceeds 1e-8 times its largest.
+    X = (H^{1/2})^+ (H^{1/2} K H^{1/2})^{1/2} (H^{1/2})^+, the candidate
+    the condition battery already formed from its factorizations of H and
+    of the inner sandwich; its spectral norm is the battery's lambda. H is
+    declared nonsingular when its least eigenvalue exceeds 1e-8 times its
+    largest.
     """
-    reports = pt_conditions(h, k, tol)
+    bat = pt_battery(h, k, tol)
+    reports = bat.reports
     cond_ii = reports[0].holds and reports[1].holds
     cond_iii = reports[2].holds
     cond_iv = reports[3].holds
-
-    hm = _hermitize(as_matrix(h))
-    km = _hermitize(as_matrix(k))
-    eig = herm_eig(hm)
-    top = float(eig.values[-1])
-    nonsingular = top > 0.0 and float(eig.values[0]) > TOL_NONSINGULAR * top
-    if not nonsingular:
+    if not bat.h_factor.nonsingular:
         return PtReport(
             solution=None,
             a_min=None,
@@ -221,16 +213,11 @@ def pt_solve(h, k, tol: float = TOL_RANGE) -> PtReport:
             h_nonsingular=False,
             conditions=reports,
         )
-    roots = np.sqrt(eig.values)
-    hs = _hermitize((eig.vectors * roots) @ eig.vectors.conj().T)
-    hsp = _hermitize((eig.vectors * (1.0 / roots)) @ eig.vectors.conj().T)
-    mid = psd_sqrt(_hermitize(hs @ km @ hs))
-    x = _hermitize(hsp @ mid @ hsp)
-    residual = frob(x @ hm @ x - km) / (1.0 + frob(km))
-    a_min = max(float(herm_eig(x).values[-1]), 0.0)
+    x = bat.candidate
+    residual = frob(x @ bat.h @ x - bat.k) / (1.0 + frob(bat.k))
     return PtReport(
         solution=x,
-        a_min=a_min,
+        a_min=bat.lam,
         cond_ii=cond_ii,
         cond_iii=cond_iii,
         cond_iv=cond_iv,
@@ -250,22 +237,13 @@ def riccati_geomean(a, b) -> np.ndarray:
     bm = as_matrix(b)
     if am.shape[0] != am.shape[1] or am.shape != bm.shape:
         raise InputError(f"need square matrices of equal shape, got {am.shape} and {bm.shape}")
-    if frob(am - am.conj().T) > TOL_PSD * max(frob(am), 1e-300):
-        raise InputError("a is not Hermitian within tolerance")
-    if frob(bm - bm.conj().T) > TOL_PSD * max(frob(bm), 1e-300):
-        raise InputError("b is not Hermitian within tolerance")
-    am = _hermitize(am)
-    bm = _hermitize(bm)
-    eig = herm_eig(am)
-    top = float(eig.values[-1])
-    if top <= 0.0 or float(eig.values[0]) <= TOL_NONSINGULAR * top:
+    am = hermitian_part(am, "a")
+    bm = hermitian_part(bm, "b")
+    af = psd_factor(am, "a")
+    if not af.nonsingular:
         raise InputError("a must be positive definite")
-    bvals = herm_eig(bm).values
-    bscale = float(np.max(np.abs(bvals))) if bvals.size else 0.0
-    if float(bvals[0]) < -TOL_PSD * bscale:
-        raise InputError("b must be PSD")
-    roots = np.sqrt(eig.values)
-    asq = _hermitize((eig.vectors * roots) @ eig.vectors.conj().T)
-    ainvs = _hermitize((eig.vectors * (1.0 / roots)) @ eig.vectors.conj().T)
+    psd_factor(bm, "b", tol=TOL_PSD)  # input validation only
+    asq = af.power(0.5)
+    ainvs = af.power(-0.5)
     inner = _hermitize(ainvs @ bm @ ainvs)
     return _hermitize(asq @ psd_sqrt(inner) @ asq)

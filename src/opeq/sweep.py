@@ -165,6 +165,8 @@ def norm_bound_bisect(h: np.ndarray, k: np.ndarray, iters: int = 120) -> float:
     hi = spectral_norm(s) / lam_min + 1.0
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break  # the bracket is down to adjacent doubles
         if psd_gap(s, mid * h) >= -1e-12 * scale:
             hi = mid
         else:

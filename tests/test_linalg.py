@@ -10,6 +10,7 @@ from opeq.linalg import (
     herm_eig,
     orthonormalize,
     pinv,
+    psd_factor,
     psd_gap,
     psd_power,
     psd_sqrt,
@@ -183,3 +184,23 @@ def test_as_matrix_validation():
         as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(InputError):
         as_matrix(np.array([[np.inf]], dtype=complex))
+
+
+def test_psd_factor_derives_rank_basis_and_pseudoinverse_powers():
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        n = int(rng.integers(2, 7))
+        r = int(rng.integers(1, n))
+        m = random_psd(rng, n, rank=r)
+        f = psd_factor(m)
+        assert f.rank == r
+        u = f.range_basis
+        assert u.shape == (n, r)
+        assert frob(u @ u.conj().T - range_projector(m)) <= 1e-10
+        half = f.power(0.5)
+        assert frob(half @ half - m) <= 1e-10 * (1.0 + frob(m))
+        assert frob(f.power(-0.5) - pinv(half)) <= 1e-8 * (1.0 + frob(pinv(half)))
+        assert not f.nonsingular
+    assert psd_factor(np.diag([2.0, 3.0])).nonsingular
+    with pytest.raises(InputError, match="H is not PSD"):
+        psd_factor(np.diag([1.0, -1.0]), "H")

@@ -1,8 +1,13 @@
+import sys
+
 import numpy as np
 import pytest
 
-from opeq.conditions import verify_solution
+from opeq import linalg
+from opeq.cli import main
+from opeq.conditions import pt_conditions, verify_solution
 from opeq.linalg import InputError, frob, herm_eig, pinv, psd_sqrt, spectral_norm
+from opeq.matio import save_matrix
 from opeq.solvers import (
     axb_reduced_solve,
     congruence_solve,
@@ -171,6 +176,20 @@ def test_pt_rejects_non_psd_inputs():
         pt_solve(np.eye(2), np.diag([1.0, -1.0]))
 
 
+def test_pt_h_just_outside_psd_window_is_input_error(capsys, tmp_path):
+    # -5e-10 relative lies outside the 1e-10 clamp window applied to H
+    h = np.diag([1.0, -5e-10])
+    with pytest.raises(InputError, match="H is not PSD"):
+        pt_solve(h, np.eye(2))
+    with pytest.raises(InputError, match="H is not PSD"):
+        pt_conditions(h, np.eye(2))
+    save_matrix(str(tmp_path / "h.json"), h.astype(complex))
+    save_matrix(str(tmp_path / "k.json"), np.eye(2, dtype=complex))
+    code = main(["solve", "pt", "--H", str(tmp_path / "h.json"), "--K", str(tmp_path / "k.json")])
+    capsys.readouterr()
+    assert code == 2
+
+
 def test_pt_solution_on_constructed_k_recovers_x0():
     # with x0 psd and k = x0 h x0 the solution is unique, so the solver
     # must return x0 itself
@@ -214,3 +233,49 @@ def test_riccati_accepts_singular_second_argument():
     b = np.diag([4.0, 0.0])
     g = riccati_geomean(np.eye(2), b)
     assert np.allclose(g, np.diag([2.0, 0.0]), atol=1e-12)
+
+
+# --- factor once -------------------------------------------------------------
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Count herm_eig calls by wrapping it in every opeq module namespace
+    that binds it, so calls made from inside the package are caught too."""
+    calls = []
+    orig = linalg.herm_eig
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "opeq" or name.startswith("opeq."):
+            for attr, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+
+    def count(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    return count
+
+
+def test_each_operand_factored_once(eig_calls):
+    rng = np.random.default_rng(61)
+    n = 6
+    assert eig_calls(pt_solve, random_spd(rng, n), random_psd(rng, n)) <= 5
+    h = random_psd_singular(rng, n)
+    t = random_psd(rng, n)
+    k = t @ h @ t
+    assert eig_calls(pt_solve, h, 0.5 * (k + k.conj().T)) <= 5
+    assert eig_calls(pt_solve, random_psd_singular(rng, n), random_psd(rng, n)) <= 5
+    a = random_matrix(rng, n, n)
+    b = random_matrix(rng, n, n)
+    assert eig_calls(axb_reduced_solve, a, b, a @ b) <= 2
+    a, c = congruence_solvable_pair(rng, n, n)
+    assert eig_calls(congruence_solve, a, c) <= 2
+    a, b = douglas_solvable_pair(rng, n, n, n)
+    assert eig_calls(douglas_reduced_solve, a, b) == 1
