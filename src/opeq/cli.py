@@ -38,11 +38,12 @@ SOLVE_FLAGS = {
     "riccati": ("A", "B"),
 }
 
-# Families whose solver returns a ReducedSolution.
+# Families whose solver returns a ReducedSolution, by the solver's name in
+# this module; it is looked up at call time, so a rebound name is honoured.
 REDUCED_SOLVERS = {
-    "douglas": douglas_reduced_solve,
-    "axb": axb_reduced_solve,
-    "congruence": congruence_solve,
+    "douglas": "douglas_reduced_solve",
+    "axb": "axb_reduced_solve",
+    "congruence": "congruence_solve",
 }
 
 CHECK_FLAGS = {
@@ -131,7 +132,8 @@ def _cmd_solve(args) -> RunReport:
     solution = None
 
     if args.family in REDUCED_SOLVERS:
-        rep = REDUCED_SOLVERS[args.family](*(mats[n] for n in SOLVE_FLAGS[args.family]), tol=tol)
+        solver = globals()[REDUCED_SOLVERS[args.family]]
+        rep = solver(*(mats[n] for n in SOLVE_FLAGS[args.family]), tol=tol)
         conditions = rep.conditions_met
         residuals["solve"] = rep.residual
         solved = rep.solvable and rep.residual <= tol

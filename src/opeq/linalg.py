@@ -1,9 +1,13 @@
 """Dense complex linear algebra kernel.
 
 Everything numerically delicate in this package funnels through one trusted
-eigensolver: cyclic Jacobi rotations on Hermitian matrices with a fixed
-row-major sweep order, so results are deterministic: the same input bits
-produce the same output bits within one build.
+eigensolver, :func:`herm_eig`: Jacobi rotations on Hermitian matrices in the
+round-robin (parallel) order of Brent and Luk. Each step rotates n/2
+disjoint pivot pairs at once with whole-array numpy operations, and the
+order is fixed, so results are deterministic: the same input bits produce
+the same output bits within one build. The input is first scaled by an
+exact power of two, so matrices far from unit scale neither overflow nor
+underflow, and non-convergence raises :class:`InputError`.
 
 Each operand is factored once and everything else is read off that one
 factorization. A general matrix gets an :class:`SvdResult`, which gives its
@@ -16,6 +20,7 @@ anything ``np.asarray`` can turn into a finite 2-D array.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -50,7 +55,7 @@ def as_matrix(m) -> np.ndarray:
         raise InputError(f"expected a 2-D matrix, got ndim={a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise InputError(f"matrix dimensions must be positive, got {a.shape}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():
         raise InputError("matrix entries must be finite")
     return a
 
@@ -89,10 +94,12 @@ class RankPolicy:
 
 @dataclass
 class HermitianEig:
-    """Eigenvalues (real, ascending) and eigenvector columns (unitary)."""
+    """Eigenvalues (real, ascending), eigenvector columns (unitary) and the
+    number of Jacobi sweeps it took."""
 
     values: np.ndarray
     vectors: np.ndarray
+    sweeps: int
 
 
 @dataclass
@@ -163,67 +170,123 @@ class PsdFactor:
         return 0.5 * (out + out.conj().T)
 
 
-def herm_eig(m, tol: float = TOL_HERMITIAN) -> HermitianEig:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+@functools.lru_cache(maxsize=64)
+def _sweep_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The round-robin schedule of an even-order Jacobi sweep: gather indices
+    (rows, cols) that move the stacked state [A; V] from one round's paired
+    layout to the next, and the off-diagonal mask of A.
 
-    Sweeps pivot pairs (p, q) in row-major order, each rotation
-    annihilating the pivot entry exactly. Stops when the off-diagonal
-    Frobenius mass is at most 1e-14 times the input norm, or after 100
-    sweeps. The input must satisfy ||m - m*||_F <= tol * ||m||_F.
+    Circle method: position 0 stays and the other n - 1 positions move one
+    step along the ring 2, 4, ..., n - 2, n - 1, n - 3, ..., 1. Any two
+    indices sit at some (2i, 2i + 1) in exactly one of n - 1 consecutive
+    rounds, and after n - 1 rounds the layout is back at the start. The
+    rows of A and the columns of A and V move; the rows of V do not.
+    """
+    ring = np.r_[2:n:2, n - 1 : 0 : -2]
+    src = np.arange(n)
+    src[np.roll(ring, -1)] = ring
+    rows, cols = np.ix_(np.concatenate([src, np.arange(n, 2 * n)]), src)
+    off_mask = ~np.eye(n, dtype=bool)
+    for arr in (rows, cols, off_mask):
+        arr.flags.writeable = False
+    return rows, cols, off_mask
+
+
+def herm_eig(m, tol: float = TOL_HERMITIAN) -> HermitianEig:
+    """Eigendecomposition of a Hermitian matrix by round-robin Jacobi rotations.
+
+    The input is first scaled by the power of two that brings its largest
+    real or imaginary part into [0.5, 1), so that norms neither overflow nor
+    underflow; the scaling is exact and the eigenvalues are scaled back. An
+    odd n is padded with one decoupled zero row and column. Each sweep is
+    n - 1 rounds of the Brent-Luk parallel ordering: a round rotates the n/2
+    disjoint pivot pairs (2i, 2i + 1) of the current layout at once as one
+    stack of 2x2 rotations, each annihilating its pivot exactly (a zero
+    pivot gets the identity), then moves to the next layout by a fixed
+    circle-method permutation. Stops when the off-diagonal Frobenius mass
+    is at most 1e-14 times the input norm, and raises InputError if that
+    takes more than JACOBI_MAX_SWEEPS sweeps. The input must satisfy
+    ||m - m*||_F <= tol * ||m||_F.
     """
     a = as_matrix(m)
     n, nc = a.shape
     if n != nc:
         raise InputError(f"eigendecomposition needs a square matrix, got {a.shape}")
-    scale = frob(a)
-    if frob(a - a.conj().T) > tol * scale:
+    size = n + n % 2
+    pairs = size // 2
+    # A (rows :size) stacked above V (rows size:): one matmul rotates the
+    # columns of both, one gather moves both to the next layout
+    state = np.zeros((2 * size, size), dtype=np.complex128)
+    top = state[:size]
+    top[:n, :n] = a
+    parts = state.view(np.float64)
+    exp = math.frexp(float(np.abs(parts).max()))[1]
+    np.ldexp(parts, -exp, out=parts)
+    scale = frob(top)
+    adj = top.conj().T
+    if frob(top - adj) > tol * scale:
         raise InputError("matrix is not Hermitian within tolerance")
-    a = 0.5 * (a + a.conj().T)
-    v = np.eye(n, dtype=np.complex128)
-    off_mask = ~np.eye(n, dtype=bool)
+    top += adj
+    top *= 0.5
+    state.reshape(-1)[size * size :: size + 1] = 1.0
+    rows, cols, off_mask = _sweep_plan(size)
     target = JACOBI_OFF_TOL * scale
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if float(np.linalg.norm(a[off_mask])) <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0:
-                    continue
-                app = a[p, p].real
-                aqq = a[q, q].real
-                mag = abs(apq)
-                phase = apq / mag
-                tau = (aqq - app) / (2.0 * mag)
-                # smaller-magnitude root of t^2 + 2*tau*t - 1 = 0, |t| <= 1
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
+    # per-pair work arrays and views, made once per call
+    one = np.ones(pairs)
+    rot = np.empty((pairs, 2, 2), dtype=np.complex128)
+    rot_cp, rot_sp, rot_ms, rot_c = rot[:, 0, 0], rot[:, 0, 1], rot[:, 1, 0], rot[:, 1, 1]
+    buf = np.empty_like(state)
+    buf_cols = buf.reshape(2 * size, pairs, 2).transpose(1, 0, 2)
+    buf_rows = buf[:size].reshape(pairs, 2, size)
+    # entries (2i, 2i + 1), (2i + 1, 2i), (2i, 2i) and (2i + 1, 2i + 1) of A in buf
+    step = 2 * (size + 1)
+    buf_flat = buf.reshape(-1)[: size * size]
+    buf_pq, buf_qp = buf_flat[1::step], buf_flat[size::step]
+    buf_pp, buf_qq = buf_flat[::step], buf_flat[size + 1 :: step]
+    sweeps = 0
+    with np.errstate(over="ignore"):
+        while float(np.linalg.norm(state[:size][off_mask])) > target:
+            if sweeps == JACOBI_MAX_SWEEPS:
+                raise InputError(f"Jacobi eigensolver did not converge in {sweeps} sweeps")
+            sweeps += 1
+            for _ in range(size - 1):
+                flat = state.reshape(-1)
+                pivots = flat[1 : size * size : step]
+                app = flat[: size * size : step].real
+                aqq = flat[size + 1 : size * size : step].real
+                mag = np.abs(pivots)
+                dead = mag == 0.0
+                safe = mag + dead
+                tau = (aqq - app) / (safe + safe)
+                # smaller-magnitude root of t^2 + 2*tau*t - 1 = 0, |t| <= 1;
+                # it overflows to 0 when the pivot is negligible
+                root = one / (np.abs(tau) + np.sqrt(one + tau * tau))
+                root[dead] = 0.0
+                t = np.copysign(root, tau)
+                c = one / np.sqrt(one + t * t)
                 s = t * c
-                cp = c * phase
-                sp = s * phase
-                rp = a[p, :].copy()
-                rq = a[q, :]
-                a[p, :] = np.conj(cp) * rp - s * rq
-                a[q, :] = np.conj(sp) * rp + c * rq
-                colp = a[:, p].copy()
-                colq = a[:, q]
-                a[:, p] = cp * colp - s * colq
-                a[:, q] = sp * colp + c * colq
-                # the rotation zeroes the pivot; diagonal stays exactly real
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = app - t * mag
-                a[q, q] = aqq + t * mag
-                vp = v[:, p].copy()
-                vq = v[:, q]
-                v[:, p] = cp * vp - s * vq
-                v[:, q] = sp * vp + c * vq
-    values = np.diag(a).real.copy()
-    order = np.argsort(values, kind="stable")
-    return HermitianEig(values=values[order], vectors=v[:, order])
+                phase = pivots / safe + dead
+                # J_i = [[c phase, s phase], [-s, c]]; dead pairs get J_i = I
+                np.multiply(c, phase, out=rot_cp)
+                np.multiply(s, phase, out=rot_sp)
+                np.negative(s, out=rot_ms)
+                rot_c[...] = c
+                # V <- V J and A <- J* A J; then each pivot is exactly zero
+                # and the diagonal moves by -/+ t |a_pq|, exactly real
+                np.matmul(state.reshape(2 * size, pairs, 2).transpose(1, 0, 2), rot, out=buf_cols)
+                np.matmul(rot.conj().transpose(0, 2, 1), buf_rows, out=buf_rows)
+                buf_pq[...] = 0.0
+                buf_qp[...] = 0.0
+                shift = t * mag
+                np.subtract(app, shift, out=buf_pp)
+                np.add(aqq, shift, out=buf_qq)
+                state = buf[rows, cols]
+        values = np.diagonal(state).real[:n]
+        order = np.argsort(values, kind="stable")
+        values = np.ldexp(values[order], exp)
+    if not np.isfinite(values).all():
+        raise InputError("eigenvalues overflow the floating-point range")
+    return HermitianEig(values=values, vectors=state[size:size + n, :n][:, order], sweeps=sweeps)
 
 
 def _complete_orthonormal(u: np.ndarray, have: int) -> None:

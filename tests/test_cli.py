@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from opeq import cli
 from opeq.cli import main
 from opeq.matio import save_matrix
 
@@ -87,6 +88,32 @@ def test_solve_axb(capsys, mats):
     assert code == 0
     sol = np.array(doc["solution"]["data"]).reshape(2, 2, 2)
     assert sol[0, 0, 0] == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize(
+    "family, solver, operands",
+    [
+        ("congruence", "congruence_solve", {"--A": "a_cong", "--C": "c_cong"}),
+        ("douglas", "douglas_reduced_solve", {"--A": "e1", "--B": "e2"}),
+        ("axb", "axb_reduced_solve", {"--A": "eye2", "--B": "eye2", "--C": "diag41"}),
+    ],
+)
+def test_solve_calls_the_solver_bound_in_cli(capsys, mats, monkeypatch, family, solver, operands):
+    # tracers and tests rebind module names; the CLI must call through them
+    original = getattr(cli, solver)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, solver, counting)
+    argv = ["solve", family]
+    for flag, name in operands.items():
+        argv += [flag, mats[name]]
+    code, _ = run(capsys, *argv)
+    assert code in (0, 1)
+    assert len(calls) == 1
 
 
 def test_malformed_matrix_exit_2(capsys, mats):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from opeq import linalg
 from opeq.linalg import (
     InputError,
     RankPolicy,
@@ -60,6 +61,89 @@ def test_herm_eig_bit_deterministic():
     b = herm_eig(h.copy())
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.vectors, b.vectors)
+
+
+def _check_eig(h):
+    """herm_eig(h) against numpy.linalg.eigvalsh, plus its own invariants."""
+    n = h.shape[0]
+    eig = herm_eig(h)
+    scale = max(frob(h), 1.0)
+    assert frob((eig.vectors * eig.values) @ eig.vectors.conj().T - h) / scale <= 1e-10
+    assert frob(eig.vectors.conj().T @ eig.vectors - np.eye(n)) <= 1e-10
+    ref = np.linalg.eigvalsh(h)
+    assert np.max(np.abs(eig.values - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1.0)
+    assert np.all(np.diff(eig.values) >= 0)
+    again = herm_eig(h.copy())
+    assert np.array_equal(eig.values, again.values)
+    assert np.array_equal(eig.vectors, again.vectors)
+    return eig
+
+
+def test_herm_eig_round_robin_edge_cases():
+    rng = np.random.default_rng(23)
+    assert _check_eig(np.array([[2.5]])).sweeps == 0
+    for n in range(1, 25):
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        _check_eig(0.5 * (g + g.conj().T))
+        # zero pivots everywhere: every pair gets the identity
+        assert _check_eig(np.zeros((n, n))).sweeps == 0
+        assert _check_eig(np.diag(rng.normal(size=n))).sweeps == 0
+        # block-diagonal: pairs that straddle the blocks stay zero
+        b = np.zeros((n, n), dtype=complex)
+        k = n // 2
+        b[:k, :k] = 0.5 * (g[:k, :k] + g[:k, :k].conj().T)
+        b[k:, k:] = 0.5 * (g[k:, k:] + g[k:, k:].conj().T)
+        _check_eig(b)
+        # repeated eigenvalue 1 of multiplicity n - 1
+        u = np.linalg.qr(g)[0][:, 0]
+        values = _check_eig(np.eye(n) + 3.0 * np.outer(u, u.conj())).values
+        assert np.allclose(values, [1.0] * (n - 1) + [4.0], atol=1e-12)
+
+
+def test_round_robin_schedule_meets_every_pair_once_per_sweep():
+    for n in range(2, 26, 2):
+        rows, cols, _ = linalg._sweep_plan(n)
+        src = cols[0]
+        assert np.array_equal(rows[:n, 0], src)
+        layout = np.arange(n)
+        met = set()
+        for _ in range(n - 1):
+            met.update(frozenset(p) for p in layout.reshape(-1, 2).tolist())
+            layout = layout[src]
+        assert len(met) == n * (n - 1) // 2
+        assert np.array_equal(layout, np.arange(n))
+
+
+def test_herm_eig_extreme_scales_match_eigvalsh():
+    rng = np.random.default_rng(31)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    h = 0.5 * (g + g.conj().T)
+    ref = np.linalg.eigvalsh(h)
+    for scale in (1e-300, 1e-170, 1e-160, 1e160, 1e170):
+        values = herm_eig(h * scale).values / scale
+        assert np.max(np.abs(values - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # the prescale is an exact power of two, so in the normal range a
+    # power-of-two rescaling of the input changes no bit of the result
+    base = herm_eig(h)
+    for k in (-40, 37):
+        other = herm_eig(np.ldexp(h.real, k) + 1j * np.ldexp(h.imag, k))
+        assert np.array_equal(other.values, np.ldexp(base.values, k))
+        assert np.array_equal(other.vectors, base.vectors)
+    with pytest.raises(InputError, match="not Hermitian"):
+        herm_eig(np.array([[1.0, 1.0], [0.0, 1.0]]) * 1e160)
+    with pytest.raises(InputError, match="overflow"):
+        herm_eig(np.full((4, 4), 1e308))
+
+
+def test_herm_eig_non_convergence_is_input_error(monkeypatch):
+    rng = np.random.default_rng(17)
+    g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    h = 0.5 * (g + g.conj().T)
+    sweeps = herm_eig(h).sweeps
+    assert 1 <= sweeps <= linalg.JACOBI_MAX_SWEEPS
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
+    with pytest.raises(InputError, match="did not converge"):
+        herm_eig(h)
 
 
 def test_svd_matches_reference_singular_values():
