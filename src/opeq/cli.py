@@ -14,7 +14,8 @@ import argparse
 import os
 import sys
 
-from .conditions import majorization_lambda, pt_conditions, range_inclusion, verify_solution
+from .conditions import (TOL_RANGE, majorization_lambda, pt_conditions, range_inclusion,
+                         verify_solution)
 from .linalg import InputError
 from .matio import RunReport, digest_text, parse_matrix_text, save_matrix
 from .module_model import DEFAULT_GRID_N, demo
@@ -26,8 +27,6 @@ from .solvers import (
     riccati_geomean,
 )
 from .sweep import run_sweep
-
-DEFAULT_TOL = 1e-8
 
 # Operands of each family, in the order its solver takes them.
 SOLVE_FLAGS = {
@@ -92,7 +91,7 @@ def _resolve_tol(args) -> float:
     else:
         raw = os.environ.get("OPEQ_TOL")
         if raw is None:
-            return DEFAULT_TOL
+            return TOL_RANGE
         try:
             tol = float(raw)
         except ValueError:

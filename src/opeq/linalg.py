@@ -5,9 +5,10 @@ eigensolver, :func:`herm_eig`: Jacobi rotations on Hermitian matrices in the
 round-robin (parallel) order of Brent and Luk. Each step rotates n/2
 disjoint pivot pairs at once with whole-array numpy operations, and the
 order is fixed, so results are deterministic: the same input bits produce
-the same output bits within one build. The input is first scaled by an
-exact power of two, so matrices far from unit scale neither overflow nor
-underflow, and non-convergence raises :class:`InputError`.
+the same output bits within one build. herm_eig, svd, spectral_norm and
+hermitian_part first scale their input by an exact power of two, so matrices
+far from unit scale neither overflow nor underflow in norms and Gram
+products, and non-convergence raises :class:`InputError`.
 
 Each operand is factored once and everything else is read off that one
 factorization. A general matrix gets an :class:`SvdResult`, which gives its
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Assertion tolerances (relative). Tests and callers may override per call.
+# Assertion tolerances (relative).
 TOL_PSD = 1e-9
 TOL_HERMITIAN = 1e-10
 
@@ -68,6 +69,27 @@ def adjoint(m) -> np.ndarray:
 def frob(m) -> float:
     """Frobenius norm."""
     return float(np.linalg.norm(np.asarray(m)))
+
+
+def _prescaled(m) -> tuple[np.ndarray, int]:
+    """A copy of as_matrix(m) scaled by the power of two 2**-e that brings
+    its largest real or imaginary part into [0.5, 1), and e. The scaling is
+    exact except for entries it pushes below the normal range."""
+    a = np.array(as_matrix(m), order="C")
+    parts = a.view(np.float64)
+    exp = math.frexp(float(np.abs(parts).max()))[1]
+    np.ldexp(parts, -exp, out=parts)
+    return a, exp
+
+
+def _unscale(values, exp: int, what: str):
+    """values * 2**exp, undoing :func:`_prescaled`; raises InputError when
+    that leaves the floating-point range."""
+    with np.errstate(over="ignore"):
+        out = np.ldexp(values, exp)
+    if not np.isfinite(out).all():
+        raise InputError(f"{what} overflow the floating-point range")
+    return out
 
 
 @dataclass(frozen=True)
@@ -192,7 +214,7 @@ def _sweep_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, off_mask
 
 
-def herm_eig(m, tol: float = TOL_HERMITIAN) -> HermitianEig:
+def herm_eig(m) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix by round-robin Jacobi rotations.
 
     The input is first scaled by the power of two that brings its largest
@@ -206,9 +228,9 @@ def herm_eig(m, tol: float = TOL_HERMITIAN) -> HermitianEig:
     circle-method permutation. Stops when the off-diagonal Frobenius mass
     is at most 1e-14 times the input norm, and raises InputError if that
     takes more than JACOBI_MAX_SWEEPS sweeps. The input must satisfy
-    ||m - m*||_F <= tol * ||m||_F.
+    ||m - m*||_F <= TOL_HERMITIAN * ||m||_F.
     """
-    a = as_matrix(m)
+    a, exp = _prescaled(m)
     n, nc = a.shape
     if n != nc:
         raise InputError(f"eigendecomposition needs a square matrix, got {a.shape}")
@@ -219,12 +241,9 @@ def herm_eig(m, tol: float = TOL_HERMITIAN) -> HermitianEig:
     state = np.zeros((2 * size, size), dtype=np.complex128)
     top = state[:size]
     top[:n, :n] = a
-    parts = state.view(np.float64)
-    exp = math.frexp(float(np.abs(parts).max()))[1]
-    np.ldexp(parts, -exp, out=parts)
     scale = frob(top)
     adj = top.conj().T
-    if frob(top - adj) > tol * scale:
+    if frob(top - adj) > TOL_HERMITIAN * scale:
         raise InputError("matrix is not Hermitian within tolerance")
     top += adj
     top *= 0.5
@@ -283,9 +302,7 @@ def herm_eig(m, tol: float = TOL_HERMITIAN) -> HermitianEig:
                 state = buf[rows, cols]
         values = np.diagonal(state).real[:n]
         order = np.argsort(values, kind="stable")
-        values = np.ldexp(values[order], exp)
-    if not np.isfinite(values).all():
-        raise InputError("eigenvalues overflow the floating-point range")
+    values = _unscale(values[order], exp, "eigenvalues")
     return HermitianEig(values=values, vectors=state[size:size + n, :n][:, order], sweeps=sweeps)
 
 
@@ -310,12 +327,13 @@ def _complete_orthonormal(u: np.ndarray, have: int) -> None:
 def svd(m, policy: RankPolicy | None = None) -> SvdResult:
     """Full singular value decomposition via the Jacobi kernel.
 
-    Right singular vectors come from the eigendecomposition of m* m. Left
-    columns are recovered as m v / sigma with re-orthonormalization, which
-    keeps near-null directions usable; directions below the rank cutoff
-    are replaced by an explicit orthonormal completion.
+    Right singular vectors come from the eigendecomposition of m* m, with m
+    prescaled by a power of two. Left columns are recovered as m v / sigma
+    with re-orthonormalization, which keeps near-null directions usable;
+    directions below the rank cutoff are replaced by an explicit
+    orthonormal completion.
     """
-    a = as_matrix(m)
+    a, exp = _prescaled(m)
     rows, cols = a.shape
     pol = policy if policy is not None else RankPolicy()
     g = a.conj().T @ a
@@ -353,6 +371,7 @@ def svd(m, policy: RankPolicy | None = None) -> SvdResult:
         left[:, :kept] = left[:, :kept][:, order]
         right[:, :kept] = right[:, :kept][:, order]
     _complete_orthonormal(left, kept)
+    singulars = _unscale(singulars, exp, "singular values")
     return SvdResult(left=left, singulars=singulars, right=right)
 
 
@@ -374,18 +393,19 @@ def hermitian_part(m, label: str) -> np.ndarray:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise InputError(f"{label} must be square, got {a.shape}")
-    if frob(a - a.conj().T) > TOL_PSD * max(frob(a), 1e-300):
+    # judged on a power-of-two scaled copy, whose norms cannot overflow
+    unit = _prescaled(a)[0]
+    if frob(unit - unit.conj().T) > TOL_PSD * frob(unit):
         raise InputError(f"{label} is not Hermitian within tolerance")
     return 0.5 * (a + a.conj().T)
 
 
-def psd_factor(m, label: str = "matrix", tol: float = PSD_CLAMP_TOL,
-               zero_floor: float = PSD_ZERO_FLOOR) -> PsdFactor:
+def psd_factor(m, label: str = "matrix", tol: float = PSD_CLAMP_TOL) -> PsdFactor:
     """Factor a PSD Hermitian matrix with one eigendecomposition.
 
     Eigenvalues inside the window [-tol * ||m||, 0) are clamped to zero;
     anything more negative raises InputError naming ``label``. Eigenvalues
-    below zero_floor * max are treated as exact zeros: matrices arriving
+    below PSD_ZERO_FLOOR * max are treated as exact zeros: matrices arriving
     here are typically products (Gram squares, sandwiches like S K S),
     whose zero eigenspaces carry formation noise around 1e-15 relative, and
     a fractional power would amplify that to sqrt(eps).
@@ -398,19 +418,18 @@ def psd_factor(m, label: str = "matrix", tol: float = PSD_CLAMP_TOL,
             f"{label} is not PSD: min eigenvalue {eig.values[0]:.3e} "
             f"below clamp window {floor:.3e}"
         )
-    values = np.where(eig.values <= zero_floor * scale, 0.0, eig.values)
+    values = np.where(eig.values <= PSD_ZERO_FLOOR * scale, 0.0, eig.values)
     return PsdFactor(values=values, vectors=eig.vectors)
 
 
-def psd_power(m, exponent: float, tol: float = PSD_CLAMP_TOL,
-              zero_floor: float = PSD_ZERO_FLOOR) -> np.ndarray:
+def psd_power(m, exponent: float) -> np.ndarray:
     """Fractional power of a PSD Hermitian matrix (see :func:`psd_factor`)."""
-    return psd_factor(m, tol=tol, zero_floor=zero_floor).power(exponent)
+    return psd_factor(m).power(exponent)
 
 
-def psd_sqrt(m, tol: float = PSD_CLAMP_TOL) -> np.ndarray:
+def psd_sqrt(m) -> np.ndarray:
     """Hermitian PSD square root."""
-    return psd_power(m, 0.5, tol=tol)
+    return psd_power(m, 0.5)
 
 
 def psd_gap(x, y) -> float:
@@ -436,14 +455,14 @@ def range_projector(m, policy: RankPolicy | None = None) -> np.ndarray:
 
 
 def spectral_norm(m) -> float:
-    """Largest singular value, from the Gram matrix eigenvalues."""
-    a = as_matrix(m)
+    """Largest singular value, from the Gram eigenvalues of m prescaled."""
+    a, exp = _prescaled(m)
     if a.shape[0] >= a.shape[1]:
         g = a.conj().T @ a
     else:
         g = a @ a.conj().T
     top = float(herm_eig(0.5 * (g + g.conj().T)).values[-1])
-    return math.sqrt(max(top, 0.0))
+    return float(_unscale(math.sqrt(max(top, 0.0)), exp, "singular values"))
 
 
 def orthonormalize(m) -> np.ndarray:

@@ -3,10 +3,11 @@
 The algebra is sampled at the dyadic nodes j/n for j = 0..n with n a power
 of two (at least 16). Two module variants are modeled:
 
-  pair  elements (a, m) with m in the ideal of functions vanishing at 0;
-        operators are 2x2 blocks of multiplier functions
-  l2    finitely supported sequences of functions; the operators used here
-        multiply coordinate 1 and zero the rest
+  pair  elements (a, m) with m in the ideal of functions vanishing at 0
+  l2    finitely supported sequences of functions
+
+Operators of both are k x k blocks of multiplier functions acting on the
+first k coordinates and zeroing the rest: k = 2 for pair, k = 1 for l2.
 
 Inner products are conjugate linear in the first argument. The point of
 the model is to witness, numerically, how range inclusion and majorization
@@ -36,7 +37,8 @@ DEFAULT_GRID_N = 1024
 # by at most this factor when the grid is doubled.
 STABLE_FACTOR = 1.1
 
-VARIANTS = ("pair", "l2")
+# The modeled variants and the block size k of their operators.
+VARIANTS = {"pair": 2, "l2": 1}
 
 
 def _check_grid_n(n: int) -> None:
@@ -162,9 +164,9 @@ class ModuleElement:
 class ModuleOperator:
     """Adjointable operator on a modeled module.
 
-    pair: blocks is a 2x2 nest of multiplier GridFunctions (None = zero).
-    l2:   blocks is a single multiplier acting on coordinate 1; all other
-          coordinates map to zero.
+    blocks is a k x k nest of multiplier GridFunctions (None = zero) acting
+    on the first k coordinates; all other coordinates map to zero. k is 2
+    for pair (the whole module) and 1 for l2 (coordinate 1 alone).
     """
 
     variant: str
@@ -173,21 +175,19 @@ class ModuleOperator:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise InputError(f"unknown variant {self.variant!r}")
-        if self.variant == "pair":
-            rows = tuple(tuple(row) for row in self.blocks)
-            if len(rows) != 2 or any(len(r) != 2 for r in rows):
-                raise InputError("pair operators need 2x2 blocks")
-            grids = {b.n for row in rows for b in row if b is not None}
-            if len(grids) > 1:
-                raise InputError("operator blocks must share one grid")
-            if not grids:
-                raise InputError("an all-zero operator still needs one explicit block")
-            self.blocks = rows
-        else:
-            blocks = tuple(self.blocks)
-            if len(blocks) != 1 or not isinstance(blocks[0], GridFunction):
-                raise InputError("l2 operators carry exactly one multiplier")
-            self.blocks = blocks
+        k = VARIANTS[self.variant]
+        rows = tuple(tuple(row) for row in self.blocks)
+        if len(rows) != k or any(len(r) != k for r in rows):
+            raise InputError(f"{self.variant} operators need {k}x{k} blocks")
+        given = [b for row in rows for b in row if b is not None]
+        if not all(isinstance(b, GridFunction) for b in given):
+            raise InputError("operator blocks must be GridFunctions or None")
+        grids = {b.n for b in given}
+        if len(grids) > 1:
+            raise InputError("operator blocks must share one grid")
+        if not grids:
+            raise InputError("an all-zero operator still needs one explicit block")
+        self.blocks = rows
 
     @classmethod
     def pair(cls, b00, b01, b10, b11) -> "ModuleOperator":
@@ -195,16 +195,11 @@ class ModuleOperator:
 
     @classmethod
     def on_first_coordinate(cls, mult: GridFunction) -> "ModuleOperator":
-        return cls(variant="l2", blocks=(mult,))
+        return cls(variant="l2", blocks=((mult,),))
 
     @property
     def n(self) -> int:
-        if self.variant == "pair":
-            for row in self.blocks:
-                for b in row:
-                    if b is not None:
-                        return b.n
-        return self.blocks[0].n
+        return next(b.n for row in self.blocks for b in row if b is not None)
 
 
 def _same_variant(x, y, what: str) -> None:
@@ -229,18 +224,14 @@ def module_inner(x: ModuleElement, y: ModuleElement) -> GridFunction:
 def op_apply(t: ModuleOperator, x: ModuleElement) -> ModuleElement:
     """Apply an operator to an element."""
     _same_variant(t, x, "op_apply")
-    if t.variant == "pair":
-        out = []
-        for i in range(2):
-            acc = np.zeros(x.n + 1, dtype=np.complex128)
-            for j in range(2):
-                b = t.blocks[i][j]
-                if b is not None:
-                    acc = acc + b.samples * x.components[j].samples
-            out.append(GridFunction(acc))
-        return ModuleElement(variant="pair", components=tuple(out))
-    first = GridFunction(t.blocks[0].samples * x.components[0].samples)
-    return ModuleElement(variant="l2", components=(first,))
+    out = []
+    for row in t.blocks:
+        acc = np.zeros(x.n + 1, dtype=np.complex128)
+        for b, c in zip(row, x.components):
+            if b is not None:
+                acc = acc + b.samples * c.samples
+        out.append(GridFunction(acc))
+    return ModuleElement(variant=x.variant, components=tuple(out))
 
 
 def op_adjoint(t: ModuleOperator) -> ModuleOperator:
@@ -249,41 +240,29 @@ def op_adjoint(t: ModuleOperator) -> ModuleOperator:
     For multiplier blocks this is the conjugate transpose of the block
     pattern with each multiplier conjugated pointwise.
     """
-    if t.variant == "pair":
-        b = t.blocks
-        flip = [[None, None], [None, None]]
-        for i in range(2):
-            for j in range(2):
-                if b[j][i] is not None:
-                    flip[i][j] = b[j][i].conj()
-        return ModuleOperator(variant="pair", blocks=(tuple(flip[0]), tuple(flip[1])))
-    return ModuleOperator(variant="l2", blocks=(t.blocks[0].conj(),))
+    flip = [[None if b is None else b.conj() for b in col] for col in zip(*t.blocks)]
+    return ModuleOperator(variant=t.variant, blocks=flip)
 
 
 def op_compose(s: ModuleOperator, t: ModuleOperator) -> ModuleOperator:
     """Composition s after t, as multiplier blocks."""
     _same_variant(s, t, "op_compose")
-    n = s.n
-    if s.variant == "pair":
-        out = [[None, None], [None, None]]
-        for i in range(2):
-            for j in range(2):
-                acc = None
-                for k in range(2):
-                    left = s.blocks[i][k]
-                    right = t.blocks[k][j]
-                    if left is None or right is None:
-                        continue
-                    term = left.samples * right.samples
-                    acc = term if acc is None else acc + term
-                if acc is not None:
-                    out[i][j] = GridFunction(acc)
-        if all(b is None for row in out for b in row):
-            out[0][0] = GridFunction.constant(0.0, n)
-        return ModuleOperator(variant="pair", blocks=(tuple(out[0]), tuple(out[1])))
-    return ModuleOperator(
-        variant="l2", blocks=(GridFunction(s.blocks[0].samples * t.blocks[0].samples),)
-    )
+    cols = tuple(zip(*t.blocks))
+    out = []
+    for row in s.blocks:
+        out_row = []
+        for col in cols:
+            acc = None
+            for left, right in zip(row, col):
+                if left is None or right is None:
+                    continue
+                term = left.samples * right.samples
+                acc = term if acc is None else acc + term
+            out_row.append(None if acc is None else GridFunction(acc))
+        out.append(out_row)
+    if all(b is None for row in out for b in row):
+        out[0][0] = GridFunction.constant(0.0, s.n)
+    return ModuleOperator(variant=s.variant, blocks=out)
 
 
 def _divide_with_endpoint(target: np.ndarray, mult: np.ndarray) -> np.ndarray:
@@ -356,7 +335,7 @@ def op_psd_gap(s: ModuleOperator, t: ModuleOperator, c: float) -> float:
     _same_variant(s, t, "op_psd_gap")
     n = s.n
     if s.variant == "l2":
-        vals = c * t.blocks[0].samples - s.blocks[0].samples
+        vals = c * t.blocks[0][0].samples - s.blocks[0][0].samples
         return float(min(np.min(vals.real), 0.0))
 
     def block(op, i, j):
@@ -393,15 +372,13 @@ def localize(x: ModuleElement, p: PureState) -> np.ndarray:
 
 def localize_op(t: ModuleOperator, p: PureState) -> np.ndarray:
     """Evaluate an operator at a state: the matrix of multiplier values."""
-    if t.variant == "pair":
-        out = np.zeros((2, 2), dtype=np.complex128)
-        for i in range(2):
-            for j in range(2):
-                b = t.blocks[i][j]
-                if b is not None:
-                    out[i, j] = _interp(b.samples, p.x0)
-        return out
-    return np.asarray([[_interp(t.blocks[0].samples, p.x0)]], dtype=np.complex128)
+    k = len(t.blocks)
+    out = np.zeros((k, k), dtype=np.complex128)
+    for i, row in enumerate(t.blocks):
+        for j, b in enumerate(row):
+            if b is not None:
+                out[i, j] = _interp(b.samples, p.x0)
+    return out
 
 
 @dataclass

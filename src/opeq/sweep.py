@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .conditions import (
-    TOL_RANGE,
     majorization_lambda,
     pt_conditions,
     range_inclusion,

@@ -9,6 +9,7 @@ from opeq.linalg import (
     as_matrix,
     frob,
     herm_eig,
+    hermitian_part,
     orthonormalize,
     pinv,
     psd_factor,
@@ -19,6 +20,7 @@ from opeq.linalg import (
     spectral_norm,
     svd,
 )
+from opeq.solvers import congruence_solve
 from opeq.sweep import random_matrix, random_psd
 
 
@@ -288,3 +290,41 @@ def test_psd_factor_derives_rank_basis_and_pseudoinverse_powers():
     assert psd_factor(np.diag([2.0, 3.0])).nonsingular
     with pytest.raises(InputError, match="H is not PSD"):
         psd_factor(np.diag([1.0, -1.0]), "H")
+
+
+def test_svd_pinv_spectral_norm_at_extreme_scales():
+    b = np.array([[2.0, 1.0], [1.0, 3.0]])
+    sigma = np.array([(5.0 + 5.0**0.5) / 2.0, (5.0 - 5.0**0.5) / 2.0])
+    for scale in (1e-170, 1e160):
+        m = b * scale
+        r = svd(m)
+        assert r.rank == 2
+        assert np.max(np.abs(r.singulars - sigma * scale)) <= 1e-14 * sigma[0] * scale
+        ref = np.linalg.pinv(m)
+        assert np.max(np.abs(pinv(m) - ref)) <= 1e-13 * np.max(np.abs(ref))
+        top = np.linalg.norm(m, 2)
+        assert abs(spectral_norm(m) - top) <= 2.0 * np.spacing(top)
+    # the prescale is an exact power of two, so in the normal range a
+    # power-of-two rescaling of the input changes no bit of the result
+    rng = np.random.default_rng(59)
+    a = random_matrix(rng, 5, 3)
+    base = svd(a)
+    for k in (-40, 37):
+        other = svd(np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k))
+        assert np.array_equal(other.singulars, np.ldexp(base.singulars, k))
+        assert np.array_equal(other.left, base.left)
+        assert np.array_equal(other.right, base.right)
+    for fn in (svd, spectral_norm):
+        with pytest.raises(InputError, match="overflow"):
+            fn(np.full((4, 4), 1e308))
+
+
+def test_hermitian_check_holds_at_extreme_scales():
+    upper = np.array([[1.0, 1.0], [0.0, 1.0]])
+    herm = np.array([[2.0, 1.0 - 1.0j], [1.0 + 1.0j, 3.0]])
+    for scale in (1e-170, 1e160):
+        with pytest.raises(InputError, match="H is not Hermitian"):
+            hermitian_part(upper * scale, "H")
+        with pytest.raises(InputError, match="C is not Hermitian"):
+            congruence_solve(np.eye(2), upper * scale)
+        assert np.array_equal(hermitian_part(herm * scale, "H"), herm * scale)

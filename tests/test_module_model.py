@@ -120,6 +120,33 @@ def test_l2_inner_pads_ragged_support():
     assert np.max(np.abs(ip - np.abs(coord.samples) ** 2)) < 1e-15
 
 
+def test_l2_operator_algebra_on_ragged_elements():
+    rng = np.random.default_rng(12)
+    mult_t, mult_s = random_gf(rng), random_gf(rng)
+    t = ModuleOperator.on_first_coordinate(mult_t)
+    s = ModuleOperator.on_first_coordinate(mult_s)
+    x = ModuleElement(variant="l2", components=(random_gf(rng), random_gf(rng), random_gf(rng)))
+    y = ModuleElement(variant="l2", components=(random_gf(rng), random_gf(rng)))
+    # <T x, y> = <x, T* y> with supports of different lengths
+    lhs = module_inner(op_apply(t, x), y).samples
+    rhs = module_inner(x, op_apply(op_adjoint(t), y)).samples
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * (1.0 + np.max(np.abs(lhs)))
+    # op_apply keeps coordinate 1 alone
+    tx = op_apply(t, x)
+    assert len(tx.components) == 1
+    assert np.array_equal(tx.components[0].samples, mult_t.samples * x.components[0].samples)
+    tt = op_adjoint(op_adjoint(t))
+    assert np.array_equal(op_apply(tt, x).components[0].samples, tx.components[0].samples)
+    for x0 in (0.0, 8 / N, 0.5, 1.0):
+        p = PureState(x0)
+        assert localize_op(t, p).shape == (1, 1)
+        assert np.array_equal(localize_op(tt, p), localize_op(t, p))
+        assert localize_op(op_adjoint(t), p)[0, 0] == np.conj(localize_op(t, p)[0, 0])
+        cm = localize_op(op_compose(s, t), p)
+        assert np.max(np.abs(cm - localize_op(s, p) @ localize_op(t, p))) < 1e-10
+        assert np.max(np.abs(localize(tx, p) - localize_op(t, p) @ localize(x, p)[:1])) < 1e-10
+
+
 def test_localization_is_multiplicative():
     rng = np.random.default_rng(8)
     x = ModuleElement(variant="pair", components=(random_gf(rng), random_gf(rng, ideal=True)))
