@@ -12,8 +12,9 @@ products, and non-convergence raises :class:`InputError`.
 
 Each operand is factored once and everything else is read off that one
 factorization. A general matrix gets an :class:`SvdResult`, which gives its
-rank, pseudoinverse and range basis; a PSD matrix gets a :class:`PsdFactor`,
-which gives its rank, range basis and every (pseudoinverse) power.
+rank (by one fixed relative cutoff, RANK_CUTOFF), pseudoinverse and range
+basis; a PSD matrix gets a :class:`PsdFactor`, which gives its rank, range
+basis and every (pseudoinverse) power.
 
 Matrices are plain numpy arrays with dtype complex128. Helpers here accept
 anything ``np.asarray`` can turn into a finite 2-D array.
@@ -43,6 +44,10 @@ TOL_NONSINGULAR = 1e-8
 # below JACOBI_OFF_TOL times the Frobenius norm of the input.
 JACOBI_OFF_TOL = 1e-14
 JACOBI_MAX_SWEEPS = 100
+
+# svd counts a singular value as zero when it is at most
+# max(rows, cols) * RANK_CUTOFF times the largest one.
+RANK_CUTOFF = 2.0**-50
 
 
 class InputError(ValueError):
@@ -92,28 +97,6 @@ def _unscale(values, exp: int, what: str):
     return out
 
 
-@dataclass(frozen=True)
-class RankPolicy:
-    """Decides which singular values count as zero.
-
-    ``relative_threshold`` is the fraction of the largest singular value
-    below which a singular value is treated as exactly zero. When left
-    unset, the dimension-aware default max(rows, cols) * 2**-50 is used.
-    """
-
-    relative_threshold: float | None = None
-
-    def __post_init__(self):
-        rt = self.relative_threshold
-        if rt is not None and not (0.0 < rt < 1.0):
-            raise InputError(f"relative_threshold must be in (0, 1), got {rt}")
-
-    def cutoff_fraction(self, rows: int, cols: int) -> float:
-        if self.relative_threshold is not None:
-            return self.relative_threshold
-        return max(rows, cols) * 2.0**-50
-
-
 @dataclass
 class HermitianEig:
     """Eigenvalues (real, ascending), eigenvector columns (unitary) and the
@@ -146,10 +129,15 @@ class SvdResult:
         return self.left[:, : self.rank]
 
     def pinv(self) -> np.ndarray:
-        """Moore-Penrose pseudoinverse V_r diag(1/sigma) U_r*."""
+        """Moore-Penrose pseudoinverse V_r diag(1/sigma) U_r*; raises
+        InputError when it leaves the floating-point range."""
         kept = self.rank
-        core = self.right[:, :kept] * (1.0 / self.singulars[:kept])
-        return core @ self.left[:, :kept].conj().T
+        with np.errstate(over="ignore", invalid="ignore"):
+            core = self.right[:, :kept] * (1.0 / self.singulars[:kept])
+            out = core @ self.left[:, :kept].conj().T
+        if not np.isfinite(out).all():
+            raise InputError("pseudoinverse overflows the floating-point range")
+        return out
 
 
 @dataclass
@@ -306,58 +294,46 @@ def herm_eig(m) -> HermitianEig:
     return HermitianEig(values=values, vectors=state[size:size + n, :n][:, order], sweeps=sweeps)
 
 
-def _complete_orthonormal(u: np.ndarray, have: int) -> None:
-    """Fill columns have.. of u with an orthonormal complement, in place.
-
-    Deterministic: each new column starts from the canonical basis vector
-    with the largest residual against the columns accepted so far.
-    """
-    n = u.shape[0]
-    for j in range(have, n):
-        taken = u[:, :j]
-        residual_sq = 1.0 - np.sum(np.abs(taken) ** 2, axis=1)
-        k = int(np.argmax(residual_sq))
-        w = np.zeros(n, dtype=np.complex128)
-        w[k] = 1.0
-        for _ in range(2):
-            w = w - taken @ (taken.conj().T @ w)
-        u[:, j] = w / np.linalg.norm(w)
+def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """w minus its components along the orthonormal columns of basis, by two
+    passes of w <- w - B (B* w)."""
+    for _ in range(2):
+        w = w - basis @ (basis.conj().T @ w)
+    return w
 
 
-def svd(m, policy: RankPolicy | None = None) -> SvdResult:
+def svd(m) -> SvdResult:
     """Full singular value decomposition via the Jacobi kernel.
 
     Right singular vectors come from the eigendecomposition of m* m, with m
-    prescaled by a power of two. Left columns are recovered as m v / sigma
-    with re-orthonormalization, which keeps near-null directions usable;
-    directions below the rank cutoff are replaced by an explicit
-    orthonormal completion.
+    prescaled by a power of two. A singular value counts as zero when it is
+    at most max(rows, cols) * RANK_CUTOFF * sigma_max. Left columns are
+    recovered as m v / sigma, each orthogonalized against the ones already
+    kept, and a direction survives only if both its Gram eigenvalue
+    estimate and its measured action ||m v|| clear the cutoff. Eigenvalue
+    noise from squaring sits near sqrt(eps) * sigma_max, far above the true
+    action of a null vector, so gating on ||m v|| is what keeps exact rank
+    deficiency honest. The left factor is completed to a unitary from
+    canonical basis vectors.
     """
     a, exp = _prescaled(m)
     rows, cols = a.shape
-    pol = policy if policy is not None else RankPolicy()
-    g = a.conj().T @ a
-    eig = herm_eig(0.5 * (g + g.conj().T))
-    lam = eig.values[::-1]
+    eig = herm_eig(a.conj().T @ a)
     right = eig.vectors[:, ::-1].copy()
     k = min(rows, cols)
-    sig = np.sqrt(np.clip(lam[:k], 0.0, None))
-    smax = float(sig[0]) if k else 0.0
-    cut = pol.cutoff_fraction(rows, cols) * smax
+    sig = np.sqrt(np.clip(eig.values[::-1][:k], 0.0, None))
+    cut = max(rows, cols) * RANK_CUTOFF * float(sig[0])
     singulars = np.zeros(k)
     left = np.zeros((rows, rows), dtype=np.complex128)
     kept = 0
     for i in range(k):
         if sig[i] <= cut:
             break
-        w = a @ right[:, i]
         # deflate against the directions already captured before judging
         # size: eigenvector contamination from the sweep tolerance shows
         # up as action along kept columns and would otherwise fake a
         # singular value just above the cutoff
-        for _ in range(2):
-            for j in range(kept):
-                w = w - left[:, j] * (left[:, j].conj() @ w)
+        w = _orthogonalize(a @ right[:, i], left[:, :kept])
         nw = float(np.linalg.norm(w))
         if nw <= cut:
             break
@@ -365,26 +341,25 @@ def svd(m, policy: RankPolicy | None = None) -> SvdResult:
         singulars[kept] = nw
         kept += 1
     # refined singular estimates may cross for near-ties; restore order
-    if kept > 1:
-        order = np.argsort(-singulars[:kept], kind="stable")
-        singulars[:kept] = singulars[:kept][order]
-        left[:, :kept] = left[:, :kept][:, order]
-        right[:, :kept] = right[:, :kept][:, order]
-    _complete_orthonormal(left, kept)
+    order = np.argsort(-singulars[:kept], kind="stable")
+    singulars[:kept] = singulars[:kept][order]
+    left[:, :kept] = left[:, :kept][:, order]
+    right[:, :kept] = right[:, :kept][:, order]
+    # each completing column starts from the canonical basis vector with
+    # the largest residual against the columns so far
+    unit = np.eye(rows, dtype=np.complex128)
+    for j in range(kept, rows):
+        taken = left[:, :j]
+        start = int(np.argmax(1.0 - np.sum(np.abs(taken) ** 2, axis=1)))
+        w = _orthogonalize(unit[start], taken)
+        left[:, j] = w / np.linalg.norm(w)
     singulars = _unscale(singulars, exp, "singular values")
     return SvdResult(left=left, singulars=singulars, right=right)
 
 
-def pinv(m, policy: RankPolicy | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse, read off :func:`svd`.
-
-    The rank decision is the factorization's: a direction survives only if
-    both its Gram eigenvalue estimate and its directly measured action
-    ||m v|| clear the policy cutoff. Eigenvalue noise from squaring sits
-    near sqrt(eps) * sigma_max, far above the true action of a null
-    vector, so gating on ||m v|| is what keeps exact rank deficiency honest.
-    """
-    return svd(m, policy).pinv()
+def pinv(m) -> np.ndarray:
+    """Moore-Penrose pseudoinverse, read off :func:`svd`."""
+    return svd(m).pinv()
 
 
 def hermitian_part(m, label: str) -> np.ndarray:
@@ -443,14 +418,16 @@ def psd_gap(x, y) -> float:
     b = as_matrix(y)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise InputError(f"psd_gap needs square matrices of equal shape, got {a.shape} and {b.shape}")
+    # x and y are Hermitian only up to rounding, and where y - x cancels
+    # that rounding exceeds herm_eig's tolerance relative to ||y - x||
     d = b - a
     return float(herm_eig(0.5 * (d + d.conj().T)).values[0])
 
 
-def range_projector(m, policy: RankPolicy | None = None) -> np.ndarray:
+def range_projector(m) -> np.ndarray:
     """Orthogonal projector onto the column space: P = m @ pinv(m)."""
     a = as_matrix(m)
-    p = a @ pinv(a, policy)
+    p = a @ pinv(a)
     return 0.5 * (p + p.conj().T)
 
 
@@ -461,7 +438,7 @@ def spectral_norm(m) -> float:
         g = a.conj().T @ a
     else:
         g = a @ a.conj().T
-    top = float(herm_eig(0.5 * (g + g.conj().T)).values[-1])
+    top = float(herm_eig(g).values[-1])
     return float(_unscale(math.sqrt(max(top, 0.0)), exp, "singular values"))
 
 

@@ -120,9 +120,9 @@ class PureState:
             raise InputError(f"state must sit in [0, 1], got {self.x0}")
 
 
-def in_ideal_M(f: GridFunction, tol: float = TOL_IDEAL) -> bool:
+def in_ideal_M(f: GridFunction) -> bool:
     """Membership in the ideal of functions vanishing at the left endpoint."""
-    return bool(abs(f.samples[0]) <= tol * (1.0 + f.sup()))
+    return bool(abs(f.samples[0]) <= TOL_IDEAL * (1.0 + f.sup()))
 
 
 @dataclass(eq=False)
@@ -287,10 +287,7 @@ class PreimageReport:
 
 
 def multiplier_preimage(
-    target: GridFunction,
-    multiplier: GridFunction,
-    require_ideal: bool,
-    tol: float = TOL_IDEAL,
+    target: GridFunction, multiplier: GridFunction, require_ideal: bool
 ) -> PreimageReport:
     """Attempt to invert a multiplier on the grid and judge the result.
 
@@ -314,7 +311,7 @@ def multiplier_preimage(
         ratio = sup_fine / sup_coarse
     candidate = GridFunction(g_fine)
     stable = (1.0 / STABLE_FACTOR) <= ratio <= STABLE_FACTOR
-    ideal_ok = in_ideal_M(candidate, tol) if require_ideal else None
+    ideal_ok = in_ideal_M(candidate) if require_ideal else None
     in_range = stable and (ideal_ok is not False)
     return PreimageReport(
         candidate=candidate,
@@ -530,23 +527,23 @@ def demo_ex2(grid_n: int = DEFAULT_GRID_N) -> dict:
     }
 
 
-def demo_l2(grid_n: int = DEFAULT_GRID_N, states=None) -> dict:
-    """Local solvability at every interior state, global majorization never.
+def demo_l2(grid_n: int = DEFAULT_GRID_N) -> dict:
+    """Local solvability at the states x0 = 0.1, ..., 0.9, global
+    majorization never.
 
     B f = A g + h admits a decomposition at each x0 > 0 with h killed by
     the state, yet B B* <= c A A* fails for every c: the multiplier
     comparison 1 <= c lambda^2 collapses at the left endpoint.
     """
-    if states is None:
-        states = [round(0.1 * i, 1) for i in range(1, 10)]
     coord = GridFunction.coordinate(grid_n)
     a_op = ModuleOperator.on_first_coordinate(coord)
     b_op = ModuleOperator.on_first_coordinate(GridFunction.constant(1.0, grid_n))
     f = ModuleElement(variant="l2", components=(coord,))
     per_state = []
-    for x0 in states:
-        dec = thl2_decompose(f, PureState(float(x0)))
-        per_state.append({"x0": float(x0), "residual": dec.residual})
+    for i in range(1, 10):
+        x0 = i / 10
+        dec = thl2_decompose(f, PureState(x0))
+        per_state.append({"x0": x0, "residual": dec.residual})
     aa = op_compose(a_op, op_adjoint(a_op))
     bb = op_compose(b_op, op_adjoint(b_op))
     cs = [1.0, 10.0, 1e6]

@@ -170,17 +170,27 @@ class PtReport:
     (H^{1/2} K H^{1/2})^{1/2} <= a H. For singular H the solver declines:
     ``solution``, ``a_min`` and ``residual`` stay None and only the
     condition battery (which includes the necessary pair ii-a / ii-b) is
-    populated.
+    populated. ``conditions`` holds the reports ii-a, ii-b, iii and iv in
+    that order, and the ``cond_*`` flags read them.
     """
 
     solution: np.ndarray | None
     a_min: float | None
-    cond_ii: bool
-    cond_iii: bool
-    cond_iv: bool
     residual: float | None
     h_nonsingular: bool
-    conditions: list[ConditionReport] = field(default_factory=list)
+    conditions: list[ConditionReport]
+
+    @property
+    def cond_ii(self) -> bool:
+        return self.conditions[0].holds and self.conditions[1].holds
+
+    @property
+    def cond_iii(self) -> bool:
+        return self.conditions[2].holds
+
+    @property
+    def cond_iv(self) -> bool:
+        return self.conditions[3].holds
 
     @property
     def solvable(self) -> bool:
@@ -198,33 +208,11 @@ def pt_solve(h, k, tol: float = TOL_RANGE) -> PtReport:
     largest.
     """
     bat = pt_battery(h, k, tol)
-    reports = bat.reports
-    cond_ii = reports[0].holds and reports[1].holds
-    cond_iii = reports[2].holds
-    cond_iv = reports[3].holds
     if not bat.h_factor.nonsingular:
-        return PtReport(
-            solution=None,
-            a_min=None,
-            cond_ii=cond_ii,
-            cond_iii=cond_iii,
-            cond_iv=cond_iv,
-            residual=None,
-            h_nonsingular=False,
-            conditions=reports,
-        )
+        return PtReport(None, None, None, False, bat.reports)
     x = bat.candidate
     residual = frob(x @ bat.h @ x - bat.k) / (1.0 + frob(bat.k))
-    return PtReport(
-        solution=x,
-        a_min=bat.lam,
-        cond_ii=cond_ii,
-        cond_iii=cond_iii,
-        cond_iv=cond_iv,
-        residual=residual,
-        h_nonsingular=True,
-        conditions=reports,
-    )
+    return PtReport(x, bat.lam, residual, True, bat.reports)
 
 
 def riccati_geomean(a, b) -> np.ndarray:

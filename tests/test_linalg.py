@@ -4,7 +4,6 @@ import pytest
 from opeq import linalg
 from opeq.linalg import (
     InputError,
-    RankPolicy,
     adjoint,
     as_matrix,
     frob,
@@ -188,15 +187,6 @@ def test_penrose_identities_mixed_rank():
 
 def test_pinv_zero_matrix():
     assert np.array_equal(pinv(np.zeros((3, 5))), np.zeros((5, 3)))
-
-
-def test_rank_policy_override():
-    a = np.diag([1.0, 1e-6])
-    assert svd(a).rank == 2
-    strict = RankPolicy(relative_threshold=1e-3)
-    assert svd(a, strict).rank == 1
-    with pytest.raises(InputError):
-        RankPolicy(relative_threshold=2.0)
 
 
 def test_psd_power_rejects_indefinite():
