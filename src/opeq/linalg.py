@@ -5,10 +5,12 @@ eigensolver, :func:`herm_eig`: Jacobi rotations on Hermitian matrices in the
 round-robin (parallel) order of Brent and Luk. Each step rotates n/2
 disjoint pivot pairs at once with whole-array numpy operations, and the
 order is fixed, so results are deterministic: the same input bits produce
-the same output bits within one build. herm_eig, svd, spectral_norm and
-hermitian_part first scale their input by an exact power of two, so matrices
-far from unit scale neither overflow nor underflow in norms and Gram
-products, and non-convergence raises :class:`InputError`.
+the same output bits within one build. herm_eig, svd, spectral_norm, frob
+and hermitian_part first scale their input by an exact power of two, so
+matrices far from unit scale neither overflow nor underflow in norms and
+Gram products, and non-convergence raises :class:`InputError`. A result
+that leaves the floating-point range anyway is refused with InputError by
+one check, :func:`require_finite`, never returned as inf or NaN.
 
 Each operand is factored once and everything else is read off that one
 factorization. A general matrix gets an :class:`SvdResult`, which gives its
@@ -71,11 +73,6 @@ def adjoint(m) -> np.ndarray:
     return as_matrix(m).conj().T
 
 
-def frob(m) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(np.asarray(m)))
-
-
 def _prescaled(m) -> tuple[np.ndarray, int]:
     """A copy of as_matrix(m) scaled by the power of two 2**-e that brings
     its largest real or imaginary part into [0.5, 1), and e. The scaling is
@@ -87,14 +84,37 @@ def _prescaled(m) -> tuple[np.ndarray, int]:
     return a, exp
 
 
+def require_finite(values, what: str):
+    """values, or InputError(f"{what} the floating-point range") when an
+    entry is not finite: the one refusal for results that overflow."""
+    if not np.isfinite(values).all():
+        raise InputError(f"{what} the floating-point range")
+    return values
+
+
 def _unscale(values, exp: int, what: str):
     """values * 2**exp, undoing :func:`_prescaled`; raises InputError when
     that leaves the floating-point range."""
     with np.errstate(over="ignore"):
-        out = np.ldexp(values, exp)
-    if not np.isfinite(out).all():
-        raise InputError(f"{what} overflow the floating-point range")
-    return out
+        return require_finite(np.ldexp(values, exp), what)
+
+
+def frob(m) -> float:
+    """Frobenius norm, taken after scaling by the power of two that brings
+    the largest real or imaginary part into [0.5, 1), as in
+    :func:`_prescaled`, so that squaring the entries neither overflows nor
+    underflows. The scaling is exact and keeps the dtype and memory order,
+    so in the normal range the result is numpy's norm bit for bit. A finite
+    matrix whose norm passes the floating-point range raises InputError; a
+    non-finite entry gives inf or NaN, as numpy's norm does."""
+    a = np.asarray(m)
+    parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+    # 2**-exp must itself be a double, so a subnormal top scales by 2**1022
+    exp = max(math.frexp(float(np.abs(parts).max(initial=0.0)))[1], -1022)
+    try:
+        return math.ldexp(float(np.linalg.norm(a * math.ldexp(1.0, -exp))), exp)
+    except OverflowError:
+        raise InputError("Frobenius norm overflows the floating-point range") from None
 
 
 @dataclass
@@ -135,9 +155,7 @@ class SvdResult:
         with np.errstate(over="ignore", invalid="ignore"):
             core = self.right[:, :kept] * (1.0 / self.singulars[:kept])
             out = core @ self.left[:, :kept].conj().T
-        if not np.isfinite(out).all():
-            raise InputError("pseudoinverse overflows the floating-point range")
-        return out
+        return require_finite(out, "pseudoinverse overflows")
 
 
 @dataclass
@@ -169,15 +187,18 @@ class PsdFactor:
 
     def power(self, exponent: float) -> np.ndarray:
         """m^exponent; a negative exponent gives the pseudoinverse power
-        (m^+)^-exponent, which leaves the zero eigenvalues at zero."""
-        if exponent >= 0:
-            lam = self.values ** exponent
-        else:
-            lam = np.zeros_like(self.values)
-            pos = self.values > 0
-            lam[pos] = 1.0 / self.values[pos] ** -exponent
-        out = (self.vectors * lam) @ self.vectors.conj().T
-        return 0.5 * (out + out.conj().T)
+        (m^+)^-exponent, which leaves the zero eigenvalues at zero. Raises
+        InputError when the power leaves the floating-point range."""
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            if exponent >= 0:
+                lam = self.values ** exponent
+            else:
+                lam = np.zeros_like(self.values)
+                pos = self.values > 0
+                lam[pos] = 1.0 / self.values[pos] ** -exponent
+            out = (self.vectors * lam) @ self.vectors.conj().T
+            out = 0.5 * (out + out.conj().T)
+        return require_finite(out, "matrix power overflows")
 
 
 @functools.lru_cache(maxsize=64)
@@ -229,9 +250,10 @@ def herm_eig(m) -> HermitianEig:
     state = np.zeros((2 * size, size), dtype=np.complex128)
     top = state[:size]
     top[:n, :n] = a
-    scale = frob(top)
+    # top is already at unit scale, so numpy's norm cannot overflow here
+    scale = float(np.linalg.norm(top))
     adj = top.conj().T
-    if frob(top - adj) > TOL_HERMITIAN * scale:
+    if float(np.linalg.norm(top - adj)) > TOL_HERMITIAN * scale:
         raise InputError("matrix is not Hermitian within tolerance")
     top += adj
     top *= 0.5
@@ -290,7 +312,7 @@ def herm_eig(m) -> HermitianEig:
                 state = buf[rows, cols]
         values = np.diagonal(state).real[:n]
         order = np.argsort(values, kind="stable")
-    values = _unscale(values[order], exp, "eigenvalues")
+    values = _unscale(values[order], exp, "eigenvalues overflow")
     return HermitianEig(values=values, vectors=state[size:size + n, :n][:, order], sweeps=sweeps)
 
 
@@ -353,7 +375,7 @@ def svd(m) -> SvdResult:
         start = int(np.argmax(1.0 - np.sum(np.abs(taken) ** 2, axis=1)))
         w = _orthogonalize(unit[start], taken)
         left[:, j] = w / np.linalg.norm(w)
-    singulars = _unscale(singulars, exp, "singular values")
+    singulars = _unscale(singulars, exp, "singular values overflow")
     return SvdResult(left=left, singulars=singulars, right=right)
 
 
@@ -368,9 +390,7 @@ def hermitian_part(m, label: str) -> np.ndarray:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise InputError(f"{label} must be square, got {a.shape}")
-    # judged on a power-of-two scaled copy, whose norms cannot overflow
-    unit = _prescaled(a)[0]
-    if frob(unit - unit.conj().T) > TOL_PSD * frob(unit):
+    if frob(a - a.conj().T) > TOL_PSD * frob(a):
         raise InputError(f"{label} is not Hermitian within tolerance")
     return 0.5 * (a + a.conj().T)
 
@@ -439,7 +459,7 @@ def spectral_norm(m) -> float:
     else:
         g = a @ a.conj().T
     top = float(herm_eig(g).values[-1])
-    return float(_unscale(math.sqrt(max(top, 0.0)), exp, "singular values"))
+    return float(_unscale(math.sqrt(max(top, 0.0)), exp, "singular values overflow"))
 
 
 def orthonormalize(m) -> np.ndarray:

@@ -24,6 +24,7 @@ from .linalg import (
     herm_eig,
     psd_factor,
     psd_sqrt,
+    require_finite,
     svd,
 )
 
@@ -233,5 +234,7 @@ def riccati_geomean(a, b) -> np.ndarray:
     psd_factor(bm, "b", tol=TOL_PSD)  # input validation only
     asq = af.power(0.5)
     ainvs = af.power(-0.5)
-    inner = _hermitize(ainvs @ bm @ ainvs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = _hermitize(ainvs @ bm @ ainvs)
+    require_finite(inner, "A^{-1/2} B A^{-1/2} overflows")
     return _hermitize(asq @ psd_sqrt(inner) @ asq)

@@ -25,6 +25,7 @@ from .linalg import (
     herm_eig,
     orthonormalize,
     pinv,
+    psd_factor,
     psd_gap,
     psd_sqrt,
     range_projector,
@@ -145,36 +146,43 @@ def congruence_unsolvable_pair(rng: np.random.Generator, m: int, n: int, kind: s
     raise InputError("failed to draw an indefinite right-hand side")
 
 
-# Step cap of norm_bound_bisect. The bracket usually closes to adjacent
-# doubles first; with K = 0 the cap is what stops the halving towards 0.
-BISECT_STEPS = 120
-
-
+# The independent check of pt_solve's norm bound: a monotone Newton
+# (Dinkelbach) iteration on g(a) = lambda_min(a H - S). The name is kept
+# from the bisection it replaced because outside callers wrap it by name.
 def norm_bound_bisect(h: np.ndarray, k: np.ndarray) -> float:
-    """Minimal a with (H^{1/2} K H^{1/2})^{1/2} <= a H, by bisection.
+    """Minimal a with S = (H^{1/2} K H^{1/2})^{1/2} <= a H, for H > 0, by
+    Newton's method on g(a) = lambda_min(a H - S).
 
-    Independent of pt_solve: only the PSD comparison is queried per
-    candidate a, so this cross-checks the solver's norm via a different
-    route.
+    g is concave (a minimum of the affine maps a v*Hv - v*Sv over unit v)
+    and increasing (its slope v*Hv is positive because H > 0), and g(0) =
+    -lambda_max(S) <= 0. Each step reads the lowest eigenpair (g, v) of
+    a H - S and moves a by -g / v*Hv, to the root of the tangent, which
+    lies above g; so the iterate starts at 0, rises strictly and, up to
+    rounding, never passes the root. It stops when the step is not
+    positive (g >= 0: a has reached the root) or no longer moves a. A
+    strictly rising sequence of doubles bounded by the root is finite, so
+    the loop ends with no step cap, and it returns only at a stop. K = 0
+    returns 0.0 after one eigendecomposition. Refuses H that is not
+    positive definite.
+
+    Independent of pt_solve: it reads only eigenpairs of a H - S, never
+    the solver's closed form, so it cross-checks the solver's norm by a
+    different route.
     """
-    hs = psd_sqrt(h)
+    hf = psd_factor(h, "h")
+    if hf.values[0] == 0.0:
+        raise InputError("the norm bound needs positive definite h")
+    hs = hf.power(0.5)
     inner = hs @ k @ hs
     s = psd_sqrt(0.5 * (inner + inner.conj().T))
-    scale = 1.0 + frob(s) + frob(h)
-    lam_min = herm_eig(h).values[0]
-    if lam_min <= 0:
-        raise InputError("bisection needs positive definite h")
-    lo = 0.0
-    hi = spectral_norm(s) / lam_min + 1.0
-    for _ in range(BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break  # the bracket is down to adjacent doubles
-        if psd_gap(s, mid * h) >= -1e-12 * scale:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    a = 0.0
+    while True:
+        eig = herm_eig(a * h - s)
+        v = eig.vectors[:, 0]
+        step = -float(eig.values[0]) / float((v.conj() @ h @ v).real)
+        if not step > 0.0 or a + step == a:
+            return a
+        a += step
 
 
 # --- suites ------------------------------------------------------------------
