@@ -1,16 +1,15 @@
 """Dense complex linear algebra kernel.
 
-Everything numerically delicate in this package funnels through one trusted
-eigensolver, :func:`herm_eig`: Jacobi rotations on Hermitian matrices in the
-round-robin (parallel) order of Brent and Luk. Each step rotates n/2
-disjoint pivot pairs at once with whole-array numpy operations, and the
-order is fixed, so results are deterministic: the same input bits produce
-the same output bits within one build. herm_eig, svd, spectral_norm, frob
-and hermitian_part first scale their input by an exact power of two, so
-matrices far from unit scale neither overflow nor underflow in norms and
-Gram products, and non-convergence raises :class:`InputError`. A result
-that leaves the floating-point range anyway is refused with InputError by
-one check, :func:`require_finite`, never returned as inf or NaN.
+Everything numerically delicate here runs on two Jacobi kernels with one
+round-robin schedule (Brent and Luk) and one rotation rule: :func:`herm_eig`
+rotates a Hermitian matrix from both sides, :func:`svd` rotates the columns
+of m itself and never squares it. A round rotates n/2 disjoint pairs at
+once in a fixed order, so the same input bits give the same output bits
+within one build. herm_eig, svd, frob and hermitian_part first scale their
+input by an exact power of two, so norms neither overflow nor underflow,
+and non-convergence raises :class:`InputError`. A result that leaves the
+floating-point range anyway is refused by :func:`require_finite`, never
+returned as inf or NaN.
 
 Each operand is factored once and everything else is read off that one
 factorization. A general matrix gets an :class:`SvdResult`, which gives its
@@ -42,8 +41,8 @@ PSD_ZERO_FLOOR = 1e-13
 # exceeds this fraction of its spectral norm.
 TOL_NONSINGULAR = 1e-8
 
-# Jacobi sweep control: stop when the off-diagonal Frobenius mass falls
-# below JACOBI_OFF_TOL times the Frobenius norm of the input.
+# Jacobi sweep control: herm_eig's off-diagonal mass and svd's column-pair
+# inner products must fall to JACOBI_OFF_TOL relative to the norms involved.
 JACOBI_OFF_TOL = 1e-14
 JACOBI_MAX_SWEEPS = 100
 
@@ -92,11 +91,12 @@ def require_finite(values, what: str):
     return values
 
 
-def _unscale(values, exp: int, what: str):
-    """values * 2**exp, undoing :func:`_prescaled`; raises InputError when
-    that leaves the floating-point range."""
+def _unscale(values: np.ndarray, exp: int, what: str) -> np.ndarray:
+    """A real or complex array times 2**exp, undoing :func:`_prescaled`;
+    raises InputError when that leaves the floating-point range."""
+    values = np.ascontiguousarray(values)
     with np.errstate(over="ignore"):
-        return require_finite(np.ldexp(values, exp), what)
+        return require_finite(np.ldexp(values.view(np.float64), exp).view(values.dtype), what)
 
 
 def frob(m) -> float:
@@ -203,15 +203,15 @@ class PsdFactor:
 
 @functools.lru_cache(maxsize=64)
 def _sweep_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The round-robin schedule of an even-order Jacobi sweep: gather indices
-    (rows, cols) that move the stacked state [A; V] from one round's paired
-    layout to the next, and the off-diagonal mask of A.
+    """The round-robin schedule of an even-order Jacobi sweep: the gather
+    (rows, cols) that moves a stacked state [A; V] to the next round's
+    layout, with cols[0] the column permutation, and A's off-diagonal mask.
 
     Circle method: position 0 stays and the other n - 1 positions move one
     step along the ring 2, 4, ..., n - 2, n - 1, n - 3, ..., 1. Any two
     indices sit at some (2i, 2i + 1) in exactly one of n - 1 consecutive
     rounds, and after n - 1 rounds the layout is back at the start. The
-    rows of A and the columns of A and V move; the rows of V do not.
+    rows of V never move, and svd moves no row of A either.
     """
     ring = np.r_[2:n:2, n - 1 : 0 : -2]
     src = np.arange(n)
@@ -223,21 +223,41 @@ def _sweep_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, off_mask
 
 
+def _rotations(app, aqq, pivots, rot: np.ndarray) -> np.ndarray:
+    """Fill rot with the J_i = [[c phase, s phase], [-s, c]] that diagonalize
+    [[app, pivot], [pivot*, aqq]] as J_i* G J_i (J_i = I for a zero pivot),
+    and return t |pivot|, by which app falls and aqq rises."""
+    mag = np.abs(pivots)
+    dead = mag == 0.0
+    safe = mag + dead
+    tau = (aqq - app) / (safe + safe)
+    # smaller-magnitude root of t^2 + 2*tau*t - 1 = 0, |t| <= 1;
+    # it overflows to 0 when the pivot is negligible
+    root = 1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+    root[dead] = 0.0
+    t = np.copysign(root, tau)
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    s = t * c
+    phase = pivots / safe + dead
+    np.multiply(c, phase, out=rot[:, 0, 0])
+    np.multiply(s, phase, out=rot[:, 0, 1])
+    np.negative(s, out=rot[:, 1, 0])
+    rot[:, 1, 1] = c
+    return t * mag
+
+
 def herm_eig(m) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix by round-robin Jacobi rotations.
 
     The input is first scaled by the power of two that brings its largest
     real or imaginary part into [0.5, 1), so that norms neither overflow nor
     underflow; the scaling is exact and the eigenvalues are scaled back. An
-    odd n is padded with one decoupled zero row and column. Each sweep is
-    n - 1 rounds of the Brent-Luk parallel ordering: a round rotates the n/2
-    disjoint pivot pairs (2i, 2i + 1) of the current layout at once as one
-    stack of 2x2 rotations, each annihilating its pivot exactly (a zero
-    pivot gets the identity), then moves to the next layout by a fixed
-    circle-method permutation. Stops when the off-diagonal Frobenius mass
-    is at most 1e-14 times the input norm, and raises InputError if that
-    takes more than JACOBI_MAX_SWEEPS sweeps. The input must satisfy
-    ||m - m*||_F <= TOL_HERMITIAN * ||m||_F.
+    odd n is padded with one decoupled zero row and column. A sweep is the
+    n - 1 rounds of :func:`_sweep_plan`; a round annihilates the n/2 pivots
+    (2i, 2i + 1) at once by :func:`_rotations`. Stops when the off-diagonal
+    Frobenius mass is at most JACOBI_OFF_TOL times the input norm, and
+    raises InputError if that takes more than JACOBI_MAX_SWEEPS sweeps. The
+    input must satisfy ||m - m*||_F <= TOL_HERMITIAN * ||m||_F.
     """
     a, exp = _prescaled(m)
     n, nc = a.shape
@@ -261,9 +281,7 @@ def herm_eig(m) -> HermitianEig:
     rows, cols, off_mask = _sweep_plan(size)
     target = JACOBI_OFF_TOL * scale
     # per-pair work arrays and views, made once per call
-    one = np.ones(pairs)
     rot = np.empty((pairs, 2, 2), dtype=np.complex128)
-    rot_cp, rot_sp, rot_ms, rot_c = rot[:, 0, 0], rot[:, 0, 1], rot[:, 1, 0], rot[:, 1, 1]
     buf = np.empty_like(state)
     buf_cols = buf.reshape(2 * size, pairs, 2).transpose(1, 0, 2)
     buf_rows = buf[:size].reshape(pairs, 2, size)
@@ -280,33 +298,15 @@ def herm_eig(m) -> HermitianEig:
             sweeps += 1
             for _ in range(size - 1):
                 flat = state.reshape(-1)
-                pivots = flat[1 : size * size : step]
                 app = flat[: size * size : step].real
                 aqq = flat[size + 1 : size * size : step].real
-                mag = np.abs(pivots)
-                dead = mag == 0.0
-                safe = mag + dead
-                tau = (aqq - app) / (safe + safe)
-                # smaller-magnitude root of t^2 + 2*tau*t - 1 = 0, |t| <= 1;
-                # it overflows to 0 when the pivot is negligible
-                root = one / (np.abs(tau) + np.sqrt(one + tau * tau))
-                root[dead] = 0.0
-                t = np.copysign(root, tau)
-                c = one / np.sqrt(one + t * t)
-                s = t * c
-                phase = pivots / safe + dead
-                # J_i = [[c phase, s phase], [-s, c]]; dead pairs get J_i = I
-                np.multiply(c, phase, out=rot_cp)
-                np.multiply(s, phase, out=rot_sp)
-                np.negative(s, out=rot_ms)
-                rot_c[...] = c
+                shift = _rotations(app, aqq, flat[1 : size * size : step], rot)
                 # V <- V J and A <- J* A J; then each pivot is exactly zero
                 # and the diagonal moves by -/+ t |a_pq|, exactly real
                 np.matmul(state.reshape(2 * size, pairs, 2).transpose(1, 0, 2), rot, out=buf_cols)
                 np.matmul(rot.conj().transpose(0, 2, 1), buf_rows, out=buf_rows)
                 buf_pq[...] = 0.0
                 buf_qp[...] = 0.0
-                shift = t * mag
                 np.subtract(app, shift, out=buf_pp)
                 np.add(aqq, shift, out=buf_qq)
                 state = buf[rows, cols]
@@ -316,64 +316,70 @@ def herm_eig(m) -> HermitianEig:
     return HermitianEig(values=values, vectors=state[size:size + n, :n][:, order], sweeps=sweeps)
 
 
-def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """w minus its components along the orthonormal columns of basis, by two
-    passes of w <- w - B (B* w)."""
-    for _ in range(2):
-        w = w - basis @ (basis.conj().T @ w)
-    return w
-
-
 def svd(m) -> SvdResult:
-    """Full singular value decomposition via the Jacobi kernel.
+    """Full singular value decomposition by one-sided (Hestenes) Jacobi on m.
 
-    Right singular vectors come from the eigendecomposition of m* m, with m
-    prescaled by a power of two. A singular value counts as zero when it is
-    at most max(rows, cols) * RANK_CUTOFF * sigma_max. Left columns are
-    recovered as m v / sigma, each orthogonalized against the ones already
-    kept, and a direction survives only if both its Gram eigenvalue
-    estimate and its measured action ||m v|| clear the cutoff. Eigenvalue
-    noise from squaring sits near sqrt(eps) * sigma_max, far above the true
-    action of a null vector, so gating on ||m v|| is what keeps exact rank
-    deficiency honest. The left factor is completed to a unitary from
-    canonical basis vectors.
+    The prescaled columns are rotated on herm_eig's schedule by its rule:
+    each round rotates its n/2 column pairs by the J that diagonalize their
+    2x2 Gram matrices, accumulating V. A pair is settled when |a_p* a_q| <=
+    JACOBI_OFF_TOL ||a_p|| ||a_q||, or when its smaller column is at most
+    c = max(rows, cols) * RANK_CUTOFF times the largest. The first sweep
+    that finds every pair settled before rotating it ends the iteration,
+    and more than JACOBI_MAX_SWEEPS sweeps raise InputError. sigma are
+    the column norms sorted descending, zero at or below c * sigma_max; the
+    kept columns over sigma, completed from canonical basis vectors, are
+    the left singular vectors.
     """
     a, exp = _prescaled(m)
     rows, cols = a.shape
-    eig = herm_eig(a.conj().T @ a)
-    right = eig.vectors[:, ::-1].copy()
-    k = min(rows, cols)
-    sig = np.sqrt(np.clip(eig.values[::-1][:k], 0.0, None))
-    cut = max(rows, cols) * RANK_CUTOFF * float(sig[0])
-    singulars = np.zeros(k)
+    size = cols + cols % 2
+    pairs = size // 2
+    # A stacked above V: one matmul rotates and one gather moves both
+    state = np.zeros((rows + size, size), dtype=np.complex128)
+    state[:rows, :cols] = a
+    state[rows:] = np.eye(size)
+    src = _sweep_plan(size)[1][0]
+    rot = np.empty((pairs, 2, 2), dtype=np.complex128)
+    buf = np.empty_like(state)
+    # the n/2 column pairs of state and of buf, and those of A alone
+    col_pairs = state.reshape(rows + size, pairs, 2).transpose(1, 0, 2)
+    buf_cols = buf.reshape(rows + size, pairs, 2).transpose(1, 0, 2)
+    top = col_pairs[:, :rows]
+    small = (max(rows, cols) * RANK_CUTOFF) ** 2
+    with np.errstate(over="ignore"):
+        for _ in range(JACOBI_MAX_SWEEPS):
+            settled = True
+            for _ in range(size - 1):
+                gram = top.conj().transpose(0, 2, 1) @ top
+                app, aqq, pivots = gram[:, 0, 0].real, gram[:, 1, 1].real, gram[:, 0, 1]
+                if settled:
+                    settled = bool(np.all(
+                        (np.abs(pivots) <= JACOBI_OFF_TOL * np.sqrt(app * aqq))
+                        | (np.minimum(app, aqq) <= small * max(app.max(), aqq.max()))
+                    ))
+                _rotations(app, aqq, pivots, rot)
+                np.matmul(col_pairs, rot, out=buf_cols)
+                np.take(buf, src, axis=1, out=state)
+            if settled:
+                break
+        else:
+            raise InputError(f"Jacobi SVD did not converge in {JACOBI_MAX_SWEEPS} sweeps")
+    norms = np.linalg.norm(state[:rows, :cols], axis=0)
+    order = np.argsort(-norms, kind="stable")
+    singulars = norms[order[: min(rows, cols)]]
+    kept = int(np.count_nonzero(singulars > max(rows, cols) * RANK_CUTOFF * singulars[0]))
+    singulars[kept:] = 0.0
+    right = state[rows : rows + cols, order]
     left = np.zeros((rows, rows), dtype=np.complex128)
-    kept = 0
-    for i in range(k):
-        if sig[i] <= cut:
-            break
-        # deflate against the directions already captured before judging
-        # size: eigenvector contamination from the sweep tolerance shows
-        # up as action along kept columns and would otherwise fake a
-        # singular value just above the cutoff
-        w = _orthogonalize(a @ right[:, i], left[:, :kept])
-        nw = float(np.linalg.norm(w))
-        if nw <= cut:
-            break
-        left[:, kept] = w / nw
-        singulars[kept] = nw
-        kept += 1
-    # refined singular estimates may cross for near-ties; restore order
-    order = np.argsort(-singulars[:kept], kind="stable")
-    singulars[:kept] = singulars[:kept][order]
-    left[:, :kept] = left[:, :kept][:, order]
-    right[:, :kept] = right[:, :kept][:, order]
-    # each completing column starts from the canonical basis vector with
-    # the largest residual against the columns so far
+    left[:, :kept] = state[:rows, order[:kept]] / singulars[:kept]
+    # each completing column is the canonical basis vector with the largest
+    # residual against the columns so far, less two passes of B (B* w)
     unit = np.eye(rows, dtype=np.complex128)
     for j in range(kept, rows):
         taken = left[:, :j]
-        start = int(np.argmax(1.0 - np.sum(np.abs(taken) ** 2, axis=1)))
-        w = _orthogonalize(unit[start], taken)
+        w = unit[int(np.argmax(1.0 - np.sum(np.abs(taken) ** 2, axis=1)))]
+        for _ in range(2):
+            w = w - taken @ (taken.conj().T @ w)
         left[:, j] = w / np.linalg.norm(w)
     singulars = _unscale(singulars, exp, "singular values overflow")
     return SvdResult(left=left, singulars=singulars, right=right)
@@ -445,21 +451,14 @@ def psd_gap(x, y) -> float:
 
 
 def range_projector(m) -> np.ndarray:
-    """Orthogonal projector onto the column space: P = m @ pinv(m)."""
-    a = as_matrix(m)
-    p = a @ pinv(a)
-    return 0.5 * (p + p.conj().T)
+    """Orthogonal projector U_r U_r* onto the column space, from :func:`svd`."""
+    u = svd(m).range_basis
+    return u @ u.conj().T
 
 
 def spectral_norm(m) -> float:
-    """Largest singular value, from the Gram eigenvalues of m prescaled."""
-    a, exp = _prescaled(m)
-    if a.shape[0] >= a.shape[1]:
-        g = a.conj().T @ a
-    else:
-        g = a @ a.conj().T
-    top = float(herm_eig(g).values[-1])
-    return float(_unscale(math.sqrt(max(top, 0.0)), exp, "singular values overflow"))
+    """Largest singular value, read off :func:`svd`."""
+    return float(svd(m).singulars[0])
 
 
 def orthonormalize(m) -> np.ndarray:

@@ -18,13 +18,15 @@ from .conditions import ConditionReport, TOL_RANGE, basis_inclusion, pt_battery
 from .linalg import (
     TOL_PSD,
     InputError,
+    PsdFactor,
+    _prescaled,
+    _unscale,
     as_matrix,
     frob,
     hermitian_part,
     herm_eig,
     psd_factor,
     psd_sqrt,
-    require_finite,
     svd,
 )
 
@@ -232,9 +234,16 @@ def riccati_geomean(a, b) -> np.ndarray:
     if not af.nonsingular:
         raise InputError("a must be positive definite")
     psd_factor(bm, "b", tol=TOL_PSD)  # input validation only
-    asq = af.power(0.5)
-    ainvs = af.power(-0.5)
-    with np.errstate(over="ignore", invalid="ignore"):
-        inner = _hermitize(ainvs @ bm @ ainvs)
-    require_finite(inner, "A^{-1/2} B A^{-1/2} overflows")
-    return _hermitize(asq @ psd_sqrt(inner) @ asq)
+    # (sA) # (tB) = sqrt(st) (A # B): with s = 2**-ea and t = 2**-eb for even
+    # ea and eb, every root below is scaled exactly, so no intermediate
+    # leaves the floating-point range and normal-range inputs keep every bit
+    ea = _prescaled(am)[1]
+    ea += ea % 2
+    tb, eb = _prescaled(bm)
+    if eb % 2:
+        tb, eb = 0.5 * tb, eb + 1
+    sf = PsdFactor(np.ldexp(af.values, -ea), af.vectors)
+    asq = sf.power(0.5)
+    ainvs = sf.power(-0.5)
+    x = _hermitize(asq @ psd_sqrt(_hermitize(ainvs @ tb @ ainvs)) @ asq)
+    return _unscale(x, (ea + eb) // 2, "geometric mean overflows")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,20 @@ def test_verify_solution_kinds():
 def test_verify_solution_riccati_needs_invertible_a():
     with pytest.raises(InputError):
         verify_solution("riccati", np.eye(2), a=np.diag([1.0, 0.0]), b=np.eye(2))
+
+
+def test_verify_solution_refuses_residual_out_of_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # riccati: A^{-1} = 1e310 I overflows
+        with pytest.raises(InputError, match="matrix power overflows"):
+            verify_solution("riccati", np.eye(2), a=1e-310 * np.eye(2), b=np.eye(2))
+        # xhx_k: X H X = 1e320 I overflows
+        with pytest.raises(InputError, match="residual overflows"):
+            verify_solution("xhx_k", 1e160 * np.eye(2), h=np.eye(2), k=np.eye(2))
+        # at unit scale the same branches give finite residuals
+        assert verify_solution("xhx_k", np.eye(2), h=np.eye(2), k=np.eye(2)) == 0.0
+        assert verify_solution("riccati", np.eye(2), a=np.eye(2), b=np.eye(2)) == 0.0
 
 
 def test_condition_report_witness_is_projector_residual():

@@ -79,18 +79,29 @@ def test_psd_power_refuses_overflow():
             psd_power(np.diag([1e200, 2e200]), 2.0)
 
 
-def test_riccati_refuses_overflowing_inner_product(tmp_path, capsys):
+def test_riccati_scales_subnormal_a(tmp_path, capsys):
+    # A^{-1/2} B A^{-1/2} = 1e310 I is never formed: the operands are scaled
+    # by even powers of two first, and A # B = sqrt(1e-310) I is representable
     a = 1e-310 * np.eye(2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(InputError, match=r"A\^\{-1/2\} B A\^\{-1/2\} overflows"):
-            riccati_geomean(a, np.eye(2))
+        g = riccati_geomean(a, np.eye(2))
+    assert frob(g - math.sqrt(1e-310) * np.eye(2)) <= 1e-14 * math.sqrt(1e-310)
+    # the CLI still refuses: its residual check inverts A, and 1 / 1e-310 overflows
     pa, pb = tmp_path / "a.json", tmp_path / "b.json"
     save_matrix(str(pa), a.astype(complex))
     save_matrix(str(pb), np.eye(2, dtype=complex))
     assert main(["solve", "riccati", "--A", str(pa), "--B", str(pb)]) == 2
     doc = json.loads(capsys.readouterr().out)
-    assert "A^{-1/2} B A^{-1/2} overflows" in doc["detail"]["message"]
+    assert "matrix power overflows" in doc["detail"]["message"]
+
+
+def test_riccati_scales_by_even_powers_of_two():
+    for sa, sb in ((1e200, 1e-200), (1e-300, 1e300)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = riccati_geomean(sa * np.eye(2), sb * np.eye(2))
+        assert frob(g - np.eye(2)) <= 1e-15
 
 
 def test_frob_is_overflow_safe():

@@ -240,20 +240,24 @@ def test_riccati_accepts_singular_second_argument():
 
 @pytest.fixture
 def eig_calls(monkeypatch):
-    """Count herm_eig calls by wrapping it in every opeq module namespace
-    that binds it, so calls made from inside the package are caught too."""
+    """Count factorizations, herm_eig and svd calls alike, by wrapping both
+    in every opeq module namespace that binds them, so calls made from
+    inside the package are caught too."""
     calls = []
-    orig = linalg.herm_eig
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return orig(*args, **kwargs)
+    def counting(orig):
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return orig(*args, **kwargs)
 
+        return counted
+
+    wrapped = {id(f): counting(f) for f in (linalg.herm_eig, linalg.svd)}
     for name, mod in list(sys.modules.items()):
         if name == "opeq" or name.startswith("opeq."):
             for attr, value in list(vars(mod).items()):
-                if value is orig:
-                    monkeypatch.setattr(mod, attr, counted)
+                if id(value) in wrapped:
+                    monkeypatch.setattr(mod, attr, wrapped[id(value)])
 
     def count(fn, *args):
         calls.clear()
