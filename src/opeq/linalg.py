@@ -17,14 +17,31 @@ rank (by one fixed relative cutoff, RANK_CUTOFF), pseudoinverse and range
 basis; a PSD matrix gets a :class:`PsdFactor`, which gives its rank, range
 basis and every (pseudoinverse) power.
 
+Callers that check several conditions on the same operands (the sweep
+suites) open a factor-sharing scope, :func:`_shared_factors`. Inside it
+herm_eig and svd each keep an LRU of their last 8 results, keyed by the
+input's shape and complex128 bytes, and a repeated input gets the stored
+result back instead of a second factorization; pinv, range_projector,
+spectral_norm, psd_factor, psd_gap and every solver share it through
+them. A refusal is never stored, and leaving the scope drops everything.
+Outside a scope nothing is looked up or kept: a global memo would hold
+memory after the call that filled it and would keep serving results
+after JACOBI_MAX_SWEEPS or another setting changed. The arrays of a
+HermitianEig or SvdResult are read-only everywhere, so sharing one result
+between callers cannot leak a write, and code that works outside a scope
+works the same inside one.
+
 Matrices are plain numpy arrays with dtype complex128. Helpers here accept
 anything ``np.asarray`` can turn into a finite 2-D array.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,11 +89,12 @@ def adjoint(m) -> np.ndarray:
     return as_matrix(m).conj().T
 
 
-def _prescaled(m) -> tuple[np.ndarray, int]:
-    """A copy of as_matrix(m) scaled by the power of two 2**-e that brings
-    its largest real or imaginary part into [0.5, 1), and e. The scaling is
-    exact except for entries it pushes below the normal range."""
-    a = np.array(as_matrix(m), order="C")
+def _prescaled(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """A C-ordered copy of the complex128 matrix m scaled by the power of
+    two 2**-e that brings its largest real or imaginary part into [0.5, 1),
+    and e. The scaling is exact except for entries it pushes below the
+    normal range."""
+    a = np.array(m, order="C")
     parts = a.view(np.float64)
     exp = math.frexp(float(np.abs(parts).max()))[1]
     np.ldexp(parts, -exp, out=parts)
@@ -117,27 +135,41 @@ def frob(m) -> float:
         raise InputError("Frobenius norm overflows the floating-point range") from None
 
 
-@dataclass
+def _read_only(*arrays: np.ndarray) -> None:
+    for arr in arrays:
+        arr.flags.writeable = False
+
+
+@dataclass(frozen=True)
 class HermitianEig:
     """Eigenvalues (real, ascending), eigenvector columns (unitary) and the
-    number of Jacobi sweeps it took."""
+    number of Jacobi sweeps it took. Frozen, arrays read-only."""
 
     values: np.ndarray
     vectors: np.ndarray
     sweeps: int
 
+    def __post_init__(self):
+        _read_only(self.values, self.vectors)
 
-@dataclass
+
+@dataclass(frozen=True)
 class SvdResult:
     """Full factorization m = left @ diag(singulars) @ right*.
 
     ``left`` is rows x rows, ``right`` is cols x cols, ``singulars`` has
     min(rows, cols) entries sorted descending, zeros below the rank cutoff.
+    ``sweeps`` counts the Jacobi sweeps, the last one included. Frozen,
+    arrays read-only.
     """
 
     left: np.ndarray
     singulars: np.ndarray
     right: np.ndarray
+    sweeps: int
+
+    def __post_init__(self):
+        _read_only(self.left, self.singulars, self.right)
 
     @property
     def rank(self) -> int:
@@ -201,6 +233,43 @@ class PsdFactor:
         return require_finite(out, "matrix power overflows")
 
 
+# Open _shared_factors scope: kernel -> LRU of (shape, bytes) -> result.
+_MEMO_ENTRIES = 8
+_memo: contextvars.ContextVar[dict | None] = contextvars.ContextVar("opeq_linalg_memo", default=None)
+
+
+@contextlib.contextmanager
+def _shared_factors():
+    """Within the block, herm_eig and svd each return the stored result for
+    an input whose shape and complex128 bytes match one of the last
+    _MEMO_ENTRIES inputs they factored, instead of factoring it again.
+    Refusals are not stored. On exit everything stored is dropped."""
+    token = _memo.set({})
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
+def _shared(kernel, m):
+    """kernel(as_matrix(m)), looked up in and stored to the open scope's LRU
+    for kernel; outside a scope, nothing is looked up or kept."""
+    a = as_matrix(m)
+    memo = _memo.get()
+    if memo is None:
+        return kernel(a)
+    lru = memo.setdefault(kernel, OrderedDict())
+    key = (a.shape, a.tobytes())
+    result = lru.get(key)
+    if result is None:
+        result = lru[key] = kernel(a)
+        if len(lru) > _MEMO_ENTRIES:
+            lru.popitem(last=False)
+    else:
+        lru.move_to_end(key)
+    return result
+
+
 @functools.lru_cache(maxsize=64)
 def _sweep_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The round-robin schedule of an even-order Jacobi sweep: the gather
@@ -257,9 +326,15 @@ def herm_eig(m) -> HermitianEig:
     (2i, 2i + 1) at once by :func:`_rotations`. Stops when the off-diagonal
     Frobenius mass is at most JACOBI_OFF_TOL times the input norm, and
     raises InputError if that takes more than JACOBI_MAX_SWEEPS sweeps. The
-    input must satisfy ||m - m*||_F <= TOL_HERMITIAN * ||m||_F.
+    input must satisfy ||m - m*||_F <= TOL_HERMITIAN * ||m||_F. Inside a
+    :func:`_shared_factors` scope a repeated input returns the stored result.
     """
-    a, exp = _prescaled(m)
+    return _shared(_herm_eig_jacobi, m)
+
+
+def _herm_eig_jacobi(a: np.ndarray) -> HermitianEig:
+    """herm_eig's kernel, on a matrix already coerced by :func:`as_matrix`."""
+    a, exp = _prescaled(a)
     n, nc = a.shape
     if n != nc:
         raise InputError(f"eigendecomposition needs a square matrix, got {a.shape}")
@@ -328,9 +403,15 @@ def svd(m) -> SvdResult:
     and more than JACOBI_MAX_SWEEPS sweeps raise InputError. sigma are
     the column norms sorted descending, zero at or below c * sigma_max; the
     kept columns over sigma, completed from canonical basis vectors, are
-    the left singular vectors.
+    the left singular vectors. Inside a :func:`_shared_factors` scope a
+    repeated input returns the stored result.
     """
-    a, exp = _prescaled(m)
+    return _shared(_svd_jacobi, m)
+
+
+def _svd_jacobi(a: np.ndarray) -> SvdResult:
+    """svd's kernel, on a matrix already coerced by :func:`as_matrix`."""
+    a, exp = _prescaled(a)
     rows, cols = a.shape
     size = cols + cols % 2
     pairs = size // 2
@@ -347,7 +428,7 @@ def svd(m) -> SvdResult:
     top = col_pairs[:, :rows]
     small = (max(rows, cols) * RANK_CUTOFF) ** 2
     with np.errstate(over="ignore"):
-        for _ in range(JACOBI_MAX_SWEEPS):
+        for sweeps in range(1, JACOBI_MAX_SWEEPS + 1):
             settled = True
             for _ in range(size - 1):
                 gram = top.conj().transpose(0, 2, 1) @ top
@@ -382,7 +463,7 @@ def svd(m) -> SvdResult:
             w = w - taken @ (taken.conj().T @ w)
         left[:, j] = w / np.linalg.norm(w)
     singulars = _unscale(singulars, exp, "singular values overflow")
-    return SvdResult(left=left, singulars=singulars, right=right)
+    return SvdResult(left=left, singulars=singulars, right=right, sweeps=sweeps)
 
 
 def pinv(m) -> np.ndarray:
@@ -411,7 +492,7 @@ def psd_factor(m, label: str = "matrix", tol: float = PSD_CLAMP_TOL) -> PsdFacto
     whose zero eigenspaces carry formation noise around 1e-15 relative, and
     a fractional power would amplify that to sqrt(eps).
     """
-    eig = herm_eig(as_matrix(m))
+    eig = herm_eig(m)
     scale = float(np.max(np.abs(eig.values)))
     floor = -tol * scale
     if float(eig.values[0]) < floor:

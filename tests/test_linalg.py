@@ -318,3 +318,13 @@ def test_hermitian_check_holds_at_extreme_scales():
         with pytest.raises(InputError, match="C is not Hermitian"):
             congruence_solve(np.eye(2), upper * scale)
         assert np.array_equal(hermitian_part(herm * scale, "H"), herm * scale)
+
+
+def test_svd_counts_its_sweeps():
+    # a diagonal input is settled on the first sweep, which still counts
+    assert svd(np.diag([3.0, 1.0])).sweeps == 1
+    rng = np.random.default_rng(29)
+    g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    f = svd(g)
+    assert 1 <= f.sweeps <= linalg.JACOBI_MAX_SWEEPS
+    assert svd(g).sweeps == f.sweeps
