@@ -4,8 +4,10 @@ Subcommands: solve (douglas | axb | congruence | pt | riccati), check
 (range | douglas | pt-conditions), demo (ex1 | ex2 | l2), sweep. Every
 invocation prints one RunReport JSON document on stdout. Exit codes:
 0 solved / condition holds, 1 unsolvable / condition failed (with a full
-report), 2 input error. OPEQ_TOL overrides the default tolerance; an
-explicit --tol beats the environment.
+report), 2 input error. Every solve family follows one rule: it is solved
+iff its conditions hold and its residual is at most the tolerance.
+OPEQ_TOL overrides the default tolerance; an explicit --tol beats the
+environment.
 """
 
 from __future__ import annotations
@@ -37,12 +39,14 @@ SOLVE_FLAGS = {
     "riccati": ("A", "B"),
 }
 
-# Families whose solver returns a ReducedSolution, by the solver's name in
-# this module; it is looked up at call time, so a rebound name is honoured.
-REDUCED_SOLVERS = {
+# Families whose solver reports conditions and a residual, by the solver's
+# name in this module; it is looked up at call time, so a rebound name is
+# honoured.
+SOLVERS = {
     "douglas": "douglas_reduced_solve",
     "axb": "axb_reduced_solve",
     "congruence": "congruence_solve",
+    "pt": "pt_solve",
 }
 
 CHECK_FLAGS = {
@@ -128,35 +132,29 @@ def _cmd_solve(args) -> RunReport:
     conditions = []
     residuals = {}
     detail = {}
-    solution = None
 
-    if args.family in REDUCED_SOLVERS:
-        solver = globals()[REDUCED_SOLVERS[args.family]]
+    if args.family in SOLVERS:
+        solver = globals()[SOLVERS[args.family]]
         rep = solver(*(mats[n] for n in SOLVE_FLAGS[args.family]), tol=tol)
-        conditions = rep.conditions_met
-        residuals["solve"] = rep.residual
-        solved = rep.solvable and rep.residual <= tol
-        solution = rep.solution if solved else None
-    elif args.family == "pt":
-        rep = pt_solve(mats["H"], mats["K"], tol=tol)
         conditions = rep.conditions
-        detail["h_nonsingular"] = rep.h_nonsingular
-        if rep.a_min is not None:
-            detail["norm_bound"] = rep.a_min
+        if args.family == "pt":
+            detail["h_nonsingular"] = rep.h_nonsingular
+            if rep.h_nonsingular:
+                detail["norm_bound"] = rep.a_min
+            else:
+                detail["note"] = (
+                    "singular H: only the necessity conditions are evaluated, "
+                    "no solution is emitted"
+                )
         if rep.residual is not None:
             residuals["solve"] = rep.residual
-        solved = rep.solvable and rep.solution is not None
-        solution = rep.solution if solved else None
-        if not rep.h_nonsingular:
-            detail["note"] = (
-                "singular H: only the necessity conditions are evaluated, "
-                "no solution is emitted"
-            )
+        solved = rep.solvable and rep.residual <= tol
+        x = rep.solution
     else:
         x = riccati_geomean(mats["A"], mats["B"])
         residuals["solve"] = verify_solution("riccati", x, a=mats["A"], b=mats["B"])
         solved = residuals["solve"] <= tol
-        solution = x if solved else None
+    solution = x if solved else None
 
     if solution is not None and args.out:
         save_matrix(args.out, solution)

@@ -1,5 +1,7 @@
-"""Solvability diagnostics: range inclusions, majorization constants, and
-the condition battery for the quadratic equation XHX = K.
+"""Solvability diagnostics: range inclusions, majorization constants, the
+condition battery for XHX = K (returned with its solution as the PtReport
+that pt_solve hands out), and verify_solution, the one residual that every
+solver reports.
 
 Checks never raise on a negative outcome. Each returns a ConditionReport
 whose ``witness`` is the signed margin that decided it, so callers can see
@@ -15,7 +17,6 @@ import numpy as np
 from .linalg import (
     TOL_PSD,
     InputError,
-    PsdFactor,
     as_matrix,
     frob,
     hermitian_part,
@@ -102,27 +103,33 @@ def majorization_lambda(b, a, tol: float = TOL_RANGE) -> float | None:
 
 
 @dataclass
-class PtBattery:
-    """The condition battery for XHX = K together with what it factored.
+class PtReport:
+    """Outcome of solving XHX = K for positive X.
 
-    ``h`` and ``k`` are the Hermitian parts of the operands. ``candidate``
-    is H^{1/2+} (H^{1/2} K H^{1/2})^{1/2} H^{1/2+}: the positive solution
-    when H is nonsingular. ``lam`` is its largest eigenvalue (floored at
-    zero): the least constant of condition iv when condition iii holds,
-    and for nonsingular H the solution's spectral norm.
+    For nonsingular H the positive solution is unique and ``a_min`` is its
+    spectral norm, which coincides with the least constant a for which
+    (H^{1/2} K H^{1/2})^{1/2} <= a H. For singular H ``solution``,
+    ``a_min`` and ``residual`` stay None. ``conditions`` holds the reports
+    ii-a, ii-b, iii and iv in that order.
     """
 
-    reports: list[ConditionReport]
-    h: np.ndarray
-    k: np.ndarray
-    h_factor: PsdFactor
-    candidate: np.ndarray
-    lam: float
+    solution: np.ndarray | None
+    a_min: float | None
+    residual: float | None
+    h_nonsingular: bool
+    conditions: list[ConditionReport]
+
+    @property
+    def solvable(self) -> bool:
+        return self.h_nonsingular and all(c.holds for c in self.conditions)
 
 
-def pt_battery(h, k, tol: float = TOL_RANGE) -> PtBattery:
-    """Evaluate the XHX = K conditions, factoring H, K and the inner
-    sandwich H^{1/2} K H^{1/2} once each (see :func:`pt_conditions`)."""
+def pt_battery(h, k, tol: float = TOL_RANGE) -> PtReport:
+    """Evaluate the XHX = K conditions (see :func:`pt_conditions`) and,
+    for nonsingular H, the positive solution
+    X = (H^{1/2})^+ (H^{1/2} K H^{1/2})^{1/2} (H^{1/2})^+ with its residual
+    from :func:`verify_solution`. H, K and the inner sandwich
+    H^{1/2} K H^{1/2} are factored once each."""
     hm = hermitian_part(h, "H")
     km = hermitian_part(k, "K")
     if hm.shape != km.shape:
@@ -164,7 +171,10 @@ def pt_battery(h, k, tol: float = TOL_RANGE) -> PtBattery:
             witness=gap,
             detail=f"lambda={lam:.9e}",
         )
-    return PtBattery([ii_a, ii_b, iii, iv], hm, km, hf, x, lam)
+    reports = [ii_a, ii_b, iii, iv]
+    if not hf.nonsingular:
+        return PtReport(None, None, None, False, reports)
+    return PtReport(x, lam, verify_solution("xhx_k", x, h=hm, k=km), True, reports)
 
 
 def pt_conditions(h, k, tol: float = TOL_RANGE) -> list[ConditionReport]:
@@ -180,7 +190,7 @@ def pt_conditions(h, k, tol: float = TOL_RANGE) -> list[ConditionReport]:
     first two are the necessary pair and the reports may disagree, which
     is why each is evaluated independently.
     """
-    return pt_battery(h, k, tol).reports
+    return pt_battery(h, k, tol).conditions
 
 
 VERIFY_KINDS = ("ax_b", "axb_c", "axastar_c", "xhx_k", "riccati")

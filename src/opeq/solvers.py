@@ -1,20 +1,23 @@
-"""Reduced-form solvers for the operator equations AX=B, AXB=C, AXA*=C,
-XHX=K, and the Riccati equation XA^{-1}X=B at matrix scale.
+"""Solvers for the operator equations AX=B, AXB=C, AXA*=C, XHX=K, and the
+Riccati equation XA^{-1}X=B at matrix scale.
 
-Unsolvable instances are not errors: every solver still returns its
-least-squares candidate together with the condition reports that failed,
-so callers can inspect how the instance misses solvability. Errors are
-reserved for malformed operands (shape mismatches, non-Hermitian or
-non-PSD input where the equation requires it).
+Every solver but riccati_geomean returns one result shape: ``solution``,
+``residual`` (always :func:`conditions.verify_solution`'s), ``conditions``
+and ``solvable``. Unsolvable instances are not errors: the reduced solvers
+return their least-squares candidate with the failed reports, and pt_solve
+with singular H returns its reports and no solution. Errors are reserved
+for malformed operands and for residuals that leave the floating-point
+range.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import ConditionReport, TOL_RANGE, basis_inclusion, pt_battery
+from .conditions import (ConditionReport, PtReport, TOL_RANGE, basis_inclusion, pt_battery,
+                         verify_solution)
 from .linalg import (
     TOL_PSD,
     InputError,
@@ -22,7 +25,6 @@ from .linalg import (
     _prescaled,
     _unscale,
     as_matrix,
-    frob,
     hermitian_part,
     herm_eig,
     psd_factor,
@@ -44,11 +46,11 @@ class ReducedSolution:
     residual: float
     left_null_projector: np.ndarray
     right_null_projector: np.ndarray
-    conditions_met: list[ConditionReport] = field(default_factory=list)
+    conditions: list[ConditionReport]
 
     @property
     def solvable(self) -> bool:
-        return all(c.holds for c in self.conditions_met)
+        return all(c.holds for c in self.conditions)
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
@@ -70,7 +72,7 @@ def douglas_reduced_solve(a, b, tol: float = TOL_RANGE) -> ReducedSolution:
     fa = svd(am)
     ap = fa.pinv()
     d = ap @ bm
-    residual = frob(am @ d - bm) / (1.0 + frob(bm))
+    residual = verify_solution("ax_b", d, a=am, b=bm)
     cond = basis_inclusion(bm, fa.range_basis, tol, name="range(B) in range(A)")
     n_left = _hermitize(np.eye(am.shape[1], dtype=np.complex128) - ap @ am)
     n_right = np.zeros((bm.shape[1], bm.shape[1]), dtype=np.complex128)
@@ -97,7 +99,7 @@ def axb_reduced_solve(a, b, c, tol: float = TOL_RANGE) -> ReducedSolution:
     ap = fa.pinv()
     bp = fb.pinv()
     d = ap @ cm @ bp
-    residual = frob(am @ d @ bm - cm) / (1.0 + frob(cm))
+    residual = verify_solution("axb_c", d, a=am, b=bm, c=cm)
     cond1 = basis_inclusion(cm, fa.range_basis, tol, name="range(C) in range(A)")
     # range(B*) is spanned by the kept right singular vectors of B
     cond2 = basis_inclusion(
@@ -144,7 +146,7 @@ def congruence_solve(a, c, tol: float = TOL_RANGE) -> ReducedSolution:
         raise InputError(f"row mismatch: A is {am.shape}, C is {cm.shape}")
 
     vals = herm_eig(cm).values
-    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
+    scale = float(np.max(np.abs(vals)))
     psd_cond = ConditionReport(
         name="C is PSD",
         holds=float(vals[0]) >= -TOL_PSD * scale,
@@ -155,7 +157,7 @@ def congruence_solve(a, c, tol: float = TOL_RANGE) -> ReducedSolution:
     fa = svd(am)
     ap = fa.pinv()
     x = _hermitize(ap @ cm @ ap.conj().T)
-    residual = frob(am @ x @ am.conj().T - cm) / (1.0 + frob(cm))
+    residual = verify_solution("axastar_c", x, a=am, c=cm)
     cond1 = basis_inclusion(cm, fa.range_basis, tol, name="range(C) in range(A)")
     cond2 = basis_inclusion(
         (ap @ cm).conj().T, fa.range_basis, tol, name="range((A+C)*) in range(A)"
@@ -164,58 +166,11 @@ def congruence_solve(a, c, tol: float = TOL_RANGE) -> ReducedSolution:
     return ReducedSolution(x, residual, n_a, n_a.copy(), [psd_cond, cond1, cond2])
 
 
-@dataclass
-class PtReport:
-    """Outcome of solving XHX = K for positive X.
-
-    For nonsingular H the positive solution is unique and ``a_min`` is its
-    spectral norm, which coincides with the least constant a for which
-    (H^{1/2} K H^{1/2})^{1/2} <= a H. For singular H the solver declines:
-    ``solution``, ``a_min`` and ``residual`` stay None and only the
-    condition battery (which includes the necessary pair ii-a / ii-b) is
-    populated. ``conditions`` holds the reports ii-a, ii-b, iii and iv in
-    that order, and the ``cond_*`` flags read them.
-    """
-
-    solution: np.ndarray | None
-    a_min: float | None
-    residual: float | None
-    h_nonsingular: bool
-    conditions: list[ConditionReport]
-
-    @property
-    def cond_ii(self) -> bool:
-        return self.conditions[0].holds and self.conditions[1].holds
-
-    @property
-    def cond_iii(self) -> bool:
-        return self.conditions[2].holds
-
-    @property
-    def cond_iv(self) -> bool:
-        return self.conditions[3].holds
-
-    @property
-    def solvable(self) -> bool:
-        return self.h_nonsingular and self.cond_ii and self.cond_iii and self.cond_iv
-
-
 def pt_solve(h, k, tol: float = TOL_RANGE) -> PtReport:
-    """Solve XHX = K for the positive X, H and K Hermitian PSD.
-
-    With H nonsingular the unique positive solution is
-    X = (H^{1/2})^+ (H^{1/2} K H^{1/2})^{1/2} (H^{1/2})^+, the candidate
-    the condition battery already formed from its factorizations of H and
-    of the inner sandwich; its spectral norm is the battery's lambda. H is
-    declared nonsingular when its least eigenvalue exceeds 1e-8 times its
-    largest.
-    """
-    bat = pt_battery(h, k, tol)
-    if not bat.h_factor.nonsingular:
-        return PtReport(None, None, None, False, bat.reports)
-    x = bat.candidate
-    residual = frob(x @ bat.h @ x - bat.k) / (1.0 + frob(bat.k))
-    return PtReport(x, bat.lam, residual, True, bat.reports)
+    """Solve XHX = K for the positive X, H and K Hermitian PSD: the
+    :func:`conditions.pt_battery` report. H is declared nonsingular when its
+    least eigenvalue exceeds 1e-8 times its largest."""
+    return pt_battery(h, k, tol)
 
 
 def riccati_geomean(a, b) -> np.ndarray:

@@ -494,6 +494,8 @@ SUITES = (
 
 def run_sweep(seed: int, trials: int, max_dim: int) -> dict:
     """Run every suite and return a JSON-ready summary document."""
+    if seed < 0:
+        raise InputError("seed must be >= 0")
     if trials < 1:
         raise InputError("trials must be >= 1")
     if not (2 <= max_dim <= 16):

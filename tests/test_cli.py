@@ -245,3 +245,10 @@ def test_reports_schema_consistent(capsys, mats):
         if not want_solution:
             assert doc["solution"] is None
         assert doc["tool_version"]
+
+
+def test_sweep_negative_seed_is_input_error(capsys):
+    code, doc = run(capsys, "sweep", "--seed", "-1", "--trials", "1", "--max-dim", "2")
+    assert code == 2
+    assert doc["outcome"] == "error"
+    assert "seed" in doc["detail"]["message"]

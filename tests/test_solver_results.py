@@ -1,0 +1,120 @@
+"""One result shape and one residual across the condition-checked solvers.
+
+Every solver's residual must be verify_solution's for its kind, bit for bit;
+pt_conditions must be pt_solve's condition battery; and `opeq solve` must
+apply the same solved rule (conditions hold and residual <= tol) to pt as
+to every other family.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from opeq import PtReport as PackagePtReport
+from opeq.cli import main
+from opeq.conditions import PtReport, pt_conditions, verify_solution
+from opeq.matio import save_matrix
+from opeq.solvers import (
+    PtReport as SolversPtReport,
+    ReducedSolution,
+    axb_reduced_solve,
+    congruence_solve,
+    douglas_reduced_solve,
+    pt_solve,
+)
+
+SEEDS = (3, 17, 2024)
+
+
+def _gauss(rng, m, n):
+    return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+
+def _herm(m):
+    # exactly Hermitian, so the solvers' Hermitian part of it is itself
+    return 0.5 * (m + m.conj().T)
+
+
+def _psd(rng, n, rank):
+    g = _gauss(rng, n, rank)
+    return _herm(g @ g.conj().T)
+
+
+def _same_report(a, b):
+    assert a.name == b.name
+    assert a.holds == b.holds
+    assert np.float64(a.witness).tobytes() == np.float64(b.witness).tobytes()
+    assert a.detail == b.detail
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("h_rank", ("full", "deficient"))
+def test_pt_conditions_is_pt_solve_battery(seed, h_rank):
+    rng = np.random.default_rng(seed)
+    n = 4
+    h = _psd(rng, n, n if h_rank == "full" else n - 2)
+    k = _psd(rng, n, n)
+    rep = pt_solve(h, k)
+    assert rep.h_nonsingular == (h_rank == "full")
+    if not rep.h_nonsingular:
+        assert (rep.solution, rep.a_min, rep.residual, rep.solvable) == (None, None, None, False)
+    battery = pt_conditions(h, k)
+    assert [c.name for c in battery] == ["ii-a", "ii-b", "iii", "iv"]
+    assert len(battery) == len(rep.conditions)
+    for a, b in zip(battery, rep.conditions):
+        _same_report(a, b)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_solver_residuals_are_verify_solution(seed):
+    rng = np.random.default_rng(seed)
+    m, n, r = 5, 4, 2
+    a = _gauss(rng, m, r) @ _gauss(rng, r, n)
+    b_in = a @ _gauss(rng, n, 3)
+    b_out = _gauss(rng, m, 3)
+    for b in (b_in, b_out):
+        rep = douglas_reduced_solve(a, b)
+        assert rep.residual == verify_solution("ax_b", rep.solution, a=a, b=b)
+
+    bm = _gauss(rng, 3, r) @ _gauss(rng, r, 4)
+    for c in (a @ _gauss(rng, n, 3) @ bm, _gauss(rng, m, 4)):
+        rep = axb_reduced_solve(a, bm, c)
+        assert rep.residual == verify_solution("axb_c", rep.solution, a=a, b=bm, c=c)
+
+    for c in (_herm(a @ _psd(rng, n, n) @ a.conj().T), _psd(rng, m, m), np.diag([1.0, -1.0, 2.0, 0.5, 1.0])):
+        rep = congruence_solve(a, c)
+        assert rep.residual == verify_solution("axastar_c", rep.solution, a=a, c=c)
+
+    h = _psd(rng, n, n)
+    k = _psd(rng, n, n)
+    rep = pt_solve(h, k)
+    assert rep.solution is not None
+    assert rep.residual == verify_solution("xhx_k", rep.solution, h=h, k=k)
+
+
+def test_solve_pt_above_tolerance_is_unsolvable(capsys, tmp_path):
+    paths = {}
+    for name, m in (("H", np.eye(2)), ("K", [[2.0, 1.0], [1.0, 2.0]])):
+        paths[name] = str(tmp_path / f"{name}.json")
+        save_matrix(paths[name], np.asarray(m, dtype=complex))
+    code = main(["solve", "pt", "--H", paths["H"], "--K", paths["K"], "--tol", "1e-300"])
+    doc = json.loads(capsys.readouterr().out)
+    assert all(c["holds"] for c in doc["conditions"])
+    assert doc["residuals"]["solve"] > 1e-300
+    assert code == 1
+    assert doc["outcome"] == "unsolvable"
+    assert doc["solution"] is None
+
+
+def test_one_result_shape():
+    assert PtReport is SolversPtReport is PackagePtReport
+    rng = np.random.default_rng(5)
+    a = _gauss(rng, 3, 3)
+    reduced = douglas_reduced_solve(a, a @ _gauss(rng, 3, 2))
+    pt = pt_solve(np.eye(2), np.diag([4.0, 1.0]))
+    assert isinstance(reduced, ReducedSolution) and isinstance(pt, PtReport)
+    for rep in (reduced, pt):
+        for field in ("solution", "residual", "conditions", "solvable"):
+            assert hasattr(rep, field), (type(rep).__name__, field)
+        assert rep.solvable is all(c.holds for c in rep.conditions)
