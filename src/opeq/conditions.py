@@ -17,6 +17,8 @@ import numpy as np
 from .linalg import (
     TOL_PSD,
     InputError,
+    _prescaled,
+    _unscale,
     as_matrix,
     frob,
     hermitian_part,
@@ -129,11 +131,15 @@ def pt_battery(h, k, tol: float = TOL_RANGE) -> PtReport:
     for nonsingular H, the positive solution
     X = (H^{1/2})^+ (H^{1/2} K H^{1/2})^{1/2} (H^{1/2})^+ with its residual
     from :func:`verify_solution`. H, K and the inner sandwich
-    H^{1/2} K H^{1/2} are factored once each."""
-    hm = hermitian_part(h, "H")
-    km = hermitian_part(k, "K")
+    H^{1/2} K H^{1/2} are factored once each. X(sH, tK) = sqrt(t/s) X, so
+    all of it runs on H and K scaled by :func:`linalg._prescaled`, and X,
+    a_min and lambda in (iv) are scaled back; witnesses and residual are
+    those of the scaled operands."""
+    hm, eh = _prescaled(hermitian_part(h, "H"))
+    km, ek = _prescaled(hermitian_part(k, "K"))
     if hm.shape != km.shape:
         raise InputError(f"H and K must have equal shape, got {hm.shape} vs {km.shape}")
+    shift = (ek - eh) // 2
     hf = psd_factor(hm, "H")
     psd_factor(km, "K", tol=TOL_PSD)  # input validation only
     hs = hf.power(0.5)
@@ -154,6 +160,7 @@ def pt_battery(h, k, tol: float = TOL_RANGE) -> PtReport:
     x = hsp @ sq @ hsp
     x = 0.5 * (x + x.conj().T)
     lam = max(float(herm_eig(x).values[-1]), 0.0)
+    a_min = float(_unscale(np.array([lam]), shift, "norm bound overflows")[0])
     if not iii.holds:
         probe = 1e6
         iv = ConditionReport(
@@ -169,12 +176,13 @@ def pt_battery(h, k, tol: float = TOL_RANGE) -> PtReport:
             name="iv",
             holds=gap >= -TOL_PSD * (frob(sq) + frob(y)),
             witness=gap,
-            detail=f"lambda={lam:.9e}",
+            detail=f"lambda={a_min:.9e}",
         )
     reports = [ii_a, ii_b, iii, iv]
     if not hf.nonsingular:
         return PtReport(None, None, None, False, reports)
-    return PtReport(x, lam, verify_solution("xhx_k", x, h=hm, k=km), True, reports)
+    residual = verify_solution("xhx_k", x, h=hm, k=km)
+    return PtReport(_unscale(x, shift, "solution overflows"), a_min, residual, True, reports)
 
 
 def pt_conditions(h, k, tol: float = TOL_RANGE) -> list[ConditionReport]:

@@ -5,11 +5,12 @@ round-robin schedule (Brent and Luk) and one rotation rule: :func:`herm_eig`
 rotates a Hermitian matrix from both sides, :func:`svd` rotates the columns
 of m itself and never squares it. A round rotates n/2 disjoint pairs at
 once in a fixed order, so the same input bits give the same output bits
-within one build. herm_eig, svd, frob and hermitian_part first scale their
-input by an exact power of two, so norms neither overflow nor underflow,
-and non-convergence raises :class:`InputError`. A result that leaves the
-floating-point range anyway is refused by :func:`require_finite`, never
-returned as inf or NaN.
+within one build. One rule, :func:`_prescaled`, picks the power of two
+that keeps an operand in range; herm_eig, svd and the two root-taking
+solvers (pt_battery, riccati_geomean) scale by it, frob by its own. So
+norms neither overflow nor underflow, and non-convergence raises
+:class:`InputError`. A result that leaves the floating-point range
+anyway is refused by :func:`require_finite`, never returned as inf or NaN.
 
 Each operand is factored once and everything else is read off that one
 factorization. A general matrix gets an :class:`SvdResult`, which gives its
@@ -90,13 +91,14 @@ def adjoint(m) -> np.ndarray:
 
 
 def _prescaled(m: np.ndarray) -> tuple[np.ndarray, int]:
-    """A C-ordered copy of the complex128 matrix m scaled by the power of
-    two 2**-e that brings its largest real or imaginary part into [0.5, 1),
-    and e. The scaling is exact except for entries it pushes below the
-    normal range."""
+    """A C-ordered copy of the complex128 matrix m times 2**-e, and e =
+    64 * floor((f + 32) / 64) for f the frexp exponent of its largest real
+    or imaginary part: that part ends in [2**-33, 2**31), where e = 0. As e
+    is a multiple of 4, 2**(e/2) and 2**(e/4) scale roots back exactly. The
+    scaling is exact except for entries it pushes below the normal range."""
     a = np.array(m, order="C")
     parts = a.view(np.float64)
-    exp = math.frexp(float(np.abs(parts).max()))[1]
+    exp = 64 * ((math.frexp(float(np.abs(parts).max()))[1] + 32) // 64)
     np.ldexp(parts, -exp, out=parts)
     return a, exp
 
@@ -119,12 +121,12 @@ def _unscale(values: np.ndarray, exp: int, what: str) -> np.ndarray:
 
 def frob(m) -> float:
     """Frobenius norm, taken after scaling by the power of two that brings
-    the largest real or imaginary part into [0.5, 1), as in
-    :func:`_prescaled`, so that squaring the entries neither overflows nor
-    underflows. The scaling is exact and keeps the dtype and memory order,
-    so in the normal range the result is numpy's norm bit for bit. A finite
-    matrix whose norm passes the floating-point range raises InputError; a
-    non-finite entry gives inf or NaN, as numpy's norm does."""
+    the largest real or imaginary part into [0.5, 1), so that squaring the
+    entries neither overflows nor underflows. The scaling is exact and keeps
+    the dtype and memory order, so in the normal range the result is
+    numpy's norm bit for bit. A finite matrix whose norm passes the
+    floating-point range raises InputError; a non-finite entry gives inf or
+    NaN, as numpy's norm does."""
     a = np.asarray(m)
     parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
     # 2**-exp must itself be a double, so a subnormal top scales by 2**1022
@@ -294,10 +296,11 @@ def _sweep_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _rotations(app, aqq, pivots, rot: np.ndarray) -> np.ndarray:
     """Fill rot with the J_i = [[c phase, s phase], [-s, c]] that diagonalize
-    [[app, pivot], [pivot*, aqq]] as J_i* G J_i (J_i = I for a zero pivot),
-    and return t |pivot|, by which app falls and aqq rises."""
+    [[app, pivot], [pivot*, aqq]] as J_i* G J_i, and return t |pivot|, by
+    which app falls and aqq rises. A pivot below the normal range, where
+    numpy's pivot / |pivot| overflows, is dead like a zero one: t = 0."""
     mag = np.abs(pivots)
-    dead = mag == 0.0
+    dead = mag < 2.0**-1022
     safe = mag + dead
     tau = (aqq - app) / (safe + safe)
     # smaller-magnitude root of t^2 + 2*tau*t - 1 = 0, |t| <= 1;
@@ -318,10 +321,9 @@ def _rotations(app, aqq, pivots, rot: np.ndarray) -> np.ndarray:
 def herm_eig(m) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix by round-robin Jacobi rotations.
 
-    The input is first scaled by the power of two that brings its largest
-    real or imaginary part into [0.5, 1), so that norms neither overflow nor
-    underflow; the scaling is exact and the eigenvalues are scaled back. An
-    odd n is padded with one decoupled zero row and column. A sweep is the
+    The input is first scaled by :func:`_prescaled`, so that norms neither
+    overflow nor underflow, and the eigenvalues are scaled back. An odd n
+    is padded with one decoupled zero row and column. A sweep is the
     n - 1 rounds of :func:`_sweep_plan`; a round annihilates the n/2 pivots
     (2i, 2i + 1) at once by :func:`_rotations`. Stops when the off-diagonal
     Frobenius mass is at most JACOBI_OFF_TOL times the input norm, and
@@ -345,7 +347,7 @@ def _herm_eig_jacobi(a: np.ndarray) -> HermitianEig:
     state = np.zeros((2 * size, size), dtype=np.complex128)
     top = state[:size]
     top[:n, :n] = a
-    # top is already at unit scale, so numpy's norm cannot overflow here
+    # top's largest part lies in [2**-33, 2**31), so numpy's norm is safe
     scale = float(np.linalg.norm(top))
     adj = top.conj().T
     if float(np.linalg.norm(top - adj)) > TOL_HERMITIAN * scale:
@@ -394,17 +396,17 @@ def _herm_eig_jacobi(a: np.ndarray) -> HermitianEig:
 def svd(m) -> SvdResult:
     """Full singular value decomposition by one-sided (Hestenes) Jacobi on m.
 
-    The prescaled columns are rotated on herm_eig's schedule by its rule:
-    each round rotates its n/2 column pairs by the J that diagonalize their
-    2x2 Gram matrices, accumulating V. A pair is settled when |a_p* a_q| <=
-    JACOBI_OFF_TOL ||a_p|| ||a_q||, or when its smaller column is at most
-    c = max(rows, cols) * RANK_CUTOFF times the largest. The first sweep
-    that finds every pair settled before rotating it ends the iteration,
-    and more than JACOBI_MAX_SWEEPS sweeps raise InputError. sigma are
-    the column norms sorted descending, zero at or below c * sigma_max; the
-    kept columns over sigma, completed from canonical basis vectors, are
-    the left singular vectors. Inside a :func:`_shared_factors` scope a
-    repeated input returns the stored result.
+    The columns, scaled by :func:`_prescaled`, are rotated on herm_eig's
+    schedule by its rule: each round rotates its n/2 column pairs by the J
+    that diagonalize their 2x2 Gram matrices, accumulating V. A pair is
+    settled when |a_p* a_q| <= JACOBI_OFF_TOL ||a_p|| ||a_q||, or when its
+    smaller column is at most c = max(rows, cols) * RANK_CUTOFF times the
+    largest. The first sweep that finds every pair settled before rotating
+    it ends the iteration, and more than JACOBI_MAX_SWEEPS sweeps raise
+    InputError. sigma are the column norms sorted descending, zero at or
+    below c * sigma_max; the kept columns over sigma, completed from
+    canonical basis vectors, are the left singular vectors. Inside a
+    :func:`_shared_factors` scope a repeated input returns the stored result.
     """
     return _shared(_svd_jacobi, m)
 
@@ -494,11 +496,10 @@ def psd_factor(m, label: str = "matrix", tol: float = PSD_CLAMP_TOL) -> PsdFacto
     """
     eig = herm_eig(m)
     scale = float(np.max(np.abs(eig.values)))
-    floor = -tol * scale
-    if float(eig.values[0]) < floor:
+    if float(eig.values[0]) < -tol * scale:
         raise InputError(
-            f"{label} is not PSD: min eigenvalue {eig.values[0]:.3e} "
-            f"below clamp window {floor:.3e}"
+            f"{label} is not PSD: min eigenvalue is {eig.values[0] / scale:.3e} "
+            f"times the largest magnitude, below the clamp window {-tol:.3e}"
         )
     values = np.where(eig.values <= PSD_ZERO_FLOOR * scale, 0.0, eig.values)
     return PsdFactor(values=values, vectors=eig.vectors)

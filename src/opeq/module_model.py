@@ -57,7 +57,7 @@ class GridFunction:
         if arr.ndim != 1:
             raise InputError("samples must be a 1-D array")
         _check_grid_n(arr.size - 1)
-        if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+        if not np.isfinite(arr).all():
             raise InputError("samples must be finite")
         self.samples = arr
 

@@ -21,7 +21,6 @@ from .conditions import (ConditionReport, PtReport, TOL_RANGE, basis_inclusion, 
 from .linalg import (
     TOL_PSD,
     InputError,
-    PsdFactor,
     _prescaled,
     _unscale,
     as_matrix,
@@ -183,22 +182,14 @@ def riccati_geomean(a, b) -> np.ndarray:
     bm = as_matrix(b)
     if am.shape[0] != am.shape[1] or am.shape != bm.shape:
         raise InputError(f"need square matrices of equal shape, got {am.shape} and {bm.shape}")
-    am = hermitian_part(am, "a")
-    bm = hermitian_part(bm, "b")
-    af = psd_factor(am, "a")
+    # (sA) # (tB) = sqrt(st) (A # B), so the mean is taken on the operands
+    # scaled by _prescaled and scaled back by sqrt(st), an exact power of two
+    sa, ea = _prescaled(hermitian_part(am, "a"))
+    tb, eb = _prescaled(hermitian_part(bm, "b"))
+    af = psd_factor(sa, "a")
     if not af.nonsingular:
         raise InputError("a must be positive definite")
-    psd_factor(bm, "b", tol=TOL_PSD)  # input validation only
-    # (sA) # (tB) = sqrt(st) (A # B): with s = 2**-ea and t = 2**-eb for even
-    # ea and eb, every root below is scaled exactly, so no intermediate
-    # leaves the floating-point range and normal-range inputs keep every bit
-    ea = _prescaled(am)[1]
-    ea += ea % 2
-    tb, eb = _prescaled(bm)
-    if eb % 2:
-        tb, eb = 0.5 * tb, eb + 1
-    sf = PsdFactor(np.ldexp(af.values, -ea), af.vectors)
-    asq = sf.power(0.5)
-    ainvs = sf.power(-0.5)
+    psd_factor(tb, "b", tol=TOL_PSD)  # input validation only
+    asq, ainvs = af.power(0.5), af.power(-0.5)
     x = _hermitize(asq @ psd_sqrt(_hermitize(ainvs @ tb @ ainvs)) @ asq)
     return _unscale(x, (ea + eb) // 2, "geometric mean overflows")
