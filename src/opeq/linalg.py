@@ -294,28 +294,46 @@ def _sweep_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, off_mask
 
 
-def _rotations(app, aqq, pivots, rot: np.ndarray) -> np.ndarray:
+def _rotations(app, aqq, pivots, rot: np.ndarray) -> list[float]:
     """Fill rot with the J_i = [[c phase, s phase], [-s, c]] that diagonalize
-    [[app, pivot], [pivot*, aqq]] as J_i* G J_i, and return t |pivot|, by
-    which app falls and aqq rises. A pivot below the normal range, where
-    numpy's pivot / |pivot| overflows, is dead like a zero one: t = 0."""
+    [[app, pivot], [pivot*, aqq]] as J_i* G J_i, and return the t |pivot| by
+    which app falls and aqq rises: Rutishauser's rotation (Golub and Van
+    Loan, Matrix Computations, 8.5).
+
+    The rotations are computed pair by pair in Python float and complex
+    scalars, because a round has at most a dozen pairs at the sizes opeq
+    runs, and there numpy's fixed cost per call outweighs the arithmetic.
+    The scalar steps are the IEEE operations a vectorized form would do,
+    in its order, so they give its bits. Two steps keep numpy's own
+    rounding: |pivot| is one vectorized np.abs, which rounds unlike libm's
+    hypot, and the phase is pivot * (1 / |pivot|), through the reciprocal
+    as numpy divides a complex number by a real one. The phase gets 0j
+    added, which makes a zero part +0 as numpy's sum with a boolean does.
+
+    A pivot below the normal range, where 1 / |pivot| overflows, is dead
+    like a zero one: t = 0 and J = I up to the pivot's phase."""
     mag = np.abs(pivots)
-    dead = mag < 2.0**-1022
-    safe = mag + dead
-    tau = (aqq - app) / (safe + safe)
-    # smaller-magnitude root of t^2 + 2*tau*t - 1 = 0, |t| <= 1;
-    # it overflows to 0 when the pivot is negligible
-    root = 1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-    root[dead] = 0.0
-    t = np.copysign(root, tau)
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-    phase = pivots / safe + dead
-    np.multiply(c, phase, out=rot[:, 0, 0])
-    np.multiply(s, phase, out=rot[:, 0, 1])
-    np.negative(s, out=rot[:, 1, 0])
-    rot[:, 1, 1] = c
-    return t * mag
+    entries, shifts = [], []
+    for p, q, g, m in zip(app.tolist(), aqq.tolist(), pivots.tolist(), mag.tolist()):
+        if m < 2.0**-1022:
+            # phase g / (m + 1) + 1, a unit up to rounding
+            safe = m + 1.0
+            t = math.copysign(0.0, (q - p) / (safe + safe))
+            lift = 1 + 0j
+        else:
+            safe = m
+            tau = (q - p) / (m + m)
+            # smaller-magnitude root of t^2 + 2*tau*t - 1 = 0, |t| <= 1;
+            # it overflows to 0 when the pivot is negligible
+            t = math.copysign(1.0 / (abs(tau) + math.sqrt(1.0 + tau * tau)), tau)
+            lift = 0j
+        c = 1.0 / math.sqrt(1.0 + t * t)
+        s = t * c
+        phase = g * (1.0 / safe) + lift
+        entries += (c * phase, s * phase, -s, c)
+        shifts.append(t * m)
+    rot.flat = entries
+    return shifts
 
 
 def herm_eig(m) -> HermitianEig:
