@@ -423,7 +423,9 @@ def svd(m) -> SvdResult:
     it ends the iteration, and more than JACOBI_MAX_SWEEPS sweeps raise
     InputError. sigma are the column norms sorted descending, zero at or
     below c * sigma_max; the kept columns over sigma, completed from
-    canonical basis vectors, are the left singular vectors. Inside a
+    canonical basis vectors, are the left singular vectors. A wide m (rows
+    < cols) is factored as m*, whose left and right factors are m's right
+    and left ones, so the kernel rotates min(rows, cols) columns. Inside a
     :func:`_shared_factors` scope a repeated input returns the stored result.
     """
     return _shared(_svd_jacobi, m)
@@ -431,7 +433,10 @@ def svd(m) -> SvdResult:
 
 def _svd_jacobi(a: np.ndarray) -> SvdResult:
     """svd's kernel, on a matrix already coerced by :func:`as_matrix`."""
-    a, exp = _prescaled(a)
+    # a wide m = U S V* is factored as m* = V S U*: rotating all its cols
+    # columns would leave cols - rows of them only converging to zero
+    wide = a.shape[0] < a.shape[1]
+    a, exp = _prescaled(a.conj().T if wide else a)
     rows, cols = a.shape
     size = cols + cols % 2
     pairs = size // 2
@@ -483,6 +488,8 @@ def _svd_jacobi(a: np.ndarray) -> SvdResult:
             w = w - taken @ (taken.conj().T @ w)
         left[:, j] = w / np.linalg.norm(w)
     singulars = _unscale(singulars, exp, "singular values overflow")
+    if wide:
+        left, right = right, left
     return SvdResult(left=left, singulars=singulars, right=right, sweeps=sweeps)
 
 
