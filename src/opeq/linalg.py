@@ -3,12 +3,18 @@
 Everything numerically delicate here runs on two Jacobi kernels with one
 round-robin schedule (Brent and Luk) and one rotation rule: :func:`herm_eig`
 rotates a Hermitian matrix from both sides, :func:`svd` rotates the columns
-of m itself and never squares it. A round rotates n/2 disjoint pairs at
-once in a fixed order, so the same input bits give the same output bits
-within one build. One rule, :func:`_prescaled`, picks the power of two
-that keeps an operand in range; herm_eig, svd and the two root-taking
-solvers (pt_battery, riccati_geomean) scale by it, frob by its own. So
-norms neither overflow nor underflow, and non-convergence raises
+of m itself and never squares it, the columns of m* when m is wide. A
+round rotates n/2 disjoint pairs at once in a fixed order, so the same
+input bits give the same output bits within one build. The rotations are
+computed pair by pair in Python scalars, because a round at the sizes
+opeq runs has at most a dozen pairs and numpy's fixed cost per call would
+outweigh their arithmetic; two steps stay in numpy to keep its bits, the
+vectorized |pivot| and the phase through 1 / |pivot| (see
+:func:`_rotations`); batched matmuls apply them. One rule,
+:func:`_prescaled`, picks the power of two that keeps an operand in range;
+herm_eig, svd, orthonormalize and the two root-taking solvers
+(pt_battery, riccati_geomean) scale by it, frob by its own. So norms
+neither overflow nor underflow, and non-convergence raises
 :class:`InputError`. A result that leaves the floating-point range
 anyway is refused by :func:`require_finite`, never returned as inf or NaN.
 
@@ -301,17 +307,19 @@ def _rotations(app, aqq, pivots, rot: np.ndarray) -> list[float]:
     Loan, Matrix Computations, 8.5).
 
     The rotations are computed pair by pair in Python float and complex
-    scalars, because a round has at most a dozen pairs at the sizes opeq
-    runs, and there numpy's fixed cost per call outweighs the arithmetic.
-    The scalar steps are the IEEE operations a vectorized form would do,
-    in its order, so they give its bits. Two steps keep numpy's own
-    rounding: |pivot| is one vectorized np.abs, which rounds unlike libm's
-    hypot, and the phase is pivot * (1 / |pivot|), through the reciprocal
-    as numpy divides a complex number by a real one. The phase gets 0j
-    added, which makes a zero part +0 as numpy's sum with a boolean does.
+    scalars: a round has at most 12 pairs at the sizes opeq runs, and
+    there numpy's fixed cost per call outweighs the arithmetic. The scalar
+    steps are the IEEE operations numpy's array form of this rule does, in
+    its order, so they give its bits. Two steps keep numpy's own rounding:
+    |pivot| is one vectorized np.abs, which rounds unlike libm's hypot,
+    and the phase is pivot * (1 / |pivot|), through the reciprocal as
+    numpy divides a complex number by a real one. Adding 0j to the phase
+    makes a zero part +0, as numpy's sum with a boolean does, and CPython
+    up to 3.13 multiplies c and s into it as c + 0j and s + 0j, as numpy
+    does, so even the signs of zeros agree.
 
     A pivot below the normal range, where 1 / |pivot| overflows, is dead
-    like a zero one: t = 0 and J = I up to the pivot's phase."""
+    like a zero one: t = 0 and J = I to rounding."""
     mag = np.abs(pivots)
     entries, shifts = [], []
     for p, q, g, m in zip(app.tolist(), aqq.tolist(), pivots.tolist(), mag.tolist()):
@@ -569,18 +577,24 @@ def spectral_norm(m) -> float:
 
 
 def orthonormalize(m) -> np.ndarray:
-    """Orthonormalize the columns of a full-column-rank matrix (two-pass MGS)."""
-    a = as_matrix(m).copy()
+    """Orthonormalize the columns of a full-column-rank matrix (two-pass MGS).
+
+    Works on the :func:`_prescaled` copy, whose norms neither overflow nor
+    underflow; the columns it returns have norm 1 at any input scale. A
+    column that keeps at most 1e-12 of its own norm after the passes is
+    refused as dependent."""
+    a, _ = _prescaled(as_matrix(m))
     rows, cols = a.shape
     if cols > rows:
         raise InputError("orthonormalize expects at most as many columns as rows")
     for j in range(cols):
         w = a[:, j]
+        own = float(np.linalg.norm(w))
         for _ in range(2):
             for i in range(j):
                 w = w - a[:, i] * (a[:, i].conj() @ w)
         nrm = float(np.linalg.norm(w))
-        if nrm < 1e-12:
+        if nrm <= 1e-12 * own:
             raise InputError("columns are numerically dependent")
         a[:, j] = w / nrm
     return a

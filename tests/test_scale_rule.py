@@ -1,7 +1,9 @@
-"""One scale rule: linalg._prescaled picks the power of two for the kernels
-and for both root-taking solvers, so pt_solve and riccati_geomean are
-exactly equivariant under power-of-two scalings and stay right at scales
-where the sandwich H^{1/2} K H^{1/2} would leave the floating-point range."""
+"""One scale rule: linalg._prescaled picks the power of two for the kernels,
+for orthonormalize and for both root-taking solvers, so pt_solve,
+riccati_geomean and orthonormalize are exactly equivariant under
+power-of-two scalings and stay right at scales where the sandwich
+H^{1/2} K H^{1/2} or a column's squared norm would leave the
+floating-point range."""
 
 import json
 import math
@@ -11,10 +13,10 @@ import numpy as np
 import pytest
 
 from opeq.cli import main
-from opeq.linalg import _prescaled
+from opeq.linalg import _prescaled, orthonormalize
 from opeq.matio import save_matrix
 from opeq.solvers import pt_solve, riccati_geomean
-from opeq.sweep import random_psd, random_spd
+from opeq.sweep import random_matrix, random_psd, random_spd
 
 H = np.array([[1.0, 0.9], [0.9, 1.0]])
 K = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -100,3 +102,22 @@ def test_cli_solve_pt_at_extreme_scales(s, tmp_path, capsys):
     assert abs(doc["detail"]["norm_bound"] - A_MIN) <= 1e-15 * A_MIN
     sol = np.array(doc["solution"]["data"]).reshape(2, 2, 2)
     assert np.max(np.abs(sol[..., 0] + 1j * sol[..., 1] - x)) <= 4e-15
+
+
+@pytest.mark.parametrize("shift", [-640, 640])
+def test_orthonormalize_is_bitwise_scale_free(shift):
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        rows = int(rng.integers(1, 7))
+        g = random_matrix(rng, rows, int(rng.integers(1, rows + 1)), rank=rows)
+        assert np.array_equal(orthonormalize(g * 2.0**shift), orthonormalize(g))
+
+
+@pytest.mark.parametrize("s", [1e300, 1e-170])
+def test_orthonormalize_at_extreme_scales(s):
+    # 1e300 overflowed the column norms to inf and returned zeros; 1e-170
+    # fell under the absolute dependence test as if the columns were dependent
+    g = random_matrix(np.random.default_rng(14), 5, 3, rank=3)
+    q = orthonormalize(s * g)
+    assert np.abs(q.conj().T @ q - np.eye(3)).max() <= 1e-14
+    assert np.linalg.norm(g - q @ (q.conj().T @ g)) <= 1e-14 * np.linalg.norm(g)
