@@ -394,27 +394,26 @@ def _herm_eig_jacobi(a: np.ndarray) -> HermitianEig:
     buf_pq, buf_qp = buf_flat[1::step], buf_flat[size::step]
     buf_pp, buf_qq = buf_flat[::step], buf_flat[size + 1 :: step]
     sweeps = 0
-    with np.errstate(over="ignore"):
-        while float(np.linalg.norm(state[:size][off_mask])) > target:
-            if sweeps == JACOBI_MAX_SWEEPS:
-                raise InputError(f"Jacobi eigensolver did not converge in {sweeps} sweeps")
-            sweeps += 1
-            for _ in range(size - 1):
-                flat = state.reshape(-1)
-                app = flat[: size * size : step].real
-                aqq = flat[size + 1 : size * size : step].real
-                shift = _rotations(app, aqq, flat[1 : size * size : step], rot)
-                # V <- V J and A <- J* A J; then each pivot is exactly zero
-                # and the diagonal moves by -/+ t |a_pq|, exactly real
-                np.matmul(state.reshape(2 * size, pairs, 2).transpose(1, 0, 2), rot, out=buf_cols)
-                np.matmul(rot.conj().transpose(0, 2, 1), buf_rows, out=buf_rows)
-                buf_pq[...] = 0.0
-                buf_qp[...] = 0.0
-                np.subtract(app, shift, out=buf_pp)
-                np.add(aqq, shift, out=buf_qq)
-                state = buf[rows, cols]
-        values = np.diagonal(state).real[:n]
-        order = np.argsort(values, kind="stable")
+    while float(np.linalg.norm(state[:size][off_mask])) > target:
+        if sweeps == JACOBI_MAX_SWEEPS:
+            raise InputError(f"Jacobi eigensolver did not converge in {sweeps} sweeps")
+        sweeps += 1
+        for _ in range(size - 1):
+            flat = state.reshape(-1)
+            app = flat[: size * size : step].real
+            aqq = flat[size + 1 : size * size : step].real
+            shift = _rotations(app, aqq, flat[1 : size * size : step], rot)
+            # V <- V J and A <- J* A J; then each pivot is exactly zero
+            # and the diagonal moves by -/+ t |a_pq|, exactly real
+            np.matmul(state.reshape(2 * size, pairs, 2).transpose(1, 0, 2), rot, out=buf_cols)
+            np.matmul(rot.conj().transpose(0, 2, 1), buf_rows, out=buf_rows)
+            buf_pq[...] = 0.0
+            buf_qp[...] = 0.0
+            np.subtract(app, shift, out=buf_pp)
+            np.add(aqq, shift, out=buf_qq)
+            state = buf[rows, cols]
+    values = np.diagonal(state).real[:n]
+    order = np.argsort(values, kind="stable")
     values = _unscale(values[order], exp, "eigenvalues overflow")
     return HermitianEig(values=values, vectors=state[size:size + n, :n][:, order], sweeps=sweeps)
 
@@ -460,24 +459,23 @@ def _svd_jacobi(a: np.ndarray) -> SvdResult:
     buf_cols = buf.reshape(rows + size, pairs, 2).transpose(1, 0, 2)
     top = col_pairs[:, :rows]
     small = (max(rows, cols) * RANK_CUTOFF) ** 2
-    with np.errstate(over="ignore"):
-        for sweeps in range(1, JACOBI_MAX_SWEEPS + 1):
-            settled = True
-            for _ in range(size - 1):
-                gram = top.conj().transpose(0, 2, 1) @ top
-                app, aqq, pivots = gram[:, 0, 0].real, gram[:, 1, 1].real, gram[:, 0, 1]
-                if settled:
-                    settled = bool(np.all(
-                        (np.abs(pivots) <= JACOBI_OFF_TOL * np.sqrt(app * aqq))
-                        | (np.minimum(app, aqq) <= small * max(app.max(), aqq.max()))
-                    ))
-                _rotations(app, aqq, pivots, rot)
-                np.matmul(col_pairs, rot, out=buf_cols)
-                np.take(buf, src, axis=1, out=state)
+    for sweeps in range(1, JACOBI_MAX_SWEEPS + 1):
+        settled = True
+        for _ in range(size - 1):
+            gram = top.conj().transpose(0, 2, 1) @ top
+            app, aqq, pivots = gram[:, 0, 0].real, gram[:, 1, 1].real, gram[:, 0, 1]
             if settled:
-                break
-        else:
-            raise InputError(f"Jacobi SVD did not converge in {JACOBI_MAX_SWEEPS} sweeps")
+                settled = bool(np.all(
+                    (np.abs(pivots) <= JACOBI_OFF_TOL * np.sqrt(app * aqq))
+                    | (np.minimum(app, aqq) <= small * max(app.max(), aqq.max()))
+                ))
+            _rotations(app, aqq, pivots, rot)
+            np.matmul(col_pairs, rot, out=buf_cols)
+            np.take(buf, src, axis=1, out=state)
+        if settled:
+            break
+    else:
+        raise InputError(f"Jacobi SVD did not converge in {JACOBI_MAX_SWEEPS} sweeps")
     norms = np.linalg.norm(state[:rows, :cols], axis=0)
     order = np.argsort(-norms, kind="stable")
     singulars = norms[order[: min(rows, cols)]]
@@ -579,10 +577,10 @@ def spectral_norm(m) -> float:
 def orthonormalize(m) -> np.ndarray:
     """Orthonormalize the columns of a full-column-rank matrix (two-pass MGS).
 
-    Works on the :func:`_prescaled` copy, whose norms neither overflow nor
-    underflow; the columns it returns have norm 1 at any input scale. A
-    column that keeps at most 1e-12 of its own norm after the passes is
-    refused as dependent."""
+    Works on the :func:`_prescaled` copy, so the input's scale alone cannot
+    make a norm overflow or underflow, and the result is the same at every
+    power-of-two scale. A column that keeps at most 1e-12 of its own norm
+    after the passes is refused as dependent."""
     a, _ = _prescaled(as_matrix(m))
     rows, cols = a.shape
     if cols > rows:
