@@ -115,8 +115,8 @@ def test_orthonormalize_is_bitwise_scale_free(shift):
 
 @pytest.mark.parametrize("s", [1e300, 1e-170])
 def test_orthonormalize_at_extreme_scales(s):
-    # 1e300 overflowed the column norms to inf and returned zeros; 1e-170
-    # fell under the absolute dependence test as if the columns were dependent
+    # unscaled, the column norms overflow at 1e300 and fall below an
+    # absolute dependence test at 1e-170
     g = random_matrix(np.random.default_rng(14), 5, 3, rank=3)
     q = orthonormalize(s * g)
     assert np.abs(q.conj().T @ q - np.eye(3)).max() <= 1e-14
