@@ -7,7 +7,9 @@ invocation prints one RunReport JSON document on stdout. Exit codes:
 report), 2 input error. Every solve family follows one rule: it is solved
 iff its conditions hold and its residual is at most the tolerance.
 OPEQ_TOL overrides the default tolerance; an explicit --tol beats the
-environment.
+environment. A command runs inside one factor-sharing scope
+(linalg._shared_factors), so an operand that several of its conditions
+and solvers read is factored once.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import sys
 
 from .conditions import (TOL_RANGE, majorization_lambda, pt_conditions, range_inclusion,
                          verify_solution)
-from .linalg import InputError
+from .linalg import InputError, _shared_factors
 from .matio import RunReport, digest_text, parse_matrix_text, save_matrix
 from .module_model import DEFAULT_GRID_N, demo
 from .solvers import (
@@ -235,7 +237,8 @@ def main(argv=None) -> int:
         "sweep": _cmd_sweep,
     }
     try:
-        report = handlers[args.command](args)
+        with _shared_factors():
+            report = handlers[args.command](args)
     except InputError as exc:
         err = RunReport(
             command=args.command,

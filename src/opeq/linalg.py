@@ -10,7 +10,14 @@ computed pair by pair in Python scalars, because a round at the sizes
 opeq runs has at most a dozen pairs and numpy's fixed cost per call would
 outweigh their arithmetic; two steps stay in numpy to keep its bits, the
 vectorized |pivot| and the phase through 1 / |pivot| (see
-:func:`_rotations`); batched matmuls apply them. One rule,
+:func:`_rotations`). A round folds its rotations J and the move P to the
+next layout into one matrix Q = J P (see :func:`_sweep_plan`) and applies
+it with one matrix product per side: [A; V] Q, then Q* A for herm_eig,
+[A; V] Q alone for svd. Q is dense, so a round costs O(n^3) where the
+n/2 2x2 products it replaces cost O(n^2); below n of about 48 the one
+BLAS call per side is still cheaper than numpy's batched 2x2 products,
+which call BLAS once per pair, and the gather that moved the layout.
+One rule,
 :func:`_prescaled`, picks the power of two that keeps an operand in range;
 herm_eig, svd, orthonormalize and the two root-taking solvers
 (pt_battery, riccati_geomean) scale by it, frob by its own. So norms
@@ -25,10 +32,11 @@ basis; a PSD matrix gets a :class:`PsdFactor`, which gives its rank, range
 basis and every (pseudoinverse) power.
 
 Callers that check several conditions on the same operands (the sweep
-suites) open a factor-sharing scope, :func:`_shared_factors`. Inside it
-herm_eig and svd each keep an LRU of their last 8 results, keyed by the
-input's shape and complex128 bytes, and a repeated input gets the stored
-result back instead of a second factorization; pinv, range_projector,
+suites, each CLI command) open a factor-sharing scope,
+:func:`_shared_factors`. Inside it herm_eig and svd each keep an LRU of
+their last 8 results, keyed by the input's shape and complex128 bytes,
+and a repeated input gets the stored result back instead of a second
+factorization; pinv, range_projector,
 spectral_norm, psd_factor, psd_gap and every solver share it through
 them. A refusal is never stored, and leaving the scope drops everything.
 Outside a scope nothing is looked up or kept: a global memo would hold
@@ -280,24 +288,49 @@ def _shared(kernel, m):
 
 @functools.lru_cache(maxsize=64)
 def _sweep_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The round-robin schedule of an even-order Jacobi sweep: the gather
-    (rows, cols) that moves a stacked state [A; V] to the next round's
-    layout, with cols[0] the column permutation, and A's off-diagonal mask.
+    """The round-robin schedule of an even-order Jacobi sweep, as flat
+    positions (scatter, moved) and A's off-diagonal mask.
 
     Circle method: position 0 stays and the other n - 1 positions move one
-    step along the ring 2, 4, ..., n - 2, n - 1, n - 3, ..., 1. Any two
-    indices sit at some (2i, 2i + 1) in exactly one of n - 1 consecutive
-    rounds, and after n - 1 rounds the layout is back at the start. The
-    rows of V never move, and svd moves no row of A either.
+    step along the ring 2, 4, ..., n - 2, n - 1, n - 3, ..., 1; column j of
+    the next layout is column src[j] of this one. Any two indices sit at
+    some (2i, 2i + 1) in exactly one of n - 1 consecutive rounds, and after
+    n - 1 rounds the layout is back at the start.
+
+    A round is A <- Q* A Q and V <- V Q with Q = J P, for J the block
+    diagonal of the round's 2x2 rotations and P the move: column j of Q is
+    column src[j] of J. scatter holds the flat positions in Q of rot's
+    entries, in rot's C order, so Q.flat[scatter] = rot builds Q, and the
+    n * n - 2 * n entries it never writes stay exactly 0: a pair whose J is
+    I moves its columns exactly. moved holds the flat positions in
+    Q* A Q of each pair's (p, p), then each (q, q), then each (p, q), then
+    each (q, p), for (p, q) = (2i, 2i + 1).
     """
     ring = np.r_[2:n:2, n - 1 : 0 : -2]
     src = np.arange(n)
     src[np.roll(ring, -1)] = ring
-    rows, cols = np.ix_(np.concatenate([src, np.arange(n, 2 * n)]), src)
+    # the inverse permutation, by a scatter: numpy's first quicksort call
+    # touches 256 KiB that peak RSS would keep
+    dest = np.empty_like(src)
+    dest[src] = np.arange(n)
+    p, q = dest[0::2], dest[1::2]
+    pairs = np.arange(n).reshape(-1, 2)
+    scatter = (pairs[:, :, None] * n + dest[pairs][:, None, :]).reshape(-1)
+    moved = np.concatenate([p * (n + 1), q * (n + 1), p * n + q, q * n + p])
     off_mask = ~np.eye(n, dtype=bool)
-    for arr in (rows, cols, off_mask):
+    for arr in (scatter, moved, off_mask):
         arr.flags.writeable = False
-    return rows, cols, off_mask
+    return scatter, moved, off_mask
+
+
+def _pair_entries(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Views of the round's 2x2 blocks in a C-ordered n x n matrix: the
+    real parts of its (2i, 2i) and (2i + 1, 2i + 1) entries, and its
+    (2i, 2i + 1) entries."""
+    n = m.shape[0]
+    step = 2 * (n + 1)
+    flat = m.reshape(-1)
+    return flat[::step].real, flat[n + 1 :: step].real, flat[1::step]
 
 
 def _rotations(app, aqq, pivots, rot: np.ndarray) -> list[float]:
@@ -351,9 +384,12 @@ def herm_eig(m) -> HermitianEig:
     overflow nor underflow, and the eigenvalues are scaled back. An odd n
     is padded with one decoupled zero row and column. A sweep is the
     n - 1 rounds of :func:`_sweep_plan`; a round annihilates the n/2 pivots
-    (2i, 2i + 1) at once by :func:`_rotations`. Stops when the off-diagonal
-    Frobenius mass is at most JACOBI_OFF_TOL times the input norm, and
-    raises InputError if that takes more than JACOBI_MAX_SWEEPS sweeps. The
+    (2i, 2i + 1) at once by :func:`_rotations`, as A <- Q* A Q and
+    V <- V Q with one product per side, then writes each pivot as exactly
+    zero and each rotated diagonal entry by Rutishauser's update. Stops
+    when the off-diagonal Frobenius mass is at most JACOBI_OFF_TOL times
+    the input norm, and raises InputError if that takes more than
+    JACOBI_MAX_SWEEPS sweeps. The
     input must satisfy ||m - m*||_F <= TOL_HERMITIAN * ||m||_F. Inside a
     :func:`_shared_factors` scope a repeated input returns the stored result.
     """
@@ -368,8 +404,8 @@ def _herm_eig_jacobi(a: np.ndarray) -> HermitianEig:
         raise InputError(f"eigendecomposition needs a square matrix, got {a.shape}")
     size = n + n % 2
     pairs = size // 2
-    # A (rows :size) stacked above V (rows size:): one matmul rotates the
-    # columns of both, one gather moves both to the next layout
+    # A (rows :size) stacked above V (rows size:): one product with Q
+    # rotates and moves the columns of both
     state = np.zeros((2 * size, size), dtype=np.complex128)
     top = state[:size]
     top[:n, :n] = a
@@ -381,38 +417,36 @@ def _herm_eig_jacobi(a: np.ndarray) -> HermitianEig:
     top += adj
     top *= 0.5
     state.reshape(-1)[size * size :: size + 1] = 1.0
-    rows, cols, off_mask = _sweep_plan(size)
+    scatter, moved, off_mask = _sweep_plan(size)
     target = JACOBI_OFF_TOL * scale
-    # per-pair work arrays and views, made once per call
+    # work arrays, made once per call: Q, its conjugate, the product
+    # [A; V] Q, and the 2 * size entries that go to the moved positions
     rot = np.empty((pairs, 2, 2), dtype=np.complex128)
+    q = np.zeros((size, size), dtype=np.complex128)
+    q_conj = np.empty_like(q)
     buf = np.empty_like(state)
-    buf_cols = buf.reshape(2 * size, pairs, 2).transpose(1, 0, 2)
-    buf_rows = buf[:size].reshape(pairs, 2, size)
-    # entries (2i, 2i + 1), (2i + 1, 2i), (2i, 2i) and (2i + 1, 2i + 1) of A in buf
-    step = 2 * (size + 1)
-    buf_flat = buf.reshape(-1)[: size * size]
-    buf_pq, buf_qp = buf_flat[1::step], buf_flat[size::step]
-    buf_pp, buf_qq = buf_flat[::step], buf_flat[size + 1 :: step]
+    update = np.zeros(2 * size, dtype=np.complex128)
+    flat = top.reshape(-1)
+    app, aqq, pivots = _pair_entries(top)
     sweeps = 0
-    while float(np.linalg.norm(state[:size][off_mask])) > target:
+    while float(np.linalg.norm(top[off_mask])) > target:
         if sweeps == JACOBI_MAX_SWEEPS:
             raise InputError(f"Jacobi eigensolver did not converge in {sweeps} sweeps")
         sweeps += 1
         for _ in range(size - 1):
-            flat = state.reshape(-1)
-            app = flat[: size * size : step].real
-            aqq = flat[size + 1 : size * size : step].real
-            shift = _rotations(app, aqq, flat[1 : size * size : step], rot)
-            # V <- V J and A <- J* A J; then each pivot is exactly zero
-            # and the diagonal moves by -/+ t |a_pq|, exactly real
-            np.matmul(state.reshape(2 * size, pairs, 2).transpose(1, 0, 2), rot, out=buf_cols)
-            np.matmul(rot.conj().transpose(0, 2, 1), buf_rows, out=buf_rows)
-            buf_pq[...] = 0.0
-            buf_qp[...] = 0.0
-            np.subtract(app, shift, out=buf_pp)
-            np.add(aqq, shift, out=buf_qq)
-            state = buf[rows, cols]
-    values = np.diagonal(state).real[:n]
+            shift = _rotations(app, aqq, pivots, rot)
+            # Rutishauser's update: app and aqq move by -/+ t |a_pq|,
+            # exactly real, and each pivot becomes exactly zero
+            np.subtract(app, shift, out=update[:pairs].real)
+            np.add(aqq, shift, out=update[pairs:size].real)
+            q.reshape(-1)[scatter] = rot.reshape(-1)
+            np.conjugate(q, out=q_conj)
+            # [A; V] <- [A; V] Q, then A <- Q* A into the other buffer
+            np.matmul(state, q, out=buf)
+            np.matmul(q_conj.T, buf[:size], out=top)
+            state[size:] = buf[size:]
+            flat[moved] = update
+    values = np.diagonal(top).real[:n]
     order = np.argsort(values, kind="stable")
     values = _unscale(values[order], exp, "eigenvalues overflow")
     return HermitianEig(values=values, vectors=state[size:size + n, :n][:, order], sweeps=sweeps)
@@ -422,8 +456,10 @@ def svd(m) -> SvdResult:
     """Full singular value decomposition by one-sided (Hestenes) Jacobi on m.
 
     The columns, scaled by :func:`_prescaled`, are rotated on herm_eig's
-    schedule by its rule: each round rotates its n/2 column pairs by the J
-    that diagonalize their 2x2 Gram matrices, accumulating V. A pair is
+    schedule by its rule: each round reads its n/2 column pairs' 2x2 Gram
+    matrices off one product A* A, and one product [A; V] Q rotates each
+    pair by the J that diagonalizes its Gram matrix and moves the columns
+    to the next layout, accumulating V (see :func:`_sweep_plan`). A pair is
     settled when |a_p* a_q| <= JACOBI_OFF_TOL ||a_p|| ||a_q||, or when its
     smaller column is at most c = max(rows, cols) * RANK_CUTOFF times the
     largest. The first sweep that finds every pair settled before rotating
@@ -447,31 +483,32 @@ def _svd_jacobi(a: np.ndarray) -> SvdResult:
     rows, cols = a.shape
     size = cols + cols % 2
     pairs = size // 2
-    # A stacked above V: one matmul rotates and one gather moves both
+    # A stacked above V: one product with Q rotates and moves both
     state = np.zeros((rows + size, size), dtype=np.complex128)
     state[:rows, :cols] = a
     state[rows:] = np.eye(size)
-    src = _sweep_plan(size)[1][0]
+    scatter = _sweep_plan(size)[0]
     rot = np.empty((pairs, 2, 2), dtype=np.complex128)
+    q = np.zeros((size, size), dtype=np.complex128)
     buf = np.empty_like(state)
-    # the n/2 column pairs of state and of buf, and those of A alone
-    col_pairs = state.reshape(rows + size, pairs, 2).transpose(1, 0, 2)
-    buf_cols = buf.reshape(rows + size, pairs, 2).transpose(1, 0, 2)
-    top = col_pairs[:, :rows]
+    # the Gram matrix A* A, where each round reads its 2x2 blocks
+    gram = np.empty((size, size), dtype=np.complex128)
+    app, aqq, pivots = _pair_entries(gram)
     small = (max(rows, cols) * RANK_CUTOFF) ** 2
     for sweeps in range(1, JACOBI_MAX_SWEEPS + 1):
         settled = True
         for _ in range(size - 1):
-            gram = top.conj().transpose(0, 2, 1) @ top
-            app, aqq, pivots = gram[:, 0, 0].real, gram[:, 1, 1].real, gram[:, 0, 1]
+            top = state[:rows]
+            np.matmul(top.conj().T, top, out=gram)
             if settled:
                 settled = bool(np.all(
                     (np.abs(pivots) <= JACOBI_OFF_TOL * np.sqrt(app * aqq))
                     | (np.minimum(app, aqq) <= small * max(app.max(), aqq.max()))
                 ))
             _rotations(app, aqq, pivots, rot)
-            np.matmul(col_pairs, rot, out=buf_cols)
-            np.take(buf, src, axis=1, out=state)
+            q.reshape(-1)[scatter] = rot.reshape(-1)
+            np.matmul(state, q, out=buf)
+            state, buf = buf, state
         if settled:
             break
     else:
@@ -579,19 +616,20 @@ def orthonormalize(m) -> np.ndarray:
 
     Works on the :func:`_prescaled` copy, so the input's scale alone cannot
     make a norm overflow or underflow, and the result is the same at every
-    power-of-two scale. A column that keeps at most 1e-12 of its own norm
-    after the passes is refused as dependent."""
+    power-of-two scale. Each column norm is :func:`frob`'s, scaled per
+    vector, so graded columns keep theirs too. A column that keeps at most
+    1e-12 of its own norm after the passes is refused as dependent."""
     a, _ = _prescaled(as_matrix(m))
     rows, cols = a.shape
     if cols > rows:
         raise InputError("orthonormalize expects at most as many columns as rows")
     for j in range(cols):
         w = a[:, j]
-        own = float(np.linalg.norm(w))
+        own = frob(w)
         for _ in range(2):
             for i in range(j):
                 w = w - a[:, i] * (a[:, i].conj() @ w)
-        nrm = float(np.linalg.norm(w))
+        nrm = frob(w)
         if nrm <= 1e-12 * own:
             raise InputError("columns are numerically dependent")
         a[:, j] = w / nrm

@@ -46,12 +46,26 @@ def _require(cond: bool, locus: str, msg: str) -> None:
         raise MatrixFileError(f"{locus}: {msg}")
 
 
-def _as_number(v, locus: str) -> float:
+def _as_number(v, k: int, part: int) -> float:
+    """Part `part` of entry k as a finite float; the locus data[k][part] is
+    formatted only when a check fails."""
     # bool is an int subclass; reject it explicitly
-    _require(isinstance(v, (int, float)) and not isinstance(v, bool), locus, "expected a number")
-    f = float(v)
-    _require(math.isfinite(f), locus, "value must be finite")
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise MatrixFileError(f"data[{k}][{part}]: expected a number")
+    try:
+        f = float(v)
+    except OverflowError:
+        # an integer literal past the largest double
+        raise MatrixFileError(f"data[{k}][{part}]: value overflows the floating-point range") from None
+    if not math.isfinite(f):
+        raise MatrixFileError(f"data[{k}][{part}]: value must be finite")
     return f
+
+
+def _entry(pair, k: int) -> complex:
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise MatrixFileError(f"data[{k}]: expected a [re, im] pair")
+    return complex(_as_number(pair[0], k, 0), _as_number(pair[1], k, 1))
 
 
 def parse_matrix_doc(doc) -> np.ndarray:
@@ -68,12 +82,8 @@ def parse_matrix_doc(doc) -> np.ndarray:
     data = doc["data"]
     _require(isinstance(data, list), "data", "expected a list")
     _require(len(data) == rows * cols, "data", f"expected {rows * cols} entries, got {len(data)}")
-    out = np.empty(rows * cols, dtype=np.complex128)
-    for k, pair in enumerate(data):
-        locus = f"data[{k}]"
-        _require(isinstance(pair, list) and len(pair) == 2, locus, "expected a [re, im] pair")
-        out[k] = complex(_as_number(pair[0], locus + "[0]"), _as_number(pair[1], locus + "[1]"))
-    return out.reshape(rows, cols)
+    entries = [_entry(pair, k) for k, pair in enumerate(data)]
+    return np.array(entries, dtype=np.complex128).reshape(rows, cols)
 
 
 def parse_matrix_text(text: str) -> np.ndarray:
@@ -81,6 +91,11 @@ def parse_matrix_text(text: str) -> np.ndarray:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MatrixFileError(f"document: not valid JSON ({exc})") from None
+    except ValueError as exc:
+        # an integer literal longer than the interpreter converts
+        raise MatrixFileError(f"document: number out of range ({exc})") from None
+    except RecursionError:
+        raise MatrixFileError("document: nested too deeply") from None
     return parse_matrix_doc(doc)
 
 

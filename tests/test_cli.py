@@ -252,3 +252,13 @@ def test_sweep_negative_seed_is_input_error(capsys):
     assert code == 2
     assert doc["outcome"] == "error"
     assert "seed" in doc["detail"]["message"]
+
+
+@pytest.mark.parametrize("digits", [400, 5000])
+def test_huge_integer_entry_exit_2(capsys, mats, tmp_path, digits):
+    path = tmp_path / "huge.json"
+    path.write_text('{"rows":1,"cols":1,"data":[[1%s,0]]}' % ("0" * digits))
+    code, doc = run(capsys, "check", "range", "--A", str(path), "--B", mats["eye2"])
+    assert code == 2
+    assert doc["outcome"] == "error"
+    assert "huge.json" in doc["detail"]["message"]

@@ -101,11 +101,73 @@ def test_herm_eig_round_robin_edge_cases():
         assert np.allclose(values, [1.0] * (n - 1) + [4.0], atol=1e-12)
 
 
+def _check_svd(m):
+    """svd(m) against numpy.linalg.svd, plus its own invariants."""
+    rows, cols = m.shape
+    f = svd(m)
+    k = min(rows, cols)
+    scale = max(frob(m), 1.0)
+    recon = (f.left[:, :k] * f.singulars) @ f.right[:, :k].conj().T
+    assert frob(recon - m) / scale <= 1e-10
+    assert frob(f.left.conj().T @ f.left - np.eye(rows)) <= 1e-10
+    assert frob(f.right.conj().T @ f.right - np.eye(cols)) <= 1e-10
+    ref = np.linalg.svd(m, compute_uv=False)
+    assert np.max(np.abs(f.singulars - ref)) <= 1e-12 * max(ref[0], np.finfo(float).tiny)
+    again = svd(m.copy())
+    for name in ("left", "singulars", "right"):
+        assert np.array_equal(getattr(f, name), getattr(again, name))
+    return f
+
+
+def test_svd_round_robin_edge_cases():
+    rng = np.random.default_rng(37)
+    for k in range(1, 25):
+        c = int(rng.integers(1, 25))
+        # every row and column count in 1..24, tall and wide, odd ones padded
+        for rows, cols in ((k, c), (c, k)):
+            _check_svd(random_matrix(rng, rows, cols, rank=min(rows, cols)))
+            r = int(rng.integers(0, min(rows, cols) + 1))
+            assert _check_svd(random_matrix(rng, rows, cols, rank=r)).rank == r
+            # zero pivots everywhere: the first sweep finds every pair settled
+            assert _check_svd(np.zeros((rows, cols))).sweeps == 1
+            d = np.zeros((rows, cols))
+            diag = rng.normal(size=min(rows, cols))
+            np.fill_diagonal(d, diag)
+            f = _check_svd(d)
+            assert f.sweeps == 1
+            assert np.array_equal(f.singulars, np.sort(np.abs(diag))[::-1])
+            # block-diagonal: pairs that straddle the blocks stay orthogonal
+            g = random_matrix(rng, rows, cols, rank=min(rows, cols))
+            b = np.zeros((rows, cols), dtype=complex)
+            br, bc = rows // 2, cols // 2
+            b[:br, :bc] = g[:br, :bc]
+            b[br:, bc:] = g[br:, bc:]
+            _check_svd(b)
+
+
 def test_round_robin_schedule_meets_every_pair_once_per_sweep():
+    rng = np.random.default_rng(29)
     for n in range(2, 26, 2):
-        rows, cols, _ = linalg._sweep_plan(n)
-        src = cols[0]
-        assert np.array_equal(rows[:n, 0], src)
+        scatter, moved, _ = linalg._sweep_plan(n)
+        # with every rotation the identity, Q is the move P alone: column j
+        # of the next layout is column src[j] of this one
+        move = np.zeros((n, n))
+        move.reshape(-1)[scatter] = np.tile(np.eye(2), (n // 2, 1, 1)).reshape(-1)
+        src = np.argmax(move, axis=0)
+        assert np.array_equal(move, np.eye(n)[:, src])
+        # Q = J P: column j of Q is column src[j] of the block-diagonal J
+        rot = rng.normal(size=(n // 2, 2, 2)) + 1j * rng.normal(size=(n // 2, 2, 2))
+        q = np.zeros((n, n), dtype=complex)
+        q.reshape(-1)[scatter] = rot.reshape(-1)
+        j = np.zeros((n, n), dtype=complex)
+        for i in range(n // 2):
+            j[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = rot[i]
+        assert np.array_equal(q, j[:, src])
+        # each pair's (p, p), (q, q), (p, q) and (q, p) after the move P* A P
+        a = rng.normal(size=(n, n))
+        p = np.arange(0, n, 2)
+        expected = np.concatenate([a[p, p], a[p + 1, p + 1], a[p, p + 1], a[p + 1, p]])
+        assert np.array_equal(a[np.ix_(src, src)].reshape(-1)[moved], expected)
         layout = np.arange(n)
         met = set()
         for _ in range(n - 1):

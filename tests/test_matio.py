@@ -124,3 +124,20 @@ def test_matrix_doc_rejects_non_2d():
         matrix_to_doc(np.zeros(3))
     with pytest.raises(MatrixFileError):
         parse_matrix_doc({"rows": 1, "cols": 2, "data": [[1, 0], "x"]})
+
+
+def test_huge_integer_literals_are_matrix_file_errors():
+    # float() of a 400-digit integer overflows; json.loads refuses to convert
+    # a 5000-digit one where the interpreter limits integer digits
+    text = '{"rows":1,"cols":1,"data":[[1%s,0]]}'
+    with pytest.raises(MatrixFileError, match=r"data\[0\]\[0\]: value overflows"):
+        parse_matrix_text(text % ("0" * 400))
+    with pytest.raises(MatrixFileError, match=r"data\[0\]\[1\]: value overflows"):
+        parse_matrix_doc({"rows": 1, "cols": 1, "data": [[0, -(10**400)]]})
+    with pytest.raises(MatrixFileError):
+        parse_matrix_text(text % ("0" * 5000))
+
+
+def test_deep_nesting_is_a_matrix_file_error():
+    with pytest.raises(MatrixFileError, match="nested too deeply"):
+        parse_matrix_text("[" * 100000 + "]" * 100000)

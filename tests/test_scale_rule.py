@@ -121,3 +121,14 @@ def test_orthonormalize_at_extreme_scales(s):
     q = orthonormalize(s * g)
     assert np.abs(q.conj().T @ q - np.eye(3)).max() <= 1e-14
     assert np.linalg.norm(g - q @ (q.conj().T @ g)) <= 1e-14 * np.linalg.norm(g)
+
+
+def test_orthonormalize_keeps_graded_columns():
+    # unscaled, the second column's squared norm is 0 in the first case and
+    # subnormal in the second
+    q = orthonormalize([[1.0, 0.0], [0.0, 1e-200], [0.0, 0.0]])
+    assert np.array_equal(q, np.eye(3, 2))
+    q = orthonormalize([[1.0, 1e-160], [0.0, 1e-160], [0.0, 0.0]])
+    eps = np.finfo(np.float64).eps
+    assert np.abs(np.linalg.norm(q, axis=0) - 1.0).max() <= 4 * eps
+    assert abs(q[:, 0].conj() @ q[:, 1]) <= 4 * eps

@@ -1,10 +1,13 @@
 """The factor-sharing scope of herm_eig and svd (linalg._shared_factors)."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
-from opeq import linalg
+from opeq import cli, linalg
 from opeq.linalg import InputError, _shared_factors, herm_eig, svd
+from opeq.matio import save_matrix
 from opeq.sweep import SUITES, random_matrix, run_sweep
 
 
@@ -124,3 +127,30 @@ def test_suites_report_the_same_inside_and_outside(seed):
         with _shared_factors():
             inside = suite(np.random.default_rng(seed), 10, 6).to_doc()
         assert inside == outside, suite.__name__
+
+
+@pytest.mark.parametrize("command, kernel_name, shared, unshared", [
+    (("solve", "riccati"), "_herm_eig_jacobi", 3, 4),
+    (("check", "douglas"), "_svd_jacobi", 2, 4),
+])
+def test_cli_command_factors_each_operand_once(monkeypatch, tmp_path, capsys,
+                                               command, kernel_name, shared, unshared):
+    rng = np.random.default_rng(12)
+    argv = list(command)
+    for name in ("A", "B"):
+        g = random_matrix(rng, 3, 3, rank=3)
+        # exactly Hermitian, so the solvers' Hermitian parts keep its bytes
+        h = g @ g.conj().T + np.eye(3)
+        path = str(tmp_path / f"{name}.json")
+        save_matrix(path, 0.5 * (h + h.conj().T))
+        argv += [f"--{name}", path]
+    calls = _counting(monkeypatch, kernel_name)
+    assert cli.main(argv) == 0
+    inside = capsys.readouterr().out
+    assert len(calls) == shared
+    # without the command's scope: the same report from more factorizations
+    monkeypatch.setattr(cli, "_shared_factors", contextlib.nullcontext)
+    calls.clear()
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == inside
+    assert len(calls) == unshared
