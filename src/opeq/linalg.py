@@ -14,7 +14,7 @@ vectorized |pivot| and the phase through 1 / |pivot| (see
 next layout into one matrix Q = J P (see :func:`_sweep_plan`) and applies
 it with one matrix product per side: [A; V] Q, then Q* A for herm_eig,
 [A; V] Q alone for svd. Q is dense, so a round costs O(n^3) where the
-n/2 2x2 products it replaces cost O(n^2); below n of about 48 the one
+n/2 2x2 products it replaces cost O(n^2); up to n of about 48 the one
 BLAS call per side is still cheaper than numpy's batched 2x2 products,
 which call BLAS once per pair, and the gather that moved the layout.
 One rule,
