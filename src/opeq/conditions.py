@@ -17,6 +17,8 @@ import numpy as np
 from .linalg import (
     TOL_PSD,
     InputError,
+    PsdFactor,
+    _geomean_polar,
     _prescaled,
     _unscale,
     as_matrix,
@@ -55,14 +57,15 @@ class ConditionReport:
 def basis_inclusion(b, basis: np.ndarray, tol: float = TOL_RANGE,
                     name: str = "range_inclusion") -> ConditionReport:
     """Does the column space of b lie inside the span of the orthonormal
-    columns of ``basis``? Holds iff ||B - U_r U_r* B||_F <= tol * (1 + ||B||_F)."""
+    columns of ``basis``? Holds iff ||B - U_r U_r* B||_F <= tol * ||B||_F, a
+    bound relative at every scale of B; a zero B holds."""
     bm = as_matrix(b)
     if bm.shape[0] != basis.shape[0]:
         raise InputError(
             f"range_inclusion needs equal row counts, got {bm.shape} vs {basis.shape[0]} rows"
         )
     witness = frob(bm - basis @ (basis.conj().T @ bm))
-    bound = tol * (1.0 + frob(bm))
+    bound = tol * frob(bm)
     return ConditionReport(
         name=name,
         holds=witness <= bound,
@@ -75,7 +78,7 @@ def range_inclusion(b, a, tol: float = TOL_RANGE) -> ConditionReport:
     """Does the column space of b lie inside the column space of a?
 
     Decided against the range basis U_r of ``svd(a)``: holds iff
-    ||B - U_r U_r* B||_F <= tol * (1 + ||B||_F).
+    ||B - U_r U_r* B||_F <= tol * ||B||_F.
     """
     return basis_inclusion(b, svd(a).range_basis, tol)
 
@@ -128,26 +131,37 @@ class PtReport:
 
 def pt_battery(h, k, tol: float = TOL_RANGE) -> PtReport:
     """Evaluate the XHX = K conditions (see :func:`pt_conditions`) and,
-    for nonsingular H, the positive solution
-    X = (H^{1/2})^+ (H^{1/2} K H^{1/2})^{1/2} (H^{1/2})^+ with its residual
-    from :func:`verify_solution`. H, K and the inner sandwich
-    H^{1/2} K H^{1/2} are factored once each. X(sH, tK) = sqrt(t/s) X, so
-    all of it runs on H and K scaled by :func:`linalg._prescaled`, and X,
-    a_min and lambda in (iv) are scaled back; witnesses and residual are
-    those of the scaled operands."""
+    for nonsingular H, the positive solution X = H^{-1} # K with its
+    residual from :func:`verify_solution`.
+
+    H and K are factored once each, and the roots H^{1/2}, H^{-1/2} (the
+    pseudoinverse root for singular H) and K^{1/2} are read off those
+    factors. :func:`linalg._geomean_polar` factors M = K^{1/2} H^{1/2} =
+    W S V* with one svd, so X = H^{-1/2} (V W*) K^{1/2} in polar form, and
+    the powers the conditions test, (H^{1/2} K H^{1/2})^{1/2} = |M| = V S V*
+    and its square root V S^{1/2} V*, come off the same svd; the sandwich
+    H^{1/2} K H^{1/2} is never formed, so kappa(H) kappa(K) is not squared.
+    lambda in (iv) and a_min are the top eigenvalue of X, or for singular H
+    of H^{1/2+} |M| H^{1/2+}. One call makes four herm_eig calls (H, K, that
+    top eigenvalue and the gap in (iv)) and one svd. X(sH, tK) = sqrt(t/s)
+    X, so all of it runs on H and K scaled by :func:`linalg._prescaled`,
+    and X, a_min and lambda in (iv) are scaled back; witnesses and residual
+    are those of the scaled operands."""
     hm, eh = _prescaled(hermitian_part(h, "H"))
     km, ek = _prescaled(hermitian_part(k, "K"))
     if hm.shape != km.shape:
         raise InputError(f"H and K must have equal shape, got {hm.shape} vs {km.shape}")
     shift = (ek - eh) // 2
     hf = psd_factor(hm, "H")
-    psd_factor(km, "K", tol=TOL_PSD)  # input validation only
+    kf = psd_factor(km, "K", tol=TOL_PSD)
     hs = hf.power(0.5)
     hsp = hf.power(-0.5)
-    inner = hs @ km @ hs
-    inner_factor = psd_factor(0.5 * (inner + inner.conj().T))
-    sq = inner_factor.power(0.5)
-    quarter = inner_factor.power(0.25)
+    # X = H^{-1} # K: M = K^{1/2} H^{1/2} = W S V*, and |M| = V S V* is
+    # (H^{1/2} K H^{1/2})^{1/2}, with V S^{1/2} V* its quarter power
+    f, x = _geomean_polar(hsp, hs, kf.power(0.5))
+    abs_m = PsdFactor(values=f.singulars[::-1], vectors=f.right[:, ::-1])
+    sq = abs_m.power(1.0)
+    quarter = abs_m.power(0.5)
     basis = hf.range_basis
 
     ii_a = basis_inclusion(sq, basis, tol, name="ii-a")
@@ -156,9 +170,11 @@ def pt_battery(h, k, tol: float = TOL_RANGE) -> PtReport:
 
     # (iv) is the majorization form sq = quarter quarter* <= lambda H with
     # H = hs hs*; its range half is exactly (iii), and its least lambda is
-    # ||H^{1/2+} quarter||^2, the top eigenvalue of H^{1/2+} sq H^{1/2+}
-    x = hsp @ sq @ hsp
-    x = 0.5 * (x + x.conj().T)
+    # ||H^{1/2+} quarter||^2, the top eigenvalue of H^{1/2+} sq H^{1/2+},
+    # which is X when H is nonsingular
+    if not hf.nonsingular:
+        x = hsp @ sq @ hsp
+        x = 0.5 * (x + x.conj().T)
     lam = max(float(herm_eig(x).values[-1]), 0.0)
     a_min = float(_unscale(np.array([lam]), shift, "norm bound overflows")[0])
     if not iii.holds:

@@ -67,6 +67,8 @@ TOL_HERMITIAN = 1e-10
 
 # Negativity window clamped to zero when taking PSD roots/powers.
 PSD_CLAMP_TOL = 1e-10
+# psd_factor's zero floor for operands that are formed products, relative
+# to the largest eigenvalue (see psd_factor for who still needs it).
 PSD_ZERO_FLOOR = 1e-13
 
 # A Hermitian PSD matrix counts as nonsingular when its least eigenvalue
@@ -501,10 +503,14 @@ def _svd_jacobi(a: np.ndarray) -> SvdResult:
             top = state[:rows]
             np.matmul(top.conj().T, top, out=gram)
             if settled:
-                settled = bool(np.all(
-                    (np.abs(pivots) <= JACOBI_OFF_TOL * np.sqrt(app * aqq))
-                    | (np.minimum(app, aqq) <= small * max(app.max(), aqq.max()))
-                ))
+                # in Python scalars: numpy's fixed cost per call outweighs
+                # the arithmetic on n/2 pairs, as in _rotations
+                ps, qs = app.tolist(), aqq.tolist()
+                floor = small * max(max(ps), max(qs))
+                settled = all(
+                    m <= JACOBI_OFF_TOL * math.sqrt(p * q) or min(p, q) <= floor
+                    for p, q, m in zip(ps, qs, np.abs(pivots).tolist())
+                )
             _rotations(app, aqq, pivots, rot)
             q.reshape(-1)[scatter] = rot.reshape(-1)
             np.matmul(state, q, out=buf)
@@ -557,10 +563,13 @@ def psd_factor(m, label: str = "matrix", tol: float = PSD_CLAMP_TOL) -> PsdFacto
 
     Eigenvalues inside the window [-tol * ||m||, 0) are clamped to zero;
     anything more negative raises InputError naming ``label``. Eigenvalues
-    below PSD_ZERO_FLOOR * max are treated as exact zeros: matrices arriving
-    here are typically products (Gram squares, sandwiches like S K S),
-    whose zero eigenspaces carry formation noise around 1e-15 relative, and
-    a fractional power would amplify that to sqrt(eps).
+    at or below PSD_ZERO_FLOOR * max are treated as exact zeros: a matrix
+    arriving here may be a formed product (a rank-deficient operand
+    K = w w*, or the Gram square s @ s and the sandwich H^{1/2} K H^{1/2}
+    of the sweep's cross-checks), whose zero eigenspace carries formation
+    noise around 1e-15 relative, and a fractional power would amplify that
+    to sqrt(eps). pt_battery and riccati_geomean factor only their
+    operands and take the mean from :func:`_geomean_polar`.
     """
     eig = herm_eig(m)
     scale = float(np.max(np.abs(eig.values)))
@@ -571,6 +580,23 @@ def psd_factor(m, label: str = "matrix", tol: float = PSD_CLAMP_TOL) -> PsdFacto
         )
     values = np.where(eig.values <= PSD_ZERO_FLOOR * scale, 0.0, eig.values)
     return PsdFactor(values=values, vectors=eig.vectors)
+
+
+def _geomean_polar(a_half, a_inv_half, b_half) -> tuple[SvdResult, np.ndarray]:
+    """The geometric mean A # B of PSD A and B from one SVD of a factor,
+    given the roots A^{1/2}, A^{-1/2} and B^{1/2}.
+
+    M = B^{1/2} A^{-1/2} = W S V* is factored by :func:`svd`, and its polar
+    form gives A # B = A^{1/2} |M| A^{1/2} = A^{1/2} (V W*) B^{1/2}, where
+    |M| = V S V* = (A^{-1/2} B A^{-1/2})^{1/2} (Iannazzo, Numer. Linear
+    Algebra Appl. 23, 2016; Higham, Functions of Matrices, ch. 6 and 8).
+    The sandwich A^{-1/2} B A^{-1/2} is never formed, so its condition
+    number is not squared, and S keeps the relative accuracy of the
+    one-sided kernel. Returns svd(M) and the Hermitian part of the mean.
+    """
+    f = svd(b_half @ a_inv_half)
+    mean = a_half @ (f.right @ f.left.conj().T) @ b_half
+    return f, 0.5 * (mean + mean.conj().T)
 
 
 def psd_power(m, exponent: float) -> np.ndarray:

@@ -21,13 +21,13 @@ from .conditions import (ConditionReport, PtReport, TOL_RANGE, basis_inclusion, 
 from .linalg import (
     TOL_PSD,
     InputError,
+    _geomean_polar,
     _prescaled,
     _unscale,
     as_matrix,
     hermitian_part,
     herm_eig,
     psd_factor,
-    psd_sqrt,
     svd,
 )
 
@@ -177,6 +177,12 @@ def riccati_geomean(a, b) -> np.ndarray:
 
     This is the unique PSD solution of the Riccati equation
     X A^{-1} X = B. Requires a positive definite, b Hermitian PSD.
+
+    A and B are factored once each, and A^{1/2}, A^{-1/2} and B^{1/2} come
+    off those factors. The mean is the polar form A^{1/2} (V W*) B^{1/2}
+    of :func:`linalg._geomean_polar`, from one svd of M = B^{1/2} A^{-1/2}
+    = W S V*; the sandwich A^{-1/2} B A^{-1/2} is never formed, so
+    kappa(A) kappa(B) is not squared. Two herm_eig calls and one svd.
     """
     am = as_matrix(a)
     bm = as_matrix(b)
@@ -189,7 +195,6 @@ def riccati_geomean(a, b) -> np.ndarray:
     af = psd_factor(sa, "a")
     if not af.nonsingular:
         raise InputError("a must be positive definite")
-    psd_factor(tb, "b", tol=TOL_PSD)  # input validation only
-    asq, ainvs = af.power(0.5), af.power(-0.5)
-    x = _hermitize(asq @ psd_sqrt(_hermitize(ainvs @ tb @ ainvs)) @ asq)
+    bf = psd_factor(tb, "b", tol=TOL_PSD)
+    _, x = _geomean_polar(af.power(0.5), af.power(-0.5), bf.power(0.5))
     return _unscale(x, (ea + eb) // 2, "geometric mean overflows")

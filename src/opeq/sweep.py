@@ -167,9 +167,11 @@ def norm_bound_bisect(h: np.ndarray, k: np.ndarray) -> float:
     -lambda_max(S) <= 0. Each step reads the lowest eigenpair (g, v) of
     a H - S and moves a by -g / v*Hv, to the root of the tangent, which
     lies above g; so the iterate starts at 0, rises strictly and, up to
-    rounding, never passes the root. It stops when the step is not
-    positive (g >= 0: a has reached the root) or no longer moves a. A
-    strictly rising sequence of doubles bounded by the root is finite, so
+    rounding, never passes the root. It stops when the step is at most
+    2^-50 a: a step that is not positive (g >= 0, a has reached the root)
+    or one at rounding level relative to a, which no longer changes a
+    beyond the eigensolver's own rounding. Every step that does not stop
+    multiplies a by more than 1 + 2^-50, and a stays below the root, so
     the loop ends with no step cap, and it returns only at a stop. K = 0
     returns 0.0 after one eigendecomposition. Refuses H that is not
     positive definite.
@@ -189,7 +191,7 @@ def norm_bound_bisect(h: np.ndarray, k: np.ndarray) -> float:
         eig = herm_eig(a * h - s)
         v = eig.vectors[:, 0]
         step = -float(eig.values[0]) / float((v.conj() @ h @ v).real)
-        if not step > 0.0 or a + step == a:
+        if not step > 2.0**-50 * a:
             return a
         a += step
 

@@ -130,14 +130,18 @@ def test_suites_report_the_same_inside_and_outside(seed):
 
 
 @pytest.mark.parametrize("command, kernel_name, shared, unshared", [
-    (("solve", "riccati"), "_herm_eig_jacobi", 3, 4),
+    (("solve", "riccati"), "_herm_eig_jacobi", 2, 3),
     (("check", "douglas"), "_svd_jacobi", 2, 4),
+    (("solve", "riccati"), "_svd_jacobi", 1, 1),
+    (("solve", "pt"), "_herm_eig_jacobi", 4, 4),
+    (("solve", "pt"), "_svd_jacobi", 1, 1),
 ])
 def test_cli_command_factors_each_operand_once(monkeypatch, tmp_path, capsys,
                                                command, kernel_name, shared, unshared):
     rng = np.random.default_rng(12)
     argv = list(command)
-    for name in ("A", "B"):
+    flags = cli.SOLVE_FLAGS if command[0] == "solve" else cli.CHECK_FLAGS
+    for name in flags[command[1]]:
         g = random_matrix(rng, 3, 3, rank=3)
         # exactly Hermitian, so the solvers' Hermitian parts keep its bytes
         h = g @ g.conj().T + np.eye(3)
