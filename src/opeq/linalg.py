@@ -301,8 +301,9 @@ def _sweep_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     A round is A <- Q* A Q and V <- V Q with Q = J P, for J the block
     diagonal of the round's 2x2 rotations and P the move: column j of Q is
-    column src[j] of J. scatter holds the flat positions in Q of rot's
-    entries, in rot's C order, so Q.flat[scatter] = rot builds Q, and the
+    column src[j] of J. scatter holds the flat positions in Q of the
+    rotations' entries, in the C order of their (n/2, 2, 2) stack, so
+    Q.flat[scatter] = entries builds Q, and the
     n * n - 2 * n entries it never writes stay exactly 0: a pair whose J is
     I moves its columns exactly. moved holds the flat positions in
     Q* A Q of each pair's (p, p), then each (q, q), then each (p, q), then
@@ -335,11 +336,12 @@ def _pair_entries(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return flat[::step].real, flat[n + 1 :: step].real, flat[1::step]
 
 
-def _rotations(app, aqq, pivots, rot: np.ndarray) -> list[float]:
-    """Fill rot with the J_i = [[c phase, s phase], [-s, c]] that diagonalize
-    [[app, pivot], [pivot*, aqq]] as J_i* G J_i, and return the t |pivot| by
-    which app falls and aqq rises: Rutishauser's rotation (Golub and Van
-    Loan, Matrix Computations, 8.5).
+def _rotations(app, aqq, pivots, q_flat: np.ndarray, scatter) -> list[float]:
+    """Write the J_i = [[c phase, s phase], [-s, c]] that diagonalize
+    [[app, pivot], [pivot*, aqq]] as J_i* G J_i to q_flat[scatter], in the
+    C order of a (pairs, 2, 2) stack, and return the rotated diagonal: each
+    app - t |pivot|, then each aqq + t |pivot|. This is Rutishauser's
+    rotation (Golub and Van Loan, Matrix Computations, 8.5).
 
     The rotations are computed pair by pair in Python float and complex
     scalars: a round has at most 12 pairs at the sizes opeq runs, and
@@ -355,28 +357,31 @@ def _rotations(app, aqq, pivots, rot: np.ndarray) -> list[float]:
 
     A pivot below the normal range, where 1 / |pivot| overflows, is dead
     like a zero one: t = 0 and J = I to rounding."""
+    sqrt, copysign = math.sqrt, math.copysign
     mag = np.abs(pivots)
-    entries, shifts = [], []
+    entries, lows, highs = [], [], []
     for p, q, g, m in zip(app.tolist(), aqq.tolist(), pivots.tolist(), mag.tolist()):
         if m < 2.0**-1022:
             # phase g / (m + 1) + 1, a unit up to rounding
             safe = m + 1.0
-            t = math.copysign(0.0, (q - p) / (safe + safe))
+            t = copysign(0.0, (q - p) / (safe + safe))
             lift = 1 + 0j
         else:
             safe = m
             tau = (q - p) / (m + m)
             # smaller-magnitude root of t^2 + 2*tau*t - 1 = 0, |t| <= 1;
             # it overflows to 0 when the pivot is negligible
-            t = math.copysign(1.0 / (abs(tau) + math.sqrt(1.0 + tau * tau)), tau)
+            t = copysign(1.0 / (abs(tau) + sqrt(1.0 + tau * tau)), tau)
             lift = 0j
-        c = 1.0 / math.sqrt(1.0 + t * t)
+        c = 1.0 / sqrt(1.0 + t * t)
         s = t * c
         phase = g * (1.0 / safe) + lift
         entries += (c * phase, s * phase, -s, c)
-        shifts.append(t * m)
-    rot.flat = entries
-    return shifts
+        shift = t * m
+        lows.append(p - shift)
+        highs.append(q + shift)
+    q_flat[scatter] = entries
+    return lows + highs
 
 
 def herm_eig(m) -> HermitianEig:
@@ -405,7 +410,6 @@ def _herm_eig_jacobi(a: np.ndarray) -> HermitianEig:
     if n != nc:
         raise InputError(f"eigendecomposition needs a square matrix, got {a.shape}")
     size = n + n % 2
-    pairs = size // 2
     # A (rows :size) stacked above V (rows size:): one product with Q
     # rotates and moves the columns of both
     state = np.zeros((2 * size, size), dtype=np.complex128)
@@ -421,13 +425,18 @@ def _herm_eig_jacobi(a: np.ndarray) -> HermitianEig:
     state.reshape(-1)[size * size :: size + 1] = 1.0
     scatter, moved, off_mask = _sweep_plan(size)
     target = JACOBI_OFF_TOL * scale
-    # work arrays, made once per call: Q, its conjugate, the product
-    # [A; V] Q, and the 2 * size entries that go to the moved positions
-    rot = np.empty((pairs, 2, 2), dtype=np.complex128)
+    # work arrays and their views, made once per call: Q, its conjugate,
+    # the product [A; V] Q, and the 2 * size entries that go to the moved
+    # positions, the rotated diagonal in the real parts of the first size
     q = np.zeros((size, size), dtype=np.complex128)
+    q_flat = q.reshape(-1)
     q_conj = np.empty_like(q)
+    q_adj = q_conj.T
     buf = np.empty_like(state)
+    buf_a, buf_v = buf[:size], buf[size:]
+    vectors = state[size:]
     update = np.zeros(2 * size, dtype=np.complex128)
+    diagonal = update.real[:size]
     flat = top.reshape(-1)
     app, aqq, pivots = _pair_entries(top)
     sweeps = 0
@@ -436,17 +445,14 @@ def _herm_eig_jacobi(a: np.ndarray) -> HermitianEig:
             raise InputError(f"Jacobi eigensolver did not converge in {sweeps} sweeps")
         sweeps += 1
         for _ in range(size - 1):
-            shift = _rotations(app, aqq, pivots, rot)
             # Rutishauser's update: app and aqq move by -/+ t |a_pq|,
             # exactly real, and each pivot becomes exactly zero
-            np.subtract(app, shift, out=update[:pairs].real)
-            np.add(aqq, shift, out=update[pairs:size].real)
-            q.reshape(-1)[scatter] = rot.reshape(-1)
+            diagonal[:] = _rotations(app, aqq, pivots, q_flat, scatter)
             np.conjugate(q, out=q_conj)
             # [A; V] <- [A; V] Q, then A <- Q* A into the other buffer
             np.matmul(state, q, out=buf)
-            np.matmul(q_conj.T, buf[:size], out=top)
-            state[size:] = buf[size:]
+            np.matmul(q_adj, buf_a, out=top)
+            vectors[...] = buf_v
             flat[moved] = update
     values = np.diagonal(top).real[:n]
     order = np.argsort(values, kind="stable")
@@ -484,15 +490,18 @@ def _svd_jacobi(a: np.ndarray) -> SvdResult:
     a, exp = _prescaled(a.conj().T if wide else a)
     rows, cols = a.shape
     size = cols + cols % 2
-    pairs = size // 2
     # A stacked above V: one product with Q rotates and moves both
     state = np.zeros((rows + size, size), dtype=np.complex128)
     state[:rows, :cols] = a
     state[rows:] = np.eye(size)
     scatter = _sweep_plan(size)[0]
-    rot = np.empty((pairs, 2, 2), dtype=np.complex128)
     q = np.zeros((size, size), dtype=np.complex128)
+    q_flat = q.reshape(-1)
     buf = np.empty_like(state)
+    # each round reads [A; V] from one buffer and writes [A; V] Q to the
+    # other, so the two swap, each with its A rows
+    layouts = [(state, state[:rows]), (buf, buf[:rows])]
+    top_conj = np.empty((rows, size), dtype=np.complex128)
     # the Gram matrix A* A, where each round reads its 2x2 blocks
     gram = np.empty((size, size), dtype=np.complex128)
     app, aqq, pivots = _pair_entries(gram)
@@ -500,8 +509,9 @@ def _svd_jacobi(a: np.ndarray) -> SvdResult:
     for sweeps in range(1, JACOBI_MAX_SWEEPS + 1):
         settled = True
         for _ in range(size - 1):
-            top = state[:rows]
-            np.matmul(top.conj().T, top, out=gram)
+            (state, top), (buf, _) = layouts
+            np.conjugate(top, out=top_conj)
+            np.matmul(top_conj.T, top, out=gram)
             if settled:
                 # in Python scalars: numpy's fixed cost per call outweighs
                 # the arithmetic on n/2 pairs, as in _rotations
@@ -511,14 +521,14 @@ def _svd_jacobi(a: np.ndarray) -> SvdResult:
                     m <= JACOBI_OFF_TOL * math.sqrt(p * q) or min(p, q) <= floor
                     for p, q, m in zip(ps, qs, np.abs(pivots).tolist())
                 )
-            _rotations(app, aqq, pivots, rot)
-            q.reshape(-1)[scatter] = rot.reshape(-1)
+            _rotations(app, aqq, pivots, q_flat, scatter)
             np.matmul(state, q, out=buf)
-            state, buf = buf, state
+            layouts.reverse()
         if settled:
             break
     else:
         raise InputError(f"Jacobi SVD did not converge in {JACOBI_MAX_SWEEPS} sweeps")
+    state = layouts[0][0]
     norms = np.linalg.norm(state[:rows, :cols], axis=0)
     order = np.argsort(-norms, kind="stable")
     singulars = norms[order[: min(rows, cols)]]

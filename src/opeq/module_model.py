@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import InputError
+from .linalg import InputError, require_finite
 
 TOL_IDEAL = 1e-9
 TOL_INTERP = 1e-9
@@ -68,7 +68,10 @@ class GridFunction:
     @classmethod
     def nodes(cls, n: int) -> np.ndarray:
         _check_grid_n(n)
-        return np.arange(n + 1) / float(n)
+        # j * (1/n) is j/n exactly, as 1/n is a power of two
+        nodes = np.arange(n + 1, dtype=np.float64)
+        nodes *= 1.0 / n
+        return nodes
 
     @classmethod
     def from_samples_of(cls, fn, n: int) -> "GridFunction":
@@ -122,7 +125,9 @@ class PureState:
 
 def in_ideal_M(f: GridFunction) -> bool:
     """Membership in the ideal of functions vanishing at the left endpoint."""
-    return bool(abs(f.samples[0]) <= TOL_IDEAL * (1.0 + f.sup()))
+    end = abs(f.samples[0])
+    # an exact zero passes at any sup norm, so the sup is not taken for it
+    return bool(end == 0.0 or end <= TOL_IDEAL * (1.0 + f.sup()))
 
 
 @dataclass(eq=False)
@@ -209,16 +214,28 @@ def _same_variant(x, y, what: str) -> None:
         raise InputError(f"{what} needs matching grids, got {x.n} and {y.n}")
 
 
+def _sum_of_products(pairs) -> np.ndarray | None:
+    """The pointwise sum of a * b over the (a, b) sample arrays in pairs,
+    started from the first product; None when pairs is empty. Raises
+    InputError when the sum leaves the floating-point range."""
+    acc = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in pairs:
+            term = a * b
+            if acc is None:
+                acc = term
+            else:
+                acc += term
+    return None if acc is None else require_finite(acc, "pointwise product overflows")
+
+
 def module_inner(x: ModuleElement, y: ModuleElement) -> GridFunction:
     """Algebra-valued inner product, conjugate linear in the first slot."""
     _same_variant(x, y, "module_inner")
-    n = x.n
-    acc = np.zeros(n + 1, dtype=np.complex128)
-    for k in range(max(len(x.components), len(y.components))):
-        xs = x.components[k].samples if k < len(x.components) else 0.0
-        ys = y.components[k].samples if k < len(y.components) else 0.0
-        acc = acc + np.conj(xs) * ys
-    return GridFunction(acc)
+    # a coordinate past either support contributes 0
+    return GridFunction(
+        _sum_of_products((np.conj(a.samples), b.samples) for a, b in zip(x.components, y.components))
+    )
 
 
 def op_apply(t: ModuleOperator, x: ModuleElement) -> ModuleElement:
@@ -226,11 +243,10 @@ def op_apply(t: ModuleOperator, x: ModuleElement) -> ModuleElement:
     _same_variant(t, x, "op_apply")
     out = []
     for row in t.blocks:
-        acc = np.zeros(x.n + 1, dtype=np.complex128)
-        for b, c in zip(row, x.components):
-            if b is not None:
-                acc = acc + b.samples * c.samples
-        out.append(GridFunction(acc))
+        acc = _sum_of_products(
+            (b.samples, c.samples) for b, c in zip(row, x.components) if b is not None
+        )
+        out.append(GridFunction(np.zeros(x.n + 1, dtype=np.complex128) if acc is None else acc))
     return ModuleElement(variant=x.variant, components=tuple(out))
 
 
@@ -252,12 +268,11 @@ def op_compose(s: ModuleOperator, t: ModuleOperator) -> ModuleOperator:
     for row in s.blocks:
         out_row = []
         for col in cols:
-            acc = None
-            for left, right in zip(row, col):
-                if left is None or right is None:
-                    continue
-                term = left.samples * right.samples
-                acc = term if acc is None else acc + term
+            acc = _sum_of_products(
+                (left.samples, right.samples)
+                for left, right in zip(row, col)
+                if left is not None and right is not None
+            )
             out_row.append(None if acc is None else GridFunction(acc))
         out.append(out_row)
     if all(b is None for row in out for b in row):
@@ -265,14 +280,25 @@ def op_compose(s: ModuleOperator, t: ModuleOperator) -> ModuleOperator:
     return ModuleOperator(variant=s.variant, blocks=out)
 
 
+def _extrapolate_endpoint(g: np.ndarray) -> None:
+    """Fill g[0] by linear extrapolation from g[1] and g[2], the values at
+    the two smallest positive nodes; InputError when it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g[0] = 2.0 * g[1] - g[2]
+    require_finite(g[0], "endpoint extrapolation overflows")
+
+
 def _divide_with_endpoint(target: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """Pointwise target / mult away from 0, endpoint filled by linear
-    extrapolation from the two smallest positive nodes."""
+    """Pointwise target / mult away from 0, endpoint filled by
+    :func:`_extrapolate_endpoint`; InputError when the quotient leaves the
+    floating-point range."""
     if np.any(mult[1:] == 0):
         raise InputError("multiplier vanishes at an interior node")
     g = np.empty_like(target)
-    g[1:] = target[1:] / mult[1:]
-    g[0] = 2.0 * g[1] - g[2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.divide(target[1:], mult[1:], out=g[1:])
+    require_finite(g[1:], "multiplier quotient overflows")
+    _extrapolate_endpoint(g)
     return g
 
 
@@ -293,16 +319,20 @@ def multiplier_preimage(
 
     The candidate is the pointwise quotient with the endpoint
     extrapolated. ``divergence_ratio`` compares the candidate's sup norm
-    on the full grid against the one computed from the half-resolution
-    subsamples; a genuine preimage is stable (ratio near 1), while a
-    quotient that blows up at the endpoint roughly doubles per grid
-    doubling. in_range requires stability and, when asked, membership in
-    the ideal.
+    on the full grid against the one of the half-resolution quotient; a
+    genuine preimage is stable (ratio near 1), while a quotient that blows
+    up at the endpoint roughly doubles per grid doubling. The
+    half-resolution quotient divides the same samples at the even nodes,
+    so it is read off the fine one (every other value) with only its
+    endpoint extrapolated again, from the nodes 2/n and 4/n. in_range
+    requires stability and, when asked, membership in the ideal. A
+    quotient or endpoint that overflows is refused with InputError.
     """
     if target.n != multiplier.n:
         raise InputError(f"grid mismatch: {target.n} vs {multiplier.n}")
     g_fine = _divide_with_endpoint(target.samples, multiplier.samples)
-    g_coarse = _divide_with_endpoint(target.samples[::2], multiplier.samples[::2])
+    g_coarse = g_fine[::2].copy()
+    _extrapolate_endpoint(g_coarse)
     sup_fine = float(np.max(np.abs(g_fine)))
     sup_coarse = float(np.max(np.abs(g_coarse)))
     if sup_coarse == 0.0:
@@ -328,16 +358,17 @@ def op_psd_gap(s: ModuleOperator, t: ModuleOperator, c: float) -> float:
     operators the local object at a node is the full 2x2 block matrix; for
     l2 operators it is diag(value, 0, 0, ...), so the zero tail caps the
     gap at 0. A negative return certifies that s <= c*t fails somewhere.
+    A missing (None) pair block enters the formulas as the scalar 0.0, so
+    it costs no grid array.
     """
     _same_variant(s, t, "op_psd_gap")
-    n = s.n
     if s.variant == "l2":
         vals = c * t.blocks[0][0].samples - s.blocks[0][0].samples
         return float(min(np.min(vals.real), 0.0))
 
     def block(op, i, j):
         b = op.blocks[i][j]
-        return b.samples if b is not None else np.zeros(n + 1, dtype=np.complex128)
+        return 0.0 if b is None else b.samples
 
     m00 = c * block(t, 0, 0) - block(s, 0, 0)
     m01 = c * block(t, 0, 1) - block(s, 0, 1)
@@ -395,6 +426,13 @@ def thl2_decompose(f: ModuleElement, p: PureState) -> LocalDecomposition:
     beyond; g = (f - h) / lambda is then supported away from 0, so both
     pieces stay inside the module while h is annihilated by the state.
     x0 = 0 is degenerate (the state kills no linear ramp) and is rejected.
+
+    The nodes j/n are exact and sorted, so each piece is a slice: h copies
+    f on the nodes at or below x0/2, takes the ramp on the nodes strictly
+    between x0/2 and x0, and is 0 from the first node at or past x0. g is
+    exactly 0 where h copies f, and the quotient is taken only past that.
+    ``residual`` is the largest |f - (lambda g + h)| over every node. A
+    ramp or quotient that overflows is refused with InputError.
     """
     if f.variant != "l2":
         raise InputError("thl2_decompose expects an l2 element")
@@ -407,14 +445,24 @@ def thl2_decompose(f: ModuleElement, p: PureState) -> LocalDecomposition:
     half = 0.5 * x0
     f_at_half = _interp(f1, half)
     slope = 2.0 * f_at_half / x0
-    h1 = np.where(
-        nodes <= half,
-        f1,
-        np.where(nodes < x0, slope * (x0 - nodes), 0.0),
-    )
+    # j/n <= half exactly when j <= half * n, as scaling by n = 2**k is
+    # exact: nodes[:jh] are those at or below half, nodes[:jx] those below
+    # x0. jh >= 1, since node 0 is at or below half.
+    jh = math.floor(half * n) + 1
+    jx = math.ceil(x0 * n)
+    h1 = np.zeros(n + 1, dtype=np.complex128)
+    h1[:jh] = f1[:jh]
     g1 = np.zeros(n + 1, dtype=np.complex128)
-    g1[1:] = (f1[1:] - h1[1:]) / nodes[1:]
-    residual = float(np.max(np.abs(f1 - (nodes * g1 + h1))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(slope, x0 - nodes[jh:jx], out=h1[jh:jx])
+        np.subtract(f1[jh:], h1[jh:], out=g1[jh:])
+        g1[jh:] /= nodes[jh:]
+    # a ramp that overflowed reaches g too
+    require_finite(g1[jh:], "decomposition overflows")
+    resid = nodes * g1
+    resid += h1
+    np.subtract(f1, resid, out=resid)
+    residual = float(np.max(np.abs(resid)))
     g = ModuleElement(variant="l2", components=(GridFunction(g1),))
     h = ModuleElement(variant="l2", components=(GridFunction(h1),))
     return LocalDecomposition(g=g, h=h, residual=residual)
@@ -472,17 +520,21 @@ def demo_ex2(grid_n: int = DEFAULT_GRID_N) -> dict:
     """
     nodes = GridFunction.nodes(grid_n)
     coord = GridFunction.coordinate(grid_n)
-    cuberoot = np.power(nodes, 1.0 / 3.0)
-    gram_mult = np.power(nodes, 4.0 / 3.0)
+    # the real multipliers promoted to complex once: a product with a
+    # complex probe would promote them again each time
+    cuberoot = np.power(nodes, 1.0 / 3.0).astype(np.complex128)
+    gram_mult = np.power(nodes, 4.0 / 3.0).astype(np.complex128)
     probes = {
         "constant": np.ones(grid_n + 1, dtype=np.complex128),
-        "coordinate": nodes.astype(np.complex128),
+        "coordinate": coord.samples,
         "oscillating": np.exp(2j * np.pi * nodes),
     }
     constructive = []
     for label, f in probes.items():
         g = GridFunction(cuberoot * f)
-        resid = float(np.max(np.abs(nodes * g.samples - gram_mult * f)))
+        gap = coord.samples * g.samples
+        gap -= gram_mult * f
+        resid = float(np.max(np.abs(gap)))
         constructive.append(
             {
                 "f": label,
@@ -506,7 +558,7 @@ def demo_ex2(grid_n: int = DEFAULT_GRID_N) -> dict:
     u = op_apply(op_compose(d_t, op_adjoint(d_t)), x)
     pre = ModuleElement(
         variant="pair",
-        components=(GridFunction.constant(0.0, grid_n), GridFunction(cuberoot.astype(np.complex128))),
+        components=(GridFunction.constant(0.0, grid_n), GridFunction(cuberoot)),
     )
     lifted = op_apply(a_t, pre)
     module_resid = max(
@@ -548,14 +600,13 @@ def demo_l2(grid_n: int = DEFAULT_GRID_N) -> dict:
     bb = op_compose(b_op, op_adjoint(b_op))
     cs = [1.0, 10.0, 1e6]
     gaps = {f"{c:g}": op_psd_gap(bb, aa, c) for c in cs}
+    tol = TOL_INTERP * (1.0 + coord.sup())
     return {
         "example": "l2",
         "grid_n": grid_n,
         "states": per_state,
         "majorization_gaps": gaps,
-        "local_solvable_everywhere": all(
-            s["residual"] <= TOL_INTERP * (1.0 + f.components[0].sup()) for s in per_state
-        ),
+        "local_solvable_everywhere": all(s["residual"] <= tol for s in per_state),
         "global_majorization_fails": all(g < 0.0 for g in gaps.values()),
     }
 

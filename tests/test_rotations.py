@@ -74,7 +74,7 @@ def _strided(app, aqq, g):
 def test_rotation_diagonalizes_each_block(kind, seed):
     app, aqq, g = _blocks(kind, seed)
     rot = np.empty((len(g), 2, 2), dtype=np.complex128)
-    shift = _rotations(app, aqq, g, rot)
+    diag = _rotations(app, aqq, g, rot.reshape(-1), np.arange(rot.size))
     for i in range(len(g)):
         block = np.array([[app[i], g[i]], [np.conj(g[i]), aqq[i]]])
         norm = np.linalg.norm(block)
@@ -83,8 +83,8 @@ def test_rotation_diagonalizes_each_block(kind, seed):
         assert np.abs(j.conj().T @ j - np.eye(2)).max() <= 4 * EPS
         assert abs(rotated[0, 1]) <= 4 * EPS * norm
         # the diagonal herm_eig writes, to the rounding of both sides
-        assert abs(rotated[0, 0] - (app[i] - shift[i])) <= 8 * EPS * norm
-        assert abs(rotated[1, 1] - (aqq[i] + shift[i])) <= 8 * EPS * norm
+        assert abs(rotated[0, 0] - diag[i]) <= 8 * EPS * norm
+        assert abs(rotated[1, 1] - diag[len(g) + i]) <= 8 * EPS * norm
         assert abs(j[1, 0]) <= abs(j[1, 1])
 
 
@@ -94,11 +94,12 @@ def test_scalar_loop_gives_the_vectorized_bits(kind):
         app, aqq, g = _blocks(kind, seed)
         expect = np.empty((len(g), 2, 2), dtype=np.complex128)
         expect_shift = _vectorized(app, aqq, g, expect)
+        expect_diag = np.concatenate([app - expect_shift, aqq + expect_shift])
         for args in ((app, aqq, g), _strided(app, aqq, g)):
             rot = np.empty_like(expect)
-            shift = _rotations(*args, rot)
+            diag = _rotations(*args, rot.reshape(-1), np.arange(rot.size))
             assert rot.tobytes() == expect.tobytes()
-            assert np.asarray(shift, dtype=np.float64).tobytes() == expect_shift.tobytes()
+            assert np.asarray(diag, dtype=np.float64).tobytes() == expect_diag.tobytes()
 
 
 @pytest.mark.parametrize("rows, cols", [(1, 5), (2, 6), (3, 4), (4, 12)])

@@ -21,12 +21,14 @@ def test_subnormal_pivot_gives_the_identity_rotation():
     rot = np.empty((4, 2, 2), dtype=np.complex128)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        shift = _rotations(app, aqq, pivots, rot)
+        diag = _rotations(app, aqq, pivots, rot.reshape(-1), np.arange(rot.size))
     # t = 0, and the phase is 1 + i Im(pivot)
     assert np.abs(rot[:3] - np.eye(2)).max() < 2.0**-1022
-    assert np.array_equal(shift[:3], np.zeros(3))
+    # t = 0 exactly (J's (1, 0) entry is -t c), so app and aqq do not move
+    assert np.array_equal(rot[:3, 1, 0], np.zeros(3))
+    assert np.array_equal(diag[:3], app[:3]) and np.array_equal(diag[4:7], aqq[:3])
     # a normal pivot still rotates: equal diagonals give the 45-degree J
-    assert rot[3, 0, 0] == pytest.approx(2**-0.5) and shift[3] == pytest.approx(0.25)
+    assert rot[3, 0, 0] == pytest.approx(2**-0.5) and app[3] - diag[3] == pytest.approx(0.25)
 
 
 @pytest.mark.parametrize("n, rank", [(8, 4), (12, 6)])
