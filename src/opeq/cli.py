@@ -21,8 +21,8 @@ import sys
 from .conditions import (TOL_RANGE, majorization_lambda, pt_conditions, range_inclusion,
                          verify_solution)
 from .linalg import InputError, _shared_factors
-from .matio import RunReport, digest_text, parse_matrix_text, save_matrix
-from .module_model import DEFAULT_GRID_N, demo
+from .matio import RunReport, load_matrix, save_matrix
+from .module_model import DEFAULT_GRID_N, DEMOS, demo
 from .solvers import (
     axb_reduced_solve,
     congruence_solve,
@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--tol", type=float)
 
     dp = sub.add_parser("demo", help="run a function-module counterexample")
-    dp.add_argument("which", choices=("ex1", "ex2", "l2"))
+    dp.add_argument("which", choices=sorted(DEMOS))
     dp.add_argument("--grid", type=int, default=DEFAULT_GRID_N)
 
     wp = sub.add_parser("sweep", help="seeded randomized property battery")
@@ -114,16 +114,7 @@ def _load_inputs(args, flags):
         path = getattr(args, name)
         if path is None:
             raise InputError(f"missing required --{name}")
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise InputError(f"{path}: {exc.strerror or exc}") from None
-        digests[name] = digest_text(text)
-        try:
-            mats[name] = parse_matrix_text(text)
-        except InputError as exc:
-            raise InputError(f"{path}: {exc}") from None
+        mats[name], digests[name] = load_matrix(path)
     return mats, digests
 
 

@@ -1,10 +1,11 @@
 """Matrix file format and run reports.
 
 Matrices travel as JSON documents {rows, cols, data} with data a row-major
-list of [re, im] pairs. Floats are emitted as decimal text with 17
-significant digits, which round-trips IEEE doubles exactly, so emit
-followed by parse is the identity on entries. Reports use the same
-emitter, which keeps sweep output byte-identical for a fixed seed.
+list of [re, im] pairs. Documents are written by the standard json
+module, whose floats are Python's shortest round-trip repr (-0.0 stays
+-0.0 and 2.0 stays a float), so emit followed by parse is the identity on
+entries, bit for bit. Reports use the same emitter, which keeps sweep
+output byte-identical for a fixed seed.
 """
 
 from __future__ import annotations
@@ -24,12 +25,6 @@ OUTCOMES = ("solved", "unsolvable", "error")
 
 class MatrixFileError(InputError):
     """Malformed or invalid matrix document."""
-
-
-def _fmt_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise MatrixFileError(f"non-finite value {x!r} cannot be serialized")
-    return "%.17g" % x
 
 
 def matrix_to_doc(m: np.ndarray) -> dict:
@@ -99,54 +94,27 @@ def parse_matrix_text(text: str) -> np.ndarray:
     return parse_matrix_doc(doc)
 
 
-def load_matrix(path: str) -> np.ndarray:
+def load_matrix(path: str) -> tuple[np.ndarray, str]:
+    """The matrix in the file at `path` and the digest of its text."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise MatrixFileError(f"{path}: {exc.strerror or exc}") from None
     try:
-        return parse_matrix_text(text)
+        return parse_matrix_text(text), digest_text(text)
     except MatrixFileError as exc:
         raise MatrixFileError(f"{path}: {exc}") from None
 
 
-def emit_json(value, indent: int = 0) -> str:
-    """Serialize to JSON with 17-significant-digit floats.
-
-    Key order is preserved, so documents built deterministically emit
-    byte-identical text.
-    """
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _fmt_float(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [emit_json(v, indent + 1) for v in value]
-        # keep short numeric pairs on one line
-        if all("\n" not in it and len(it) < 48 for it in items) and len(items) <= 4:
-            return "[" + ", ".join(items) + "]"
-        return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = []
-        for k, v in value.items():
-            if not isinstance(k, str):
-                raise MatrixFileError(f"non-string key {k!r}")
-            parts.append(inner + json.dumps(k) + ": " + emit_json(v, indent + 1))
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    raise MatrixFileError(f"cannot serialize {type(value).__name__}")
+def emit_json(value) -> str:
+    """Serialize to indented JSON; a non-finite float or a value json cannot
+    encode is refused. Key order is preserved, so documents built
+    deterministically emit byte-identical text."""
+    try:
+        return json.dumps(value, indent=2, allow_nan=False)
+    except (ValueError, TypeError) as exc:
+        raise MatrixFileError(f"cannot serialize: {exc}") from None
 
 
 def emit_matrix(m: np.ndarray) -> str:
@@ -161,10 +129,6 @@ def save_matrix(path: str, m: np.ndarray) -> None:
 
 def digest_text(text: str) -> str:
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-
-
-def digest_matrix(m: np.ndarray) -> str:
-    return digest_text(emit_matrix(m))
 
 
 @dataclass
@@ -197,7 +161,7 @@ class RunReport:
                 {
                     "name": c.name,
                     "holds": bool(c.holds),
-                    "witness": None if c.witness is None else float(c.witness),
+                    "witness": float(c.witness),
                     "detail": c.detail,
                 }
                 for c in self.conditions

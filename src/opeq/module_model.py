@@ -431,8 +431,9 @@ def thl2_decompose(f: ModuleElement, p: PureState) -> LocalDecomposition:
     f on the nodes at or below x0/2, takes the ramp on the nodes strictly
     between x0/2 and x0, and is 0 from the first node at or past x0. g is
     exactly 0 where h copies f, and the quotient is taken only past that.
-    ``residual`` is the largest |f - (lambda g + h)| over every node. A
-    ramp or quotient that overflows is refused with InputError.
+    ``residual`` is the largest |f - (lambda g + h)| over every node; it is
+    exactly 0 where h copies f, so it too is formed only past that. A ramp
+    or quotient that overflows is refused with InputError.
     """
     if f.variant != "l2":
         raise InputError("thl2_decompose expects an l2 element")
@@ -459,9 +460,9 @@ def thl2_decompose(f: ModuleElement, p: PureState) -> LocalDecomposition:
         g1[jh:] /= nodes[jh:]
     # a ramp that overflowed reaches g too
     require_finite(g1[jh:], "decomposition overflows")
-    resid = nodes * g1
-    resid += h1
-    np.subtract(f1, resid, out=resid)
+    resid = nodes[jh:] * g1[jh:]
+    resid += h1[jh:]
+    np.subtract(f1[jh:], resid, out=resid)
     residual = float(np.max(np.abs(resid)))
     g = ModuleElement(variant="l2", components=(GridFunction(g1),))
     h = ModuleElement(variant="l2", components=(GridFunction(h1),))

@@ -7,9 +7,9 @@ instances with reference solutions computed by mpmath at 60 digits.
 Each cell holds DRAWS instances at n = N of one solver, whose two operands
 are random Hermitian positive definite matrices with geometric spectra
 from 1 down to 1/kappa. Matrices are stored in opeq's matrix format
-(row-major [re, im] pairs, floats as %.17g), so the double inputs are
-exact and the reference is the true solution for exactly those inputs,
-rounded to double:
+(row-major [re, im] pairs of decimal floats that read back bit for bit),
+so the double inputs are exact and the reference is the true solution for
+exactly those inputs, rounded to double:
   pt       X = H^{-1/2} (H^{1/2} K H^{1/2})^{1/2} H^{-1/2}, XHX = K;
   riccati  A # B = A^{1/2} (A^{-1/2} B A^{-1/2})^{1/2} A^{1/2}.
 The sandwich is harmless at 60 digits: kappa^2 <= 1e24 leaves more than

@@ -123,6 +123,14 @@ def test_malformed_matrix_exit_2(capsys, mats):
     assert "bad.json" in doc["detail"]["message"]
 
 
+def test_missing_matrix_file_exit_2(capsys, mats, tmp_path):
+    path = str(tmp_path / "absent.json")
+    code, doc = run(capsys, "solve", "douglas", "--A", path, "--B", mats["e2"])
+    assert code == 2
+    assert doc["outcome"] == "error"
+    assert doc["detail"]["message"].startswith(f"{path}: ")
+
+
 def test_missing_flag_exit_2(capsys, mats):
     code, doc = run(capsys, "solve", "pt", "--H", mats["eye2"])
     assert code == 2

@@ -10,7 +10,7 @@ from opeq.conditions import ConditionReport
 from opeq.matio import (
     MatrixFileError,
     RunReport,
-    digest_matrix,
+    digest_text,
     emit_json,
     emit_matrix,
     load_matrix,
@@ -46,6 +46,26 @@ def test_roundtrip_extreme_values():
     assert np.array_equal(a.view(np.float64), b.view(np.float64))
 
 
+SIGNED_ZEROS = np.array([[complex(0.0, -0.0), complex(-0.0, 0.0)],
+                         [complex(-0.0, -0.0), complex(0.0, 0.0)]])
+
+
+def test_signed_zero_roundtrips_bit_for_bit():
+    b = parse_matrix_text(emit_matrix(SIGNED_ZEROS))
+    assert b.view(np.float64).tobytes() == SIGNED_ZEROS.view(np.float64).tobytes()
+
+
+def test_signed_zero_file_roundtrips_bit_for_bit(tmp_path):
+    path = tmp_path / "z.json"
+    save_matrix(str(path), SIGNED_ZEROS)
+    b, _ = load_matrix(str(path))
+    assert b.view(np.float64).tobytes() == SIGNED_ZEROS.view(np.float64).tobytes()
+
+
+def test_emitted_integral_float_reads_back_as_float():
+    assert type(json.loads(emit_json(2.0))) is float
+
+
 def test_parse_error_loci():
     cases = {
         '{"rows":2,"cols":2,"data":[[1,0]]}': "data",
@@ -72,7 +92,7 @@ def test_file_roundtrip(tmp_path):
     path = tmp_path / "m.json"
     a = np.array([[1.5, -2.25], [0.1, 1e-12]], dtype=complex)
     save_matrix(str(path), a)
-    b = load_matrix(str(path))
+    b, _ = load_matrix(str(path))
     assert np.array_equal(a.view(np.float64), b.view(np.float64))
 
 
@@ -82,10 +102,11 @@ def test_load_missing_file_names_path(tmp_path):
     assert "nope.json" in str(err.value)
 
 
-def test_digest_stable():
-    a = np.eye(3)
-    assert digest_matrix(a) == digest_matrix(a.copy())
-    assert digest_matrix(a) != digest_matrix(2 * a)
+def test_load_matrix_digests_the_file_text(tmp_path):
+    path = tmp_path / "m.json"
+    save_matrix(str(path), np.eye(2))
+    _, digest = load_matrix(str(path))
+    assert digest == digest_text(path.read_text(encoding="utf-8"))
 
 
 def test_emit_json_is_valid_json_and_deterministic():
