@@ -19,6 +19,7 @@ from .linalg import (
     InputError,
     PsdFactor,
     _geomean_polar,
+    _hermitize,
     _prescaled,
     _unscale,
     as_matrix,
@@ -137,10 +138,11 @@ def pt_battery(h, k, tol: float = TOL_RANGE) -> PtReport:
     H and K are factored once each, and the roots H^{1/2}, H^{-1/2} (the
     pseudoinverse root for singular H) and K^{1/2} are read off those
     factors. :func:`linalg._geomean_polar` factors M = K^{1/2} H^{1/2} =
-    W S V* with one svd, so X = H^{-1/2} (V W*) K^{1/2} in polar form, and
-    the powers the conditions test, (H^{1/2} K H^{1/2})^{1/2} = |M| = V S V*
-    and its square root V S^{1/2} V*, come off the same svd; the sandwich
-    H^{1/2} K H^{1/2} is never formed, so kappa(H) kappa(K) is not squared.
+    W_r S_r V_r* with one thin svd, so X = H^{-1/2} (V_r W_r*) K^{1/2} in
+    polar form, and the powers the conditions test, (H^{1/2} K H^{1/2})^{1/2}
+    = |M| = V_r S_r V_r* and its square root V_r S_r^{1/2} V_r*, come off the
+    same svd; the sandwich H^{1/2} K H^{1/2} is never formed, so kappa(H)
+    kappa(K) is not squared.
     lambda in (iv) and a_min are the top eigenvalue of X, or for singular H
     of H^{1/2+} |M| H^{1/2+}. One call makes four herm_eig calls (H, K, that
     top eigenvalue and the gap in (iv)) and one svd. X(sH, tK) = sqrt(t/s)
@@ -156,10 +158,11 @@ def pt_battery(h, k, tol: float = TOL_RANGE) -> PtReport:
     kf = psd_factor(km, "K", tol=TOL_PSD)
     hs = hf.power(0.5)
     hsp = hf.power(-0.5)
-    # X = H^{-1} # K: M = K^{1/2} H^{1/2} = W S V*, and |M| = V S V* is
-    # (H^{1/2} K H^{1/2})^{1/2}, with V S^{1/2} V* its quarter power
+    # X = H^{-1} # K: M = K^{1/2} H^{1/2} = W_r S_r V_r*, and |M| =
+    # V_r S_r V_r* is (H^{1/2} K H^{1/2})^{1/2}, with V_r S_r^{1/2} V_r* its
+    # quarter power
     f, x = _geomean_polar(hsp, hs, kf.power(0.5))
-    abs_m = PsdFactor(values=f.singulars[::-1], vectors=f.right[:, ::-1])
+    abs_m = PsdFactor(values=f.singulars[: f.rank][::-1], vectors=f.right[:, ::-1])
     sq = abs_m.power(1.0)
     quarter = abs_m.power(0.5)
     basis = hf.range_basis
@@ -173,8 +176,7 @@ def pt_battery(h, k, tol: float = TOL_RANGE) -> PtReport:
     # ||H^{1/2+} quarter||^2, the top eigenvalue of H^{1/2+} sq H^{1/2+},
     # which is X when H is nonsingular
     if not hf.nonsingular:
-        x = hsp @ sq @ hsp
-        x = 0.5 * (x + x.conj().T)
+        x = _hermitize(hsp @ sq @ hsp)
     lam = max(float(herm_eig(x).values[-1]), 0.0)
     a_min = float(_unscale(np.array([lam]), shift, "norm bound overflows")[0])
     if not iii.holds:

@@ -26,10 +26,13 @@ neither overflow nor underflow, and non-convergence raises
 anyway is refused by :func:`require_finite`, never returned as inf or NaN.
 
 Each operand is factored once and everything else is read off that one
-factorization. A general matrix gets an :class:`SvdResult`, which gives its
-rank (by one fixed relative cutoff, RANK_CUTOFF), pseudoinverse and range
-basis; a PSD matrix gets a :class:`PsdFactor`, which gives its rank, range
-basis and every (pseudoinverse) power.
+factorization. A general matrix gets an :class:`SvdResult`, the thin
+factorization U_r diag(sigma_r) V_r* at its rank r (by one fixed relative
+cutoff, RANK_CUTOFF), which gives that rank, the pseudoinverse and the
+range basis U_r; every criterion opeq decides asks only about ranges, so
+no caller needs U or V completed to a square unitary. A PSD matrix gets a
+:class:`PsdFactor`, which gives its rank, range basis and every
+(pseudoinverse) power.
 
 Callers that check several conditions on the same operands (the sweep
 suites, each CLI command) open a factor-sharing scope,
@@ -106,6 +109,11 @@ def adjoint(m) -> np.ndarray:
     return as_matrix(m).conj().T
 
 
+def _hermitize(m: np.ndarray) -> np.ndarray:
+    """The Hermitian part (m + m*) / 2 of a square array, with no check."""
+    return 0.5 * (m + m.conj().T)
+
+
 def _prescaled(m: np.ndarray) -> tuple[np.ndarray, int]:
     """A C-ordered copy of the complex128 matrix m times 2**-e, and e =
     64 * floor((f + 32) / 64) for f the frexp exponent of its largest real
@@ -173,10 +181,11 @@ class HermitianEig:
 
 @dataclass(frozen=True)
 class SvdResult:
-    """Full factorization m = left @ diag(singulars) @ right*.
+    """Thin factorization m = U_r diag(sigma_r) V_r* at the numerical rank r.
 
-    ``left`` is rows x rows, ``right`` is cols x cols, ``singulars`` has
-    min(rows, cols) entries sorted descending, zeros below the rank cutoff.
+    ``left`` is U_r, rows x r, and ``right`` is V_r, cols x r, both with
+    orthonormal columns. ``singulars`` has min(rows, cols) entries sorted
+    descending, zeros below the rank cutoff, so r is its nonzero count.
     ``sweeps`` counts the Jacobi sweeps, the last one included. Frozen,
     arrays read-only.
     """
@@ -195,16 +204,15 @@ class SvdResult:
 
     @property
     def range_basis(self) -> np.ndarray:
-        """Orthonormal basis U_r of the column space (the kept left columns)."""
-        return self.left[:, : self.rank]
+        """Orthonormal basis U_r of the column space: ``left`` itself."""
+        return self.left
 
     def pinv(self) -> np.ndarray:
         """Moore-Penrose pseudoinverse V_r diag(1/sigma) U_r*; raises
         InputError when it leaves the floating-point range."""
-        kept = self.rank
         with np.errstate(over="ignore", invalid="ignore"):
-            core = self.right[:, :kept] * (1.0 / self.singulars[:kept])
-            out = core @ self.left[:, :kept].conj().T
+            core = self.right * (1.0 / self.singulars[: self.rank])
+            out = core @ self.left.conj().T
         return require_finite(out, "pseudoinverse overflows")
 
 
@@ -246,8 +254,7 @@ class PsdFactor:
                 lam = np.zeros_like(self.values)
                 pos = self.values > 0
                 lam[pos] = 1.0 / self.values[pos] ** -exponent
-            out = (self.vectors * lam) @ self.vectors.conj().T
-            out = 0.5 * (out + out.conj().T)
+            out = _hermitize((self.vectors * lam) @ self.vectors.conj().T)
         return require_finite(out, "matrix power overflows")
 
 
@@ -461,7 +468,7 @@ def _herm_eig_jacobi(a: np.ndarray) -> HermitianEig:
 
 
 def svd(m) -> SvdResult:
-    """Full singular value decomposition by one-sided (Hestenes) Jacobi on m.
+    """Thin singular value decomposition by one-sided (Hestenes) Jacobi on m.
 
     The columns, scaled by :func:`_prescaled`, are rotated on herm_eig's
     schedule by its rule: each round reads its n/2 column pairs' 2x2 Gram
@@ -473,10 +480,10 @@ def svd(m) -> SvdResult:
     largest. The first sweep that finds every pair settled before rotating
     it ends the iteration, and more than JACOBI_MAX_SWEEPS sweeps raise
     InputError. sigma are the column norms sorted descending, zero at or
-    below c * sigma_max; the kept columns over sigma, completed from
-    canonical basis vectors, are the left singular vectors. A wide m (rows
-    < cols) is factored as m*, whose left and right factors are m's right
-    and left ones, so the kernel rotates min(rows, cols) columns. Inside a
+    below c * sigma_max; the kept columns over sigma are the left singular
+    vectors U_r, and the same columns of V are V_r. A wide m (rows < cols)
+    is factored as m*, whose left and right factors are m's right and left
+    ones, so the kernel rotates min(rows, cols) columns. Inside a
     :func:`_shared_factors` scope a repeated input returns the stored result.
     """
     return _shared(_svd_jacobi, m)
@@ -534,18 +541,8 @@ def _svd_jacobi(a: np.ndarray) -> SvdResult:
     singulars = norms[order[: min(rows, cols)]]
     kept = int(np.count_nonzero(singulars > max(rows, cols) * RANK_CUTOFF * singulars[0]))
     singulars[kept:] = 0.0
-    right = state[rows : rows + cols, order]
-    left = np.zeros((rows, rows), dtype=np.complex128)
-    left[:, :kept] = state[:rows, order[:kept]] / singulars[:kept]
-    # each completing column is the canonical basis vector with the largest
-    # residual against the columns so far, less two passes of B (B* w)
-    unit = np.eye(rows, dtype=np.complex128)
-    for j in range(kept, rows):
-        taken = left[:, :j]
-        w = unit[int(np.argmax(1.0 - np.sum(np.abs(taken) ** 2, axis=1)))]
-        for _ in range(2):
-            w = w - taken @ (taken.conj().T @ w)
-        left[:, j] = w / np.linalg.norm(w)
+    left = state[:rows, order[:kept]] / singulars[:kept]
+    right = state[rows : rows + cols, order[:kept]]
     singulars = _unscale(singulars, exp, "singular values overflow")
     if wide:
         left, right = right, left
@@ -565,7 +562,7 @@ def hermitian_part(m, label: str) -> np.ndarray:
         raise InputError(f"{label} must be square, got {a.shape}")
     if frob(a - a.conj().T) > TOL_PSD * frob(a):
         raise InputError(f"{label} is not Hermitian within tolerance")
-    return 0.5 * (a + a.conj().T)
+    return _hermitize(a)
 
 
 def psd_factor(m, label: str = "matrix", tol: float = PSD_CLAMP_TOL) -> PsdFactor:
@@ -596,17 +593,19 @@ def _geomean_polar(a_half, a_inv_half, b_half) -> tuple[SvdResult, np.ndarray]:
     """The geometric mean A # B of PSD A and B from one SVD of a factor,
     given the roots A^{1/2}, A^{-1/2} and B^{1/2}.
 
-    M = B^{1/2} A^{-1/2} = W S V* is factored by :func:`svd`, and its polar
-    form gives A # B = A^{1/2} |M| A^{1/2} = A^{1/2} (V W*) B^{1/2}, where
-    |M| = V S V* = (A^{-1/2} B A^{-1/2})^{1/2} (Iannazzo, Numer. Linear
-    Algebra Appl. 23, 2016; Higham, Functions of Matrices, ch. 6 and 8).
+    M = B^{1/2} A^{-1/2} = W_r S_r V_r* is factored by :func:`svd`, and its
+    polar form gives A # B = A^{1/2} |M| A^{1/2} = A^{1/2} (V_r W_r*) B^{1/2},
+    where |M| = V_r S_r V_r* = (A^{-1/2} B A^{-1/2})^{1/2} (Iannazzo, Numer.
+    Linear Algebra Appl. 23, 2016; Higham, Functions of Matrices, ch. 6 and
+    8). The thin factors suffice: with A > 0, range(M) = range(B^{1/2}), so
+    the left singular vectors svd drops are null vectors of B^{1/2}.
     The sandwich A^{-1/2} B A^{-1/2} is never formed, so its condition
     number is not squared, and S keeps the relative accuracy of the
     one-sided kernel. Returns svd(M) and the Hermitian part of the mean.
     """
     f = svd(b_half @ a_inv_half)
     mean = a_half @ (f.right @ f.left.conj().T) @ b_half
-    return f, 0.5 * (mean + mean.conj().T)
+    return f, _hermitize(mean)
 
 
 def psd_power(m, exponent: float) -> np.ndarray:
@@ -632,8 +631,7 @@ def psd_gap(x, y) -> float:
         raise InputError(f"psd_gap needs square matrices of equal shape, got {a.shape} and {b.shape}")
     # x and y are Hermitian only up to rounding, and where y - x cancels
     # that rounding exceeds herm_eig's tolerance relative to ||y - x||
-    d = b - a
-    return float(herm_eig(0.5 * (d + d.conj().T)).values[0])
+    return float(herm_eig(_hermitize(b - a)).values[0])
 
 
 def range_projector(m) -> np.ndarray:

@@ -22,6 +22,7 @@ from .linalg import (
     TOL_PSD,
     InputError,
     _geomean_polar,
+    _hermitize,
     _prescaled,
     _unscale,
     as_matrix,
@@ -50,10 +51,6 @@ class ReducedSolution:
     @property
     def solvable(self) -> bool:
         return all(c.holds for c in self.conditions)
-
-
-def _hermitize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
 
 
 def douglas_reduced_solve(a, b, tol: float = TOL_RANGE) -> ReducedSolution:
@@ -101,9 +98,7 @@ def axb_reduced_solve(a, b, c, tol: float = TOL_RANGE) -> ReducedSolution:
     residual = verify_solution("axb_c", d, a=am, b=bm, c=cm)
     cond1 = basis_inclusion(cm, fa.range_basis, tol, name="range(C) in range(A)")
     # range(B*) is spanned by the kept right singular vectors of B
-    cond2 = basis_inclusion(
-        (ap @ cm).conj().T, fb.right[:, : fb.rank], tol, name="range((A+C)*) in range(B*)"
-    )
+    cond2 = basis_inclusion((ap @ cm).conj().T, fb.right, tol, name="range((A+C)*) in range(B*)")
     n_left = _hermitize(np.eye(am.shape[1], dtype=np.complex128) - ap @ am)
     n_right = _hermitize(np.eye(bm.shape[0], dtype=np.complex128) - bm @ bp)
     return ReducedSolution(d, residual, n_left, n_right, [cond1, cond2])
@@ -168,7 +163,7 @@ def congruence_solve(a, c, tol: float = TOL_RANGE) -> ReducedSolution:
 def pt_solve(h, k, tol: float = TOL_RANGE) -> PtReport:
     """Solve XHX = K for the positive X, H and K Hermitian PSD: the
     :func:`conditions.pt_battery` report. H is declared nonsingular when its
-    least eigenvalue exceeds 1e-8 times its largest."""
+    least eigenvalue exceeds linalg.TOL_NONSINGULAR times its largest."""
     return pt_battery(h, k, tol)
 
 
@@ -179,10 +174,11 @@ def riccati_geomean(a, b) -> np.ndarray:
     X A^{-1} X = B. Requires a positive definite, b Hermitian PSD.
 
     A and B are factored once each, and A^{1/2}, A^{-1/2} and B^{1/2} come
-    off those factors. The mean is the polar form A^{1/2} (V W*) B^{1/2}
-    of :func:`linalg._geomean_polar`, from one svd of M = B^{1/2} A^{-1/2}
-    = W S V*; the sandwich A^{-1/2} B A^{-1/2} is never formed, so
-    kappa(A) kappa(B) is not squared. Two herm_eig calls and one svd.
+    off those factors. The mean is the polar form A^{1/2} (V_r W_r*) B^{1/2}
+    of :func:`linalg._geomean_polar`, from one thin svd of M = B^{1/2}
+    A^{-1/2} = W_r S_r V_r*; the sandwich A^{-1/2} B A^{-1/2} is never
+    formed, so kappa(A) kappa(B) is not squared. Two herm_eig calls and one
+    svd.
     """
     am = as_matrix(a)
     bm = as_matrix(b)

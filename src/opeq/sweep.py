@@ -28,6 +28,7 @@ from .conditions import (
 )
 from .linalg import (
     InputError,
+    _hermitize,
     _shared_factors,
     adjoint,
     frob,
@@ -79,16 +80,14 @@ def random_spd(rng: np.random.Generator, n: int) -> np.ndarray:
     """
     u = random_unitary(rng, n)
     vals = 10.0 ** rng.uniform(-1.5, 0.0, size=n)
-    m = (u * vals) @ u.conj().T
-    return 0.5 * (m + m.conj().T)
+    return _hermitize((u * vals) @ u.conj().T)
 
 
 def random_psd(rng: np.random.Generator, n: int, rank: int | None = None) -> np.ndarray:
     if rank is None:
         rank = int(rng.integers(1, n + 1))
     w = (rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))) / np.sqrt(2.0)
-    m = w @ w.conj().T / max(rank, 1)
-    return 0.5 * (m + m.conj().T)
+    return _hermitize(w @ w.conj().T / max(rank, 1))
 
 
 def random_psd_singular(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -120,8 +119,7 @@ def douglas_unsolvable_pair(rng: np.random.Generator, m: int, n: int, k: int):
 def congruence_solvable_pair(rng: np.random.Generator, m: int, n: int):
     a = random_matrix(rng, m, n)
     x0 = random_psd(rng, n)
-    c = a @ x0 @ a.conj().T
-    return a, 0.5 * (c + c.conj().T)
+    return a, _hermitize(a @ x0 @ a.conj().T)
 
 
 def congruence_unsolvable_pair(rng: np.random.Generator, m: int, n: int, kind: str):
@@ -142,14 +140,13 @@ def congruence_unsolvable_pair(rng: np.random.Generator, m: int, n: int, kind: s
             raise InputError("degenerate orthogonal complement draw")
         w = w * ((1.0 + frob(base)) ** 0.5 / nw)
         c = base + np.outer(w, w.conj())
-        return a, 0.5 * (c + c.conj().T)
+        return a, _hermitize(c)
     a = random_matrix(rng, m, n, rank=min(m, n))
     scale_dir = 1.0 + frob(a) ** 2
     for _ in range(100):
         x = rng.normal(size=n) + 1j * rng.normal(size=n)
         y = rng.normal(size=n) + 1j * rng.normal(size=n)
-        c = np.outer(a @ x, (a @ x).conj()) - 3.0 * np.outer(a @ y, (a @ y).conj())
-        c = 0.5 * (c + c.conj().T)
+        c = _hermitize(np.outer(a @ x, (a @ x).conj()) - 3.0 * np.outer(a @ y, (a @ y).conj()))
         if herm_eig(c).values[0] < -1e-6 * scale_dir:
             return a, c
     raise InputError("failed to draw an indefinite right-hand side")
@@ -185,7 +182,7 @@ def norm_bound_bisect(h: np.ndarray, k: np.ndarray) -> float:
         raise InputError("the norm bound needs positive definite h")
     hs = hf.power(0.5)
     inner = hs @ k @ hs
-    s = psd_sqrt(0.5 * (inner + inner.conj().T))
+    s = psd_sqrt(_hermitize(inner))
     a = 0.0
     while True:
         eig = herm_eig(a * h - s)
@@ -254,7 +251,7 @@ def suite_eig_svd(rng, trials, max_dim):
     for _ in range(trials):
         n = int(rng.integers(2, max_dim + 1))
         g = random_matrix(rng, n, n, rank=n)
-        h = 0.5 * (g + g.conj().T)
+        h = _hermitize(g)
         eig = herm_eig(h)
         scale = 1.0 + frob(h)
         recon = frob((eig.vectors * eig.values) @ eig.vectors.conj().T - h) / scale
@@ -263,11 +260,11 @@ def suite_eig_svd(rng, trials, max_dim):
         b = random_matrix(rng, m, k)
         f = svd(b)
         bscale = 1.0 + frob(b)
-        kk = min(m, k)
-        srecon = frob((f.left[:, :kk] * f.singulars) @ f.right[:, :kk].conj().T - b) / bscale
+        r = f.rank
+        srecon = frob((f.left * f.singulars[:r]) @ f.right.conj().T - b) / bscale
         sunit = max(
-            frob(f.left.conj().T @ f.left - np.eye(m)),
-            frob(f.right.conj().T @ f.right - np.eye(k)),
+            frob(f.left.conj().T @ f.left - np.eye(r)),
+            frob(f.right.conj().T @ f.right - np.eye(r)),
         )
         ok = recon <= 1e-10 and unit <= 1e-10 and srecon <= 1e-10 and sunit <= 1e-10
         res.observe(ok, eig_recon=recon, eig_unitarity=unit, svd_recon=srecon, svd_unitarity=sunit)
@@ -394,7 +391,7 @@ def suite_pt_roundtrip(rng, trials, max_dim):
         psd_margin = herm_eig(x).values[0]
         hs = psd_sqrt(h)
         inner = hs @ k @ hs
-        mid = psd_sqrt(0.5 * (inner + inner.conj().T))
+        mid = psd_sqrt(_hermitize(inner))
         alt = axb_reduced_solve(hs, hs, mid)
         agree = frob(x - alt.solution) / (1.0 + frob(x))
         a_star = norm_bound_bisect(h, k)
@@ -427,8 +424,7 @@ def suite_pt_necessity(rng, trials, max_dim):
         t = random_psd(rng, n)
         # k is reachable by construction: x = t satisfies x h x = k, so the
         # necessity conditions must hold even though h is singular
-        k = t @ h @ t
-        k = 0.5 * (k + k.conj().T)
+        k = _hermitize(t @ h @ t)
         reports = pt_conditions(h, k)
         ii_a, ii_b, iii, iv = reports
         res.observe(ii_a.holds and ii_b.holds)

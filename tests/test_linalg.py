@@ -105,12 +105,14 @@ def _check_svd(m):
     """svd(m) against numpy.linalg.svd, plus its own invariants."""
     rows, cols = m.shape
     f = svd(m)
-    k = min(rows, cols)
+    r = f.rank
+    # the thin factors: U_r is rows x r and V_r is cols x r
+    assert f.left.shape == (rows, r) and f.right.shape == (cols, r)
     scale = max(frob(m), 1.0)
-    recon = (f.left[:, :k] * f.singulars) @ f.right[:, :k].conj().T
+    recon = (f.left * f.singulars[:r]) @ f.right.conj().T
     assert frob(recon - m) / scale <= 1e-10
-    assert frob(f.left.conj().T @ f.left - np.eye(rows)) <= 1e-10
-    assert frob(f.right.conj().T @ f.right - np.eye(cols)) <= 1e-10
+    assert frob(f.left.conj().T @ f.left - np.eye(r)) <= 1e-10
+    assert frob(f.right.conj().T @ f.right - np.eye(r)) <= 1e-10
     ref = np.linalg.svd(m, compute_uv=False)
     assert np.max(np.abs(f.singulars - ref)) <= 1e-12 * max(ref[0], np.finfo(float).tiny)
     again = svd(m.copy())
