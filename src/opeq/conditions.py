@@ -18,11 +18,13 @@ from .linalg import (
     TOL_PSD,
     InputError,
     PsdFactor,
-    _geomean_polar,
+    SvdResult,
+    _gram_factor,
     _hermitize,
     _prescaled,
     _unscale,
     as_matrix,
+    cholesky,
     frob,
     hermitian_part,
     herm_eig,
@@ -130,53 +132,79 @@ class PtReport:
         return self.h_nonsingular and all(c.holds for c in self.conditions)
 
 
+def _abs_powers(f: SvdResult) -> tuple[np.ndarray, np.ndarray]:
+    """|M| = V_r S_r V_r* and its square root V_r S_r^{1/2} V_r*, read off
+    f = svd(M). For M = K^{1/2} H^{1/2}, |M| = (H^{1/2} K H^{1/2})^{1/2}; for
+    M = G* F, a unitary congruence of it."""
+    abs_m = PsdFactor(values=f.singulars[: f.rank][::-1], vectors=f.right[:, ::-1])
+    return abs_m.power(1.0), abs_m.power(0.5)
+
+
 def pt_battery(h, k, tol: float = TOL_RANGE) -> PtReport:
     """Evaluate the XHX = K conditions (see :func:`pt_conditions`) and,
     for nonsingular H, the positive solution X = H^{-1} # K with its
     residual from :func:`verify_solution`.
 
-    H and K are factored once each, and the roots H^{1/2}, H^{-1/2} (the
-    pseudoinverse root for singular H) and K^{1/2} are read off those
-    factors. :func:`linalg._geomean_polar` factors M = K^{1/2} H^{1/2} =
-    W_r S_r V_r* with one thin svd, so X = H^{-1/2} (V_r W_r*) K^{1/2} in
-    polar form, and the powers the conditions test, (H^{1/2} K H^{1/2})^{1/2}
-    = |M| = V_r S_r V_r* and its square root V_r S_r^{1/2} V_r*, come off the
-    same svd; the sandwich H^{1/2} K H^{1/2} is never formed, so kappa(H)
-    kappa(K) is not squared.
-    lambda in (iv) and a_min are the top eigenvalue of X, or for singular H
-    of H^{1/2+} |M| H^{1/2+}. One call makes four herm_eig calls (H, K, that
-    top eigenvalue and the gap in (iv)) and one svd. X(sH, tK) = sqrt(t/s)
-    X, so all of it runs on H and K scaled by :func:`linalg._prescaled`,
-    and X, a_min and lambda in (iv) are scaled back; witnesses and residual
-    are those of the scaled operands."""
+    H is nonsingular when :func:`linalg.cholesky` finds it positive
+    definite: its pivoted Cholesky factorization runs n pivots above
+    n * RANK_CUTOFF times the first. Then H = F F* and K = G G*, G the
+    Cholesky factor of K or, for singular K, K^{1/2}. One thin svd of
+    M = G* F = W_r S_r V_r* gives F* X F = |M| = V_r S_r V_r*, so
+    X = F^{-*} (V_r W_r*) G* by back substitution, with no
+    eigendecomposition. range(H^{1/2}) is the whole space, so ii-a, ii-b
+    and iii are decided against the identity basis and hold with witness
+    0, and (iv) is read in the congruent form |M| <= lambda F* F, whose
+    gap is that of (H^{1/2} K H^{1/2})^{1/2} <= lambda H. Two herm_eig
+    calls: the top eigenvalue of X and the gap in (iv).
+
+    Any other H takes :func:`linalg.psd_factor`, which refuses an H or K
+    that is not PSD. The roots H^{1/2}, its pseudoinverse H^{1/2+} and
+    K^{1/2} are read off one eigendecomposition each, and one thin svd of
+    M = K^{1/2} H^{1/2} gives (H^{1/2} K H^{1/2})^{1/2} = |M| and its
+    square root V_r S_r^{1/2} V_r*; the conditions test their ranges
+    against range(H^{1/2}), and lambda in (iv) is the top eigenvalue of
+    H^{1/2+} |M| H^{1/2+}. Four herm_eig calls: H, K, that top eigenvalue
+    and the gap in (iv). Neither path forms the sandwich H^{1/2} K H^{1/2},
+    so kappa(H) kappa(K) is not squared.
+
+    lambda in (iv) and a_min are the top eigenvalue of X for nonsingular
+    H. X(sH, tK) = sqrt(t/s) X, so all of it runs on H and K scaled by
+    :func:`linalg._prescaled`, and X, a_min and lambda in (iv) are scaled
+    back; witnesses and residual are those of the scaled operands."""
     hm, eh = _prescaled(hermitian_part(h, "H"))
     km, ek = _prescaled(hermitian_part(k, "K"))
     if hm.shape != km.shape:
         raise InputError(f"H and K must have equal shape, got {hm.shape} vs {km.shape}")
     shift = (ek - eh) // 2
-    hf = psd_factor(hm, "H")
-    kf = psd_factor(km, "K", tol=TOL_PSD)
-    hs = hf.power(0.5)
-    hsp = hf.power(-0.5)
-    # X = H^{-1} # K: M = K^{1/2} H^{1/2} = W_r S_r V_r*, and |M| =
-    # V_r S_r V_r* is (H^{1/2} K H^{1/2})^{1/2}, with V_r S_r^{1/2} V_r* its
-    # quarter power
-    f, x = _geomean_polar(hsp, hs, kf.power(0.5))
-    abs_m = PsdFactor(values=f.singulars[: f.rank][::-1], vectors=f.right[:, ::-1])
-    sq = abs_m.power(1.0)
-    quarter = abs_m.power(0.5)
-    basis = hf.range_basis
+    hc = cholesky(hm)
+    if hc.definite:
+        # H = F F* and K = G G*: M = G* F = W_r S_r V_r* gives F* X F = |M|
+        g_adj = _gram_factor(km, "K").conj().T
+        f = svd(g_adj @ hc.factor)
+        sq, quarter = _abs_powers(f)
+        x = _hermitize(hc.solve_adjoint(f.right @ f.left.conj().T @ g_adj))
+        basis = np.eye(hm.shape[0], dtype=np.complex128)
+        root_pinv_sq = hc.solve_adjoint(sq)
+        gram = hc.factor.conj().T @ hc.factor
+    else:
+        hf = psd_factor(hm, "H")
+        kf = psd_factor(km, "K", tol=TOL_PSD)
+        hs = hf.power(0.5)
+        hsp = hf.power(-0.5)
+        sq, quarter = _abs_powers(svd(kf.power(0.5) @ hs))
+        # the least lambda in (iv) is ||H^{1/2+} quarter||^2, the top
+        # eigenvalue of H^{1/2+} sq H^{1/2+}
+        x = _hermitize(hsp @ sq @ hsp)
+        basis = hf.range_basis
+        root_pinv_sq = hsp @ sq
+        gram = hm
 
     ii_a = basis_inclusion(sq, basis, tol, name="ii-a")
-    ii_b = basis_inclusion((hsp @ sq).conj().T, basis, tol, name="ii-b")
+    ii_b = basis_inclusion(root_pinv_sq.conj().T, basis, tol, name="ii-b")
     iii = basis_inclusion(quarter, basis, tol, name="iii")
 
-    # (iv) is the majorization form sq = quarter quarter* <= lambda H with
-    # H = hs hs*; its range half is exactly (iii), and its least lambda is
-    # ||H^{1/2+} quarter||^2, the top eigenvalue of H^{1/2+} sq H^{1/2+},
-    # which is X when H is nonsingular
-    if not hf.nonsingular:
-        x = _hermitize(hsp @ sq @ hsp)
+    # (iv) is the majorization form sq = quarter quarter* <= lambda H (or
+    # its congruent image, lambda F* F), whose range half is exactly (iii)
     lam = max(float(herm_eig(x).values[-1]), 0.0)
     a_min = float(_unscale(np.array([lam]), shift, "norm bound overflows")[0])
     if not iii.holds:
@@ -184,11 +212,11 @@ def pt_battery(h, k, tol: float = TOL_RANGE) -> PtReport:
         iv = ConditionReport(
             name="iv",
             holds=False,
-            witness=psd_gap(sq, probe * hm),
+            witness=psd_gap(sq, probe * gram),
             detail=f"no finite lambda; gap at lambda={probe:.0e} still negative",
         )
     else:
-        y = lam * (1.0 + LAMBDA_SLACK) * hm
+        y = lam * (1.0 + LAMBDA_SLACK) * gram
         gap = psd_gap(sq, y)
         iv = ConditionReport(
             name="iv",
@@ -197,7 +225,7 @@ def pt_battery(h, k, tol: float = TOL_RANGE) -> PtReport:
             detail=f"lambda={a_min:.9e}",
         )
     reports = [ii_a, ii_b, iii, iv]
-    if not hf.nonsingular:
+    if not hc.definite:
         return PtReport(None, None, None, False, reports)
     residual = verify_solution("xhx_k", x, h=hm, k=km)
     return PtReport(_unscale(x, shift, "solution overflows"), a_min, residual, True, reports)
@@ -254,11 +282,14 @@ def verify_solution(kind: str, candidate, a=None, b=None, c=None, h=None, k=None
             hm, rhs = _need(h, "h"), _need(k, "k")
             lhs = x @ hm @ x
         else:
-            # riccati: X A^{-1} X = B
-            af = psd_factor(_need(a, "a"), "a")
-            if not af.nonsingular:
+            # riccati: X A^{-1} X = (F^{-1} X*)* (F^{-1} X) for A = F F*
+            am = _need(a, "a")
+            ac = cholesky(am)
+            if not ac.definite:
+                # an a that is not PSD gets psd_factor's refusal
+                psd_factor(am, "a")
                 raise InputError("riccati verification needs positive definite a")
             rhs = _need(b, "b")
-            lhs = x @ af.power(-1) @ x
+            lhs = ac.solve(x.conj().T).conj().T @ ac.solve(x)
         resid = require_finite(lhs - rhs, "residual overflows")
     return frob(resid) / (1.0 + frob(rhs))

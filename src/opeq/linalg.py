@@ -19,7 +19,7 @@ BLAS call per side is still cheaper than numpy's batched 2x2 products,
 which call BLAS once per pair, and the gather that moved the layout.
 One rule,
 :func:`_prescaled`, picks the power of two that keeps an operand in range;
-herm_eig, svd, orthonormalize and the two root-taking solvers
+herm_eig, svd, cholesky, orthonormalize and the two root-taking solvers
 (pt_battery, riccati_geomean) scale by it, frob by its own. So norms
 neither overflow nor underflow, and non-convergence raises
 :class:`InputError`. A result that leaves the floating-point range
@@ -34,20 +34,32 @@ no caller needs U or V completed to a square unitary. A PSD matrix gets a
 :class:`PsdFactor`, which gives its rank, range basis and every
 (pseudoinverse) power.
 
+Definiteness has one rule: an operand is positive definite iff its
+pivoted Cholesky factorization (:func:`cholesky`, a column loop on the
+prescaled copy) runs n pivots above n * RANK_CUTOFF times the first
+pivot. A positive definite operand is then used through its factor
+m = F F* and the triangular substitutions F^{-1} and F^{-*}, with no
+eigendecomposition; any other takes :func:`psd_factor`. For H = F F* and
+K = G G* (G the Cholesky factor, or K^{1/2} when K is singular), the
+positive solution of XHX = K satisfies F* X F = |G* F|, and the
+geometric mean of A = F F* and B = G G* is F (V W*) G* for
+G* F^{-*} = W S V*: each takes one svd and no square root of a positive
+definite operand.
+
 Callers that check several conditions on the same operands (the sweep
 suites, each CLI command) open a factor-sharing scope,
-:func:`_shared_factors`. Inside it herm_eig and svd each keep an LRU of
-their last 8 results, keyed by the input's shape and complex128 bytes,
-and a repeated input gets the stored result back instead of a second
-factorization; pinv, range_projector,
-spectral_norm, psd_factor, psd_gap and every solver share it through
-them. A refusal is never stored, and leaving the scope drops everything.
-Outside a scope nothing is looked up or kept: a global memo would hold
-memory after the call that filled it and would keep serving results
-after JACOBI_MAX_SWEEPS or another setting changed. The arrays of a
-HermitianEig or SvdResult are read-only everywhere, so sharing one result
-between callers cannot leak a write, and code that works outside a scope
-works the same inside one.
+:func:`_shared_factors`. Inside it herm_eig, svd and cholesky each keep an
+LRU of their last 8 results, keyed by the input's shape and complex128
+bytes, and a repeated input gets the stored result back instead of a
+second factorization; pinv, range_projector, spectral_norm, psd_factor,
+psd_gap and every solver share it through them. A refusal is never
+stored, and leaving the scope drops everything. Outside a scope nothing
+is looked up or kept: a global memo would hold memory after the call
+that filled it and would keep serving results after JACOBI_MAX_SWEEPS or
+another setting changed. The arrays of a
+HermitianEig, SvdResult or Cholesky are read-only everywhere, so sharing
+one result between callers cannot leak a write, and code that works
+outside a scope works the same inside one.
 
 Matrices are plain numpy arrays with dtype complex128. Helpers here accept
 anything ``np.asarray`` can turn into a finite 2-D array.
@@ -73,10 +85,6 @@ PSD_CLAMP_TOL = 1e-10
 # psd_factor's zero floor for operands that are formed products, relative
 # to the largest eigenvalue (see psd_factor for who still needs it).
 PSD_ZERO_FLOOR = 1e-13
-
-# A Hermitian PSD matrix counts as nonsingular when its least eigenvalue
-# exceeds this fraction of its spectral norm.
-TOL_NONSINGULAR = 1e-8
 
 # Jacobi sweep control: herm_eig's off-diagonal mass and svd's column-pair
 # inner products must fall to JACOBI_OFF_TOL relative to the norms involved.
@@ -233,12 +241,6 @@ class PsdFactor:
         return int(np.count_nonzero(self.values))
 
     @property
-    def nonsingular(self) -> bool:
-        """Least eigenvalue above TOL_NONSINGULAR times the largest."""
-        top = float(self.values[-1])
-        return top > 0.0 and float(self.values[0]) > TOL_NONSINGULAR * top
-
-    @property
     def range_basis(self) -> np.ndarray:
         """Orthonormal basis U_r of the range: eigenvectors of nonzero eigenvalues."""
         return self.vectors[:, self.values > 0]
@@ -258,6 +260,50 @@ class PsdFactor:
         return require_finite(out, "matrix power overflows")
 
 
+@dataclass(frozen=True)
+class Cholesky:
+    """Pivoted Cholesky factorization m = F F* with F = P L.
+
+    ``lower`` is L, n x r and lower trapezoidal with a positive diagonal,
+    and ``perm`` the pivot order, so m[perm][:, perm] = L L*; ``factor`` is
+    F, L with its rows put back (F[perm] = L). r counts the pivots above
+    :func:`cholesky`'s cutoff, so m is positive definite exactly when
+    r = n, and then F is square and invertible and :meth:`solve` and
+    :meth:`solve_adjoint` apply its inverses. Frozen, arrays read-only.
+    """
+
+    lower: np.ndarray
+    perm: np.ndarray
+    factor: np.ndarray
+
+    def __post_init__(self):
+        _read_only(self.lower, self.perm, self.factor)
+
+    @property
+    def definite(self) -> bool:
+        return self.lower.shape[1] == self.lower.shape[0]
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """F^{-1} b = L^{-1} P* b by forward substitution, for definite m."""
+        low = self.lower
+        diag = low.diagonal().real
+        y = np.array(b[self.perm], dtype=np.complex128)
+        for k in range(len(diag)):
+            y[k] = (y[k] - low[k, :k] @ y[:k]) / diag[k]
+        return y
+
+    def solve_adjoint(self, b: np.ndarray) -> np.ndarray:
+        """F^{-*} b = P L^{-*} b by back substitution, for definite m."""
+        up = self.lower.conj().T
+        diag = up.diagonal().real
+        y = np.array(b, dtype=np.complex128)
+        for k in range(len(diag) - 1, -1, -1):
+            y[k] = (y[k] - up[k, k + 1 :] @ y[k + 1 :]) / diag[k]
+        out = np.empty_like(y)
+        out[self.perm] = y
+        return out
+
+
 # Open _shared_factors scope: kernel -> LRU of (shape, bytes) -> result.
 _MEMO_ENTRIES = 8
 _memo: contextvars.ContextVar[dict | None] = contextvars.ContextVar("opeq_linalg_memo", default=None)
@@ -265,9 +311,9 @@ _memo: contextvars.ContextVar[dict | None] = contextvars.ContextVar("opeq_linalg
 
 @contextlib.contextmanager
 def _shared_factors():
-    """Within the block, herm_eig and svd each return the stored result for
-    an input whose shape and complex128 bytes match one of the last
-    _MEMO_ENTRIES inputs they factored, instead of factoring it again.
+    """Within the block, herm_eig, svd and cholesky each return the stored
+    result for an input whose shape and complex128 bytes match one of the
+    last _MEMO_ENTRIES inputs they factored, instead of factoring it again.
     Refusals are not stored. On exit everything stored is dropped."""
     token = _memo.set({})
     try:
@@ -549,6 +595,62 @@ def _svd_jacobi(a: np.ndarray) -> SvdResult:
     return SvdResult(left=left, singulars=singulars, right=right, sweeps=sweeps)
 
 
+def cholesky(m) -> Cholesky:
+    """Pivoted Cholesky factorization m = F F*, F = P L, of a Hermitian PSD
+    matrix: the semidefinite algorithm of LAPACK's xPSTRF (Higham, "Analysis
+    of the Cholesky decomposition of a semi-definite matrix", 1990).
+
+    Runs on the :func:`_prescaled` copy, and F is scaled back by 2**(e/2),
+    exactly. Step k pivots on the largest diagonal entry of the remaining
+    Schur complement and stops at the first pivot at or below
+    n * RANK_CUTOFF times the first one, the largest diagonal entry. That
+    is opeq's one test of definiteness: m is positive definite when all n
+    pivots clear the cutoff. A positive definite m keeps every pivot at or
+    above its least eigenvalue and the first at or below its largest, so
+    the test accepts kappa(m) up to about 1 / (n * RANK_CUTOFF), while a
+    formed singular operand leaves its trailing pivots at formation noise,
+    about 1e-15 of the first, below the cutoff. The input must satisfy
+    ||m - m*||_F <= TOL_HERMITIAN * ||m||_F. Inside a
+    :func:`_shared_factors` scope a repeated input returns the stored result.
+    """
+    return _shared(_cholesky_pivoted, m)
+
+
+def _cholesky_pivoted(a: np.ndarray) -> Cholesky:
+    """cholesky's kernel, on a matrix already coerced by :func:`as_matrix`."""
+    a, exp = _prescaled(a)
+    n, nc = a.shape
+    if n != nc:
+        raise InputError(f"Cholesky factorization needs a square matrix, got {a.shape}")
+    # a's largest part lies in [2**-33, 2**31), so numpy's norm is safe
+    if float(np.linalg.norm(a - a.conj().T)) > TOL_HERMITIAN * float(np.linalg.norm(a)):
+        raise InputError("matrix is not Hermitian within tolerance")
+    a = _hermitize(a)
+    lower = np.zeros((n, n), dtype=np.complex128)
+    perm = np.arange(n)
+    # the diagonal of the Schur complement the steps so far leave
+    schur = a.diagonal().real.copy()
+    cutoff = n * RANK_CUTOFF * max(float(schur.max()), 0.0)
+    rank = n
+    for k in range(n):
+        j = k + int(np.argmax(schur[k:]))
+        if not schur[j] > cutoff:
+            rank = k
+            break
+        perm[[k, j]] = perm[[j, k]]
+        schur[[k, j]] = schur[[j, k]]
+        lower[[k, j], :k] = lower[[j, k], :k]
+        root = math.sqrt(schur[k])
+        col = (a[perm[k + 1 :], perm[k]] - lower[k + 1 :, :k] @ lower[k, :k].conj()) / root
+        lower[k, k] = root
+        lower[k + 1 :, k] = col
+        schur[k + 1 :] -= col.real**2 + col.imag**2
+    lower = _unscale(lower[:, :rank], exp // 2, "Cholesky factor overflows")
+    factor = np.empty_like(lower)
+    factor[perm] = lower
+    return Cholesky(lower=lower, perm=perm, factor=factor)
+
+
 def pinv(m) -> np.ndarray:
     """Moore-Penrose pseudoinverse, read off :func:`svd`."""
     return svd(m).pinv()
@@ -575,8 +677,9 @@ def psd_factor(m, label: str = "matrix", tol: float = PSD_CLAMP_TOL) -> PsdFacto
     K = w w*, or the Gram square s @ s and the sandwich H^{1/2} K H^{1/2}
     of the sweep's cross-checks), whose zero eigenspace carries formation
     noise around 1e-15 relative, and a fractional power would amplify that
-    to sqrt(eps). pt_battery and riccati_geomean factor only their
-    operands and take the mean from :func:`_geomean_polar`.
+    to sqrt(eps). pt_battery, riccati_geomean and the riccati residual
+    come here only for an operand that :func:`cholesky` does not find
+    positive definite, and factor nothing but their operands.
     """
     eig = herm_eig(m)
     scale = float(np.max(np.abs(eig.values)))
@@ -589,23 +692,13 @@ def psd_factor(m, label: str = "matrix", tol: float = PSD_CLAMP_TOL) -> PsdFacto
     return PsdFactor(values=values, vectors=eig.vectors)
 
 
-def _geomean_polar(a_half, a_inv_half, b_half) -> tuple[SvdResult, np.ndarray]:
-    """The geometric mean A # B of PSD A and B from one SVD of a factor,
-    given the roots A^{1/2}, A^{-1/2} and B^{1/2}.
-
-    M = B^{1/2} A^{-1/2} = W_r S_r V_r* is factored by :func:`svd`, and its
-    polar form gives A # B = A^{1/2} |M| A^{1/2} = A^{1/2} (V_r W_r*) B^{1/2},
-    where |M| = V_r S_r V_r* = (A^{-1/2} B A^{-1/2})^{1/2} (Iannazzo, Numer.
-    Linear Algebra Appl. 23, 2016; Higham, Functions of Matrices, ch. 6 and
-    8). The thin factors suffice: with A > 0, range(M) = range(B^{1/2}), so
-    the left singular vectors svd drops are null vectors of B^{1/2}.
-    The sandwich A^{-1/2} B A^{-1/2} is never formed, so its condition
-    number is not squared, and S keeps the relative accuracy of the
-    one-sided kernel. Returns svd(M) and the Hermitian part of the mean.
-    """
-    f = svd(b_half @ a_inv_half)
-    mean = a_half @ (f.right @ f.left.conj().T) @ b_half
-    return f, _hermitize(mean)
+def _gram_factor(m, label: str) -> np.ndarray:
+    """A factor G with m = G G*: the :func:`cholesky` factor F when m is
+    positive definite, else m^{1/2} from :func:`psd_factor` with clamp
+    window TOL_PSD, which refuses an m that is not PSD with the message
+    naming ``label``."""
+    c = cholesky(m)
+    return c.factor if c.definite else psd_factor(m, label, tol=TOL_PSD).power(0.5)
 
 
 def psd_power(m, exponent: float) -> np.ndarray:

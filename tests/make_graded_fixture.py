@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -47,6 +48,9 @@ CELLS = (
     ("riccati", 1e1, 1e1),
     ("riccati", 1e2, 1e12),
     ("riccati", 1e6, 1e12),
+    ("pt", 1e9, 1e1),
+    ("pt", 1e12, 1e6),
+    ("riccati", 1e9, 1e1),
 )
 
 
@@ -136,7 +140,9 @@ def main(argv=None) -> int:
         count = sum(len(c["instances"]) for c in doc["cells"])
         print(f"{count - len(bad)} of {count} references reproduced")
         return 1 if bad else 0
-    FIXTURE.write_text(emit_json(build()) + "\n", encoding="utf-8")
+    # one [re, im] pair per line: under indent=2 alone each pair takes four
+    text = re.sub(r"\[\n\s*(\S+),\n\s*(\S+)\n\s*\]", r"[\1, \2]", emit_json(build()))
+    FIXTURE.write_text(text + "\n", encoding="utf-8")
     return 0
 
 

@@ -115,8 +115,8 @@ def test_verify_solution_riccati_needs_invertible_a():
 def test_verify_solution_refuses_residual_out_of_range():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # riccati: A^{-1} = 1e310 I overflows
-        with pytest.raises(InputError, match="matrix power overflows"):
+        # riccati: X A^{-1} X = 1e310 I overflows
+        with pytest.raises(InputError, match="residual overflows"):
             verify_solution("riccati", np.eye(2), a=1e-310 * np.eye(2), b=np.eye(2))
         # xhx_k: X H X = 1e320 I overflows
         with pytest.raises(InputError, match="residual overflows"):

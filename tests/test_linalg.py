@@ -6,6 +6,7 @@ from opeq.linalg import (
     InputError,
     adjoint,
     as_matrix,
+    cholesky,
     frob,
     herm_eig,
     hermitian_part,
@@ -340,10 +341,37 @@ def test_psd_factor_derives_rank_basis_and_pseudoinverse_powers():
         half = f.power(0.5)
         assert frob(half @ half - m) <= 1e-10 * (1.0 + frob(m))
         assert frob(f.power(-0.5) - pinv(half)) <= 1e-8 * (1.0 + frob(pinv(half)))
-        assert not f.nonsingular
-    assert psd_factor(np.diag([2.0, 3.0])).nonsingular
+        assert not cholesky(m).definite
+    assert cholesky(np.diag([2.0, 3.0])).definite
     with pytest.raises(InputError, match="H is not PSD"):
         psd_factor(np.diag([1.0, -1.0]), "H")
+
+
+def test_cholesky_factors_and_substitutes():
+    rng = np.random.default_rng(47)
+    for _ in range(40):
+        n = int(rng.integers(1, 9))
+        r = int(rng.integers(1, n + 1))
+        m = random_psd(rng, n, rank=r)
+        c = cholesky(m)
+        assert c.lower.shape == (n, r) and c.definite == (r == n)
+        assert np.array_equal(np.triu(c.lower, 1), np.zeros((n, r)))
+        assert np.all(c.lower.diagonal().real > 0) and np.all(c.lower.diagonal().imag == 0)
+        assert np.array_equal(c.factor[c.perm], c.lower)
+        f = c.factor
+        assert frob(f @ f.conj().T - m) <= 1e-13 * frob(m)
+        # the factor scales back exactly: 2**(e/2) for m times 2**e
+        assert np.array_equal(cholesky(m * 2.0**-640).factor, f * 2.0**-320)
+        if c.definite:
+            y = random_matrix(rng, n, 3)
+            assert frob(c.solve(f @ y) - y) <= 1e-10 * frob(y)
+            assert frob(c.solve_adjoint(f.conj().T @ y) - y) <= 1e-10 * frob(y)
+    assert cholesky(np.zeros((3, 3))).lower.shape == (3, 0)
+    assert not cholesky(np.diag([1.0, -1e-12])).definite
+    with pytest.raises(InputError, match="square"):
+        cholesky(np.ones((2, 3)))
+    with pytest.raises(InputError, match="not Hermitian"):
+        cholesky(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 def test_svd_pinv_spectral_norm_at_extreme_scales():

@@ -1,4 +1,4 @@
-"""The factor-sharing scope of herm_eig and svd (linalg._shared_factors)."""
+"""The factor-sharing scope of herm_eig, svd and cholesky (linalg._shared_factors)."""
 
 import contextlib
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from opeq import cli, linalg
-from opeq.linalg import InputError, _shared_factors, herm_eig, svd
+from opeq.linalg import InputError, _shared_factors, cholesky, herm_eig, svd
 from opeq.matio import save_matrix
 from opeq.sweep import SUITES, random_matrix, run_sweep
 
@@ -20,9 +20,15 @@ def _general(rng, n):
     return random_matrix(rng, n, n + 1, rank=n)
 
 
+def _definite(rng, n):
+    g = random_matrix(rng, n, n, rank=n)
+    return g @ g.conj().T + np.eye(n)
+
+
 FACTORS = [
     pytest.param(herm_eig, "_herm_eig_jacobi", _hermitian, ("values", "vectors", "sweeps"), id="herm_eig"),
     pytest.param(svd, "_svd_jacobi", _general, ("left", "singulars", "right", "sweeps"), id="svd"),
+    pytest.param(cholesky, "_cholesky_pivoted", _definite, ("lower", "perm", "factor"), id="cholesky"),
 ]
 
 
@@ -130,11 +136,13 @@ def test_suites_report_the_same_inside_and_outside(seed):
 
 
 @pytest.mark.parametrize("command, kernel_name, shared, unshared", [
-    (("solve", "riccati"), "_herm_eig_jacobi", 2, 3),
+    (("solve", "riccati"), "_herm_eig_jacobi", 0, 0),
     (("check", "douglas"), "_svd_jacobi", 2, 4),
     (("solve", "riccati"), "_svd_jacobi", 1, 1),
-    (("solve", "pt"), "_herm_eig_jacobi", 4, 4),
+    (("solve", "pt"), "_herm_eig_jacobi", 2, 2),
     (("solve", "pt"), "_svd_jacobi", 1, 1),
+    (("solve", "riccati"), "_cholesky_pivoted", 2, 3),
+    (("solve", "pt"), "_cholesky_pivoted", 2, 2),
 ])
 def test_cli_command_factors_each_operand_once(monkeypatch, tmp_path, capsys,
                                                command, kernel_name, shared, unshared):
