@@ -19,6 +19,7 @@ from .linalg import (
     InputError,
     PsdFactor,
     SvdResult,
+    _definite_cholesky,
     _gram_factor,
     _hermitize,
     _prescaled,
@@ -134,8 +135,8 @@ class PtReport:
 
 def _abs_powers(f: SvdResult) -> tuple[np.ndarray, np.ndarray]:
     """|M| = V_r S_r V_r* and its square root V_r S_r^{1/2} V_r*, read off
-    f = svd(M). For M = K^{1/2} H^{1/2}, |M| = (H^{1/2} K H^{1/2})^{1/2}; for
-    M = G* F, a unitary congruence of it."""
+    f = svd(M). For M = G* F with H = F F* and K = G G*, |M| is a unitary
+    congruence of (H^{1/2} K H^{1/2})^{1/2}, and equal to it for F = H^{1/2}."""
     abs_m = PsdFactor(values=f.singulars[: f.rank][::-1], vectors=f.right[:, ::-1])
     return abs_m.power(1.0), abs_m.power(0.5)
 
@@ -145,32 +146,28 @@ def pt_battery(h, k, tol: float = TOL_RANGE) -> PtReport:
     for nonsingular H, the positive solution X = H^{-1} # K with its
     residual from :func:`verify_solution`.
 
-    H is nonsingular when :func:`linalg.cholesky` finds it positive
-    definite: its pivoted Cholesky factorization runs n pivots above
-    n * RANK_CUTOFF times the first. Then H = F F* and K = G G*, G the
-    Cholesky factor of K or, for singular K, K^{1/2}. One thin svd of
-    M = G* F = W_r S_r V_r* gives F* X F = |M| = V_r S_r V_r*, so
-    X = F^{-*} (V_r W_r*) G* by back substitution, with no
-    eigendecomposition. range(H^{1/2}) is the whole space, so ii-a, ii-b
-    and iii are decided against the identity basis and hold with witness
-    0, and (iv) is read in the congruent form |M| <= lambda F* F, whose
-    gap is that of (H^{1/2} K H^{1/2})^{1/2} <= lambda H. Two herm_eig
-    calls: the top eigenvalue of X and the gap in (iv).
+    One path serves every rank of H. H = F F* and K = G G*, each factor
+    the Cholesky one when :func:`linalg.cholesky` finds the operand
+    positive definite (H is then nonsingular) and else its square root
+    from :func:`linalg.psd_factor`, which refuses an operand that is not
+    PSD. One thin svd of M = G* F = W_r S_r V_r* gives F* X F = |M| =
+    V_r S_r V_r*, a unitary congruence of (H^{1/2} K H^{1/2})^{1/2} and
+    equal to it for F = H^{1/2}, and its square root V_r S_r^{1/2} V_r*.
+    ii-a, ii-b and iii test the ranges of |M|, (F^{+*} |M|)* and
+    |M|^{1/2} against range(F), and (iv) reads |M| <= lambda F* F. Only X
+    differs: F^{-*} (V_r W_r*) G* by back substitution for nonsingular H,
+    where range(F) is everything and ii-a, ii-b and iii hold with witness
+    0, and H^{1/2+} |M| H^{1/2+} for singular H. herm_eig runs for X's top
+    eigenvalue, the gap in (iv) and each of H and K that is not positive
+    definite: 2 or 3 calls for nonsingular H, 3 or 4 for singular H. The
+    sandwich H^{1/2} K H^{1/2} is never formed, so kappa(H) kappa(K) is
+    not squared.
 
-    Any other H takes :func:`linalg.psd_factor`, which refuses an H or K
-    that is not PSD. The roots H^{1/2}, its pseudoinverse H^{1/2+} and
-    K^{1/2} are read off one eigendecomposition each, and one thin svd of
-    M = K^{1/2} H^{1/2} gives (H^{1/2} K H^{1/2})^{1/2} = |M| and its
-    square root V_r S_r^{1/2} V_r*; the conditions test their ranges
-    against range(H^{1/2}), and lambda in (iv) is the top eigenvalue of
-    H^{1/2+} |M| H^{1/2+}. Four herm_eig calls: H, K, that top eigenvalue
-    and the gap in (iv). Neither path forms the sandwich H^{1/2} K H^{1/2},
-    so kappa(H) kappa(K) is not squared.
-
-    lambda in (iv) and a_min are the top eigenvalue of X for nonsingular
-    H. X(sH, tK) = sqrt(t/s) X, so all of it runs on H and K scaled by
-    :func:`linalg._prescaled`, and X, a_min and lambda in (iv) are scaled
-    back; witnesses and residual are those of the scaled operands."""
+    lambda in (iv) is the top eigenvalue of X, and so is a_min for
+    nonsingular H. X(sH, tK) = sqrt(t/s) X, so all of it runs on H and K
+    scaled by :func:`linalg._prescaled`, and X, a_min and lambda in (iv)
+    are scaled back; witnesses and residual are those of the scaled
+    operands."""
     hm, eh = _prescaled(hermitian_part(h, "H"))
     km, ek = _prescaled(hermitian_part(k, "K"))
     if hm.shape != km.shape:
@@ -178,33 +175,29 @@ def pt_battery(h, k, tol: float = TOL_RANGE) -> PtReport:
     shift = (ek - eh) // 2
     hc = cholesky(hm)
     if hc.definite:
-        # H = F F* and K = G G*: M = G* F = W_r S_r V_r* gives F* X F = |M|
-        g_adj = _gram_factor(km, "K").conj().T
-        f = svd(g_adj @ hc.factor)
-        sq, quarter = _abs_powers(f)
-        x = _hermitize(hc.solve_adjoint(f.right @ f.left.conj().T @ g_adj))
+        # H = F F* by Cholesky, F^{-*} by back substitution, range(H) everything
+        fh, inv_adj = hc.factor, hc.solve_adjoint
         basis = np.eye(hm.shape[0], dtype=np.complex128)
-        root_pinv_sq = hc.solve_adjoint(sq)
-        gram = hc.factor.conj().T @ hc.factor
     else:
+        # H = F F* for F = H^{1/2}, with F^{+*} = H^{1/2+}
         hf = psd_factor(hm, "H")
-        kf = psd_factor(km, "K", tol=TOL_PSD)
-        hs = hf.power(0.5)
-        hsp = hf.power(-0.5)
-        sq, quarter = _abs_powers(svd(kf.power(0.5) @ hs))
-        # the least lambda in (iv) is ||H^{1/2+} quarter||^2, the top
-        # eigenvalue of H^{1/2+} sq H^{1/2+}
-        x = _hermitize(hsp @ sq @ hsp)
-        basis = hf.range_basis
-        root_pinv_sq = hsp @ sq
-        gram = hm
+        fh, hsp = hf.power(0.5), hf.power(-0.5)
+        inv_adj, basis = (lambda b: hsp @ b), hf.range_basis
+    # K = G G*: M = G* F = W_r S_r V_r* gives F* X F = |M| = V_r S_r V_r*
+    g_adj = _gram_factor(km, "K").conj().T
+    f = svd(g_adj @ fh)
+    sq, quarter = _abs_powers(f)
+    root_pinv_sq = inv_adj(sq)
+    gram = fh.conj().T @ fh
+    x = _hermitize(hc.solve_adjoint(f.right @ f.left.conj().T @ g_adj)
+                   if hc.definite else root_pinv_sq @ hsp)
 
     ii_a = basis_inclusion(sq, basis, tol, name="ii-a")
     ii_b = basis_inclusion(root_pinv_sq.conj().T, basis, tol, name="ii-b")
     iii = basis_inclusion(quarter, basis, tol, name="iii")
 
-    # (iv) is the majorization form sq = quarter quarter* <= lambda H (or
-    # its congruent image, lambda F* F), whose range half is exactly (iii)
+    # (iv) is the majorization form sq = quarter quarter* <= lambda F* F
+    # (lambda H for F = H^{1/2}), whose range half is exactly (iii)
     lam = max(float(herm_eig(x).values[-1]), 0.0)
     a_min = float(_unscale(np.array([lam]), shift, "norm bound overflows")[0])
     if not iii.holds:
@@ -284,11 +277,7 @@ def verify_solution(kind: str, candidate, a=None, b=None, c=None, h=None, k=None
         else:
             # riccati: X A^{-1} X = (F^{-1} X*)* (F^{-1} X) for A = F F*
             am = _need(a, "a")
-            ac = cholesky(am)
-            if not ac.definite:
-                # an a that is not PSD gets psd_factor's refusal
-                psd_factor(am, "a")
-                raise InputError("riccati verification needs positive definite a")
+            ac = _definite_cholesky(am, "a")
             rhs = _need(b, "b")
             lhs = ac.solve(x.conj().T).conj().T @ ac.solve(x)
         resid = require_finite(lhs - rhs, "residual overflows")

@@ -39,12 +39,13 @@ pivoted Cholesky factorization (:func:`cholesky`, a column loop on the
 prescaled copy) runs n pivots above n * RANK_CUTOFF times the first
 pivot. A positive definite operand is then used through its factor
 m = F F* and the triangular substitutions F^{-1} and F^{-*}, with no
-eigendecomposition; any other takes :func:`psd_factor`. For H = F F* and
-K = G G* (G the Cholesky factor, or K^{1/2} when K is singular), the
-positive solution of XHX = K satisfies F* X F = |G* F|, and the
-geometric mean of A = F F* and B = G G* is F (V W*) G* for
-G* F^{-*} = W S V*: each takes one svd and no square root of a positive
-definite operand.
+eigendecomposition; any other takes :func:`psd_factor`, or the one
+refusal :func:`_definite_cholesky` where it must be positive definite.
+For H = F F* and K = G G* (each the Cholesky factor or, when singular,
+the square root), the positive solution of XHX = K satisfies
+F* X F = |G* F|, and the geometric mean of A = F F* and B = G G* is
+F (V W*) G* for G* F^{-*} = W S V*: each takes one svd and no square
+root of a positive definite operand.
 
 Callers that check several conditions on the same operands (the sweep
 suites, each CLI command) open a factor-sharing scope,
@@ -679,7 +680,9 @@ def psd_factor(m, label: str = "matrix", tol: float = PSD_CLAMP_TOL) -> PsdFacto
     noise around 1e-15 relative, and a fractional power would amplify that
     to sqrt(eps). pt_battery, riccati_geomean and the riccati residual
     come here only for an operand that :func:`cholesky` does not find
-    positive definite, and factor nothing but their operands.
+    positive definite. With the floor at 0, eight tier-1 tests fail, both
+    singular-H necessity tests among them: H^{1/2+} inverts a formed H's
+    noise eigenvalues, and ii-b fails.
     """
     eig = herm_eig(m)
     scale = float(np.max(np.abs(eig.values)))
@@ -690,6 +693,17 @@ def psd_factor(m, label: str = "matrix", tol: float = PSD_CLAMP_TOL) -> PsdFacto
         )
     values = np.where(eig.values <= PSD_ZERO_FLOOR * scale, 0.0, eig.values)
     return PsdFactor(values=values, vectors=eig.vectors)
+
+
+def _definite_cholesky(m, label: str) -> Cholesky:
+    """:func:`cholesky` of a positive definite m. Any other m is refused:
+    by :func:`psd_factor` if it is not PSD, else as "<label> must be
+    positive definite"."""
+    c = cholesky(m)
+    if not c.definite:
+        psd_factor(m, label)
+        raise InputError(f"{label} must be positive definite")
+    return c
 
 
 def _gram_factor(m, label: str) -> np.ndarray:

@@ -21,15 +21,14 @@ from .conditions import (ConditionReport, PtReport, TOL_RANGE, basis_inclusion, 
 from .linalg import (
     TOL_PSD,
     InputError,
+    _definite_cholesky,
     _gram_factor,
     _hermitize,
     _prescaled,
     _unscale,
     as_matrix,
-    cholesky,
     hermitian_part,
     herm_eig,
-    psd_factor,
     svd,
 )
 
@@ -163,8 +162,9 @@ def congruence_solve(a, c, tol: float = TOL_RANGE) -> ReducedSolution:
 
 def pt_solve(h, k, tol: float = TOL_RANGE) -> PtReport:
     """Solve XHX = K for the positive X, H and K Hermitian PSD: the
-    :func:`conditions.pt_battery` report. H is declared nonsingular when
-    :func:`linalg.cholesky` finds it positive definite."""
+    :func:`conditions.pt_battery` report, one Cholesky-polar path at every
+    rank of H, with a solution when :func:`linalg.cholesky` finds H
+    positive definite."""
     return pt_battery(h, k, tol)
 
 
@@ -172,19 +172,18 @@ def riccati_geomean(a, b) -> np.ndarray:
     """Geometric mean A # B = A^{1/2} (A^{-1/2} B A^{-1/2})^{1/2} A^{1/2}.
 
     This is the unique PSD solution of the Riccati equation
-    X A^{-1} X = B. Requires a positive definite, b Hermitian PSD.
+    X A^{-1} X = B. Requires a positive definite, refused otherwise by
+    :func:`linalg._definite_cholesky`, and b Hermitian PSD.
 
-    A is positive definite when :func:`linalg.cholesky` runs n pivots
-    above its cutoff, and then A = F F*; B = G G* with G its Cholesky
-    factor, or B^{1/2} from :func:`linalg.psd_factor` when B is not
-    positive definite. One thin svd of M = G* F^{-*} = (F^{-1} G)* =
-    W_r S_r V_r*, with F^{-1} G by forward substitution, gives
-    A # B = F (V_r W_r*) G*: the congruence invariance of the mean
-    (Iannazzo, Numer. Linear Algebra Appl. 23, 2016). The thin factors
-    suffice, as V_r W_r* M = |M|. No square root is taken and the
-    sandwich A^{-1/2} B A^{-1/2} is never formed, so kappa(A) kappa(B) is
-    not squared. Two cholesky calls and one svd, and herm_eig only for a
-    singular B.
+    A = F F* and B = G G*, with F and G the Cholesky factors, or B^{1/2}
+    from :func:`linalg.psd_factor` when B is not positive definite. One
+    thin svd of M = G* F^{-*} = (F^{-1} G)* = W_r S_r V_r*, with F^{-1} G
+    by forward substitution, gives A # B = F (V_r W_r*) G*: the
+    congruence invariance of the mean (Iannazzo, Numer. Linear Algebra
+    Appl. 23, 2016). The thin factors suffice, as V_r W_r* M = |M|. No
+    square root is taken and the sandwich A^{-1/2} B A^{-1/2} is never
+    formed, so kappa(A) kappa(B) is not squared. Two cholesky calls and
+    one svd, and herm_eig only for a singular B.
     """
     am = as_matrix(a)
     bm = as_matrix(b)
@@ -194,11 +193,7 @@ def riccati_geomean(a, b) -> np.ndarray:
     # scaled by _prescaled and scaled back by sqrt(st), an exact power of two
     sa, ea = _prescaled(hermitian_part(am, "a"))
     tb, eb = _prescaled(hermitian_part(bm, "b"))
-    ac = cholesky(sa)
-    if not ac.definite:
-        # an a that is not PSD gets psd_factor's refusal
-        psd_factor(sa, "a")
-        raise InputError("a must be positive definite")
+    ac = _definite_cholesky(sa, "a")
     g = _gram_factor(tb, "b")
     f = svd(ac.solve(g).conj().T)
     x = _hermitize(ac.factor @ (f.right @ f.left.conj().T) @ g.conj().T)

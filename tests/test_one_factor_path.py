@@ -1,0 +1,97 @@
+"""XHX = K runs one path at every rank of H: H = F F* with F its Cholesky
+factor when H is positive definite and F = H^{1/2} otherwise, K = G G*, and
+one svd of G* F. The Riccati solver and its residual refuse an operand
+that is not positive definite by one rule, linalg._definite_cholesky."""
+
+import re
+
+import numpy as np
+import pytest
+
+from opeq import linalg
+from opeq.conditions import pt_conditions, verify_solution
+from opeq.linalg import InputError
+from opeq.solvers import pt_solve, riccati_geomean
+from opeq.sweep import random_psd, random_psd_singular, random_spd
+
+
+def _eigh_power(m, p):
+    # pseudoinverse power for p < 0: eigenvalues at rounding level stay zero
+    vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
+    keep = vals > 1e-10 * vals[-1]
+    lam = np.zeros_like(vals)
+    lam[keep] = vals[keep] ** p
+    return (vecs * lam) @ vecs.conj().T
+
+
+def _lambda_reference(h, k):
+    """Top eigenvalue of H^{1/2+} (H^{1/2} K H^{1/2})^{1/2} H^{1/2+}."""
+    hs, hsp = _eigh_power(h, 0.5), _eigh_power(h, -0.5)
+    x = hsp @ _eigh_power(hs @ k @ hs, 0.5) @ hsp
+    return float(np.linalg.eigvalsh(0.5 * (x + x.conj().T))[-1])
+
+
+def _singular_h_pairs(seed, count):
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = 2 + i % 11
+        h = random_psd_singular(rng, n)
+        t = random_psd(rng, n)
+        yield h, random_spd(rng, n)
+        yield h, 0.5 * (t @ h @ t + (t @ h @ t).conj().T)
+
+
+def test_singular_h_conditions_hold_with_reference_lambda():
+    for h, k in _singular_h_pairs(18, 44):
+        reports = pt_conditions(h, k)
+        assert [c.holds for c in reports] == [True] * 4
+        lam = float(re.fullmatch(r"lambda=(\S+)", reports[3].detail).group(1))
+        ref = _lambda_reference(h, k)
+        assert abs(lam - ref) <= 1e-8 * ref
+
+
+def _counting(monkeypatch, kernel_name):
+    calls = []
+    kernel = getattr(linalg, kernel_name)
+
+    def counted(a):
+        calls.append(a.shape)
+        return kernel(a)
+
+    monkeypatch.setattr(linalg, kernel_name, counted)
+    return calls
+
+
+# each of H and K costs one eigendecomposition only when it is singular;
+# X's top eigenvalue and the gap in (iv) cost one each at every rank
+@pytest.mark.parametrize("h_rank, k_rank, eigs", [
+    (5, 5, 2), (5, 3, 3), (3, 5, 3), (3, 3, 4),
+])
+def test_pt_solve_factorizations(monkeypatch, h_rank, k_rank, eigs):
+    rng = np.random.default_rng(7)
+    h = random_psd(rng, 5, rank=h_rank)
+    k = random_psd(rng, 5, rank=k_rank)
+    eig_calls = _counting(monkeypatch, "_herm_eig_jacobi")
+    svd_calls = _counting(monkeypatch, "_svd_jacobi")
+    rep = pt_solve(h, k)
+    assert rep.h_nonsingular == (h_rank == 5)
+    assert len(eig_calls) == eigs
+    assert len(svd_calls) == 1
+
+
+def _refusal(call):
+    with pytest.raises(InputError) as info:
+        call()
+    return str(info.value)
+
+
+def test_riccati_refusals_are_one_rule():
+    rng = np.random.default_rng(11)
+    b = random_spd(rng, 4)
+    singular = random_psd_singular(rng, 4)
+    indefinite = np.diag([1.0, 0.5, 0.25, -0.5])
+    for a, message in ((singular, "a must be positive definite"), (indefinite, "a is not PSD")):
+        solved = _refusal(lambda: riccati_geomean(a, b))
+        checked = _refusal(lambda: verify_solution("riccati", b, a=a, b=b))
+        assert message in solved
+        assert checked == solved
