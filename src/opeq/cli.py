@@ -5,7 +5,9 @@ Subcommands: solve (douglas | axb | congruence | pt | riccati), check
 invocation prints one RunReport JSON document on stdout. Exit codes:
 0 solved / condition holds, 1 unsolvable / condition failed (with a full
 report), 2 input error. Every solve family follows one rule: it is solved
-iff its conditions hold and its residual is at most the tolerance.
+iff its conditions hold and its residual is at most the tolerance. The
+conditions of XHX = K also hold for singular H, which admits no solution,
+so ``solve pt`` and ``check pt-conditions`` both report h_nonsingular.
 OPEQ_TOL overrides the default tolerance; an explicit --tol beats the
 environment. A command runs inside one factor-sharing scope
 (linalg._shared_factors), so an operand that several of its conditions
@@ -18,8 +20,7 @@ import argparse
 import os
 import sys
 
-from .conditions import (TOL_RANGE, majorization_lambda, pt_conditions, range_inclusion,
-                         verify_solution)
+from .conditions import TOL_RANGE, PtReport, majorization_lambda, range_inclusion, verify_solution
 from .linalg import InputError, _shared_factors
 from .matio import RunReport, load_matrix, save_matrix
 from .module_model import DEFAULT_GRID_N, DEMOS, demo
@@ -118,6 +119,17 @@ def _load_inputs(args, flags):
     return mats, digests
 
 
+def _pt_detail(rep: PtReport) -> dict:
+    """The detail of a pt report: whether H is nonsingular, and then the
+    norm bound, else why no solution is emitted."""
+    if rep.h_nonsingular:
+        return {"h_nonsingular": True, "norm_bound": rep.a_min}
+    return {
+        "h_nonsingular": False,
+        "note": "singular H: only the necessity conditions are evaluated, no solution is emitted",
+    }
+
+
 def _cmd_solve(args) -> RunReport:
     tol = _resolve_tol(args)
     mats, digests = _load_inputs(args, SOLVE_FLAGS[args.family])
@@ -131,14 +143,7 @@ def _cmd_solve(args) -> RunReport:
         rep = solver(*(mats[n] for n in SOLVE_FLAGS[args.family]), tol=tol)
         conditions = rep.conditions
         if args.family == "pt":
-            detail["h_nonsingular"] = rep.h_nonsingular
-            if rep.h_nonsingular:
-                detail["norm_bound"] = rep.a_min
-            else:
-                detail["note"] = (
-                    "singular H: only the necessity conditions are evaluated, "
-                    "no solution is emitted"
-                )
+            detail = _pt_detail(rep)
         if rep.residual is not None:
             residuals["solve"] = rep.residual
         solved = rep.solvable and rep.residual <= tol
@@ -182,7 +187,11 @@ def _cmd_check(args) -> RunReport:
         detail["lambda"] = lam
         ok = inc.holds and lam is not None
     else:
-        conditions = pt_conditions(mats["H"], mats["K"], tol=tol)
+        # the outcome follows the conditions alone; the detail says, as in
+        # solve pt, whether H is nonsingular and so admits a solution
+        rep = pt_solve(mats["H"], mats["K"], tol=tol)
+        conditions = rep.conditions
+        detail = _pt_detail(rep)
         ok = all(c.holds for c in conditions)
 
     return RunReport(

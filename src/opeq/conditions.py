@@ -135,8 +135,7 @@ class PtReport:
 
 def _abs_powers(f: SvdResult) -> tuple[np.ndarray, np.ndarray]:
     """|M| = V_r S_r V_r* and its square root V_r S_r^{1/2} V_r*, read off
-    f = svd(M). For M = G* F with H = F F* and K = G G*, |M| is a unitary
-    congruence of (H^{1/2} K H^{1/2})^{1/2}, and equal to it for F = H^{1/2}."""
+    f = svd(M). For M = G* F with H = F F* and K = G G*, |M| = (F* K F)^{1/2}."""
     abs_m = PsdFactor(values=f.singulars[: f.rank][::-1], vectors=f.right[:, ::-1])
     return abs_m.power(1.0), abs_m.power(0.5)
 
@@ -146,22 +145,22 @@ def pt_battery(h, k, tol: float = TOL_RANGE) -> PtReport:
     for nonsingular H, the positive solution X = H^{-1} # K with its
     residual from :func:`verify_solution`.
 
-    One path serves every rank of H. H = F F* and K = G G*, each factor
-    the Cholesky one when :func:`linalg.cholesky` finds the operand
-    positive definite (H is then nonsingular) and else its square root
-    from :func:`linalg.psd_factor`, which refuses an operand that is not
-    PSD. One thin svd of M = G* F = W_r S_r V_r* gives F* X F = |M| =
-    V_r S_r V_r*, a unitary congruence of (H^{1/2} K H^{1/2})^{1/2} and
-    equal to it for F = H^{1/2}, and its square root V_r S_r^{1/2} V_r*.
-    ii-a, ii-b and iii test the ranges of |M|, (F^{+*} |M|)* and
-    |M|^{1/2} against range(F), and (iv) reads |M| <= lambda F* F. Only X
-    differs: F^{-*} (V_r W_r*) G* by back substitution for nonsingular H,
-    where range(F) is everything and ii-a, ii-b and iii hold with witness
-    0, and H^{1/2+} |M| H^{1/2+} for singular H. herm_eig runs for X's top
+    One path serves every rank of H. H = F F* and K = G G* with F and G of
+    full column rank: the Cholesky factor when :func:`linalg.cholesky`
+    finds the operand positive definite (H is then nonsingular), else the
+    thin factor U_r diag(lambda_r)^{1/2} of :func:`linalg.psd_factor`,
+    which refuses an operand that is not PSD. F^{+*} is back substitution
+    or U_r diag(lambda_r)^{-1/2}. One thin svd of M = G* F = W_r S_r V_r*
+    gives F* X F = |M| = V_r S_r V_r*, and its square root
+    V_r S_r^{1/2} V_r*. With H^{1/2} = F Q* for a Q with orthonormal
+    columns, the conditions become statements in C^r, r = rank(H): ii-a,
+    ii-b and iii test the ranges of |M|, (F^{+*} |M|)* and |M|^{1/2}
+    against C^r itself, so each holds with witness 0, and (iv) reads
+    |M| <= lambda F* F. Only X differs: F^{-*} (V_r W_r*) G* for
+    nonsingular H, F^{+*} |M| F^{+} otherwise. herm_eig runs for X's top
     eigenvalue, the gap in (iv) and each of H and K that is not positive
-    definite: 2 or 3 calls for nonsingular H, 3 or 4 for singular H. The
-    sandwich H^{1/2} K H^{1/2} is never formed, so kappa(H) kappa(K) is
-    not squared.
+    definite. The sandwich H^{1/2} K H^{1/2} is never formed, so
+    kappa(H) kappa(K) is not squared.
 
     lambda in (iv) is the top eigenvalue of X, and so is a_min for
     nonsingular H. X(sH, tK) = sqrt(t/s) X, so all of it runs on H and K
@@ -174,49 +173,37 @@ def pt_battery(h, k, tol: float = TOL_RANGE) -> PtReport:
         raise InputError(f"H and K must have equal shape, got {hm.shape} vs {km.shape}")
     shift = (ek - eh) // 2
     hc = cholesky(hm)
-    if hc.definite:
-        # H = F F* by Cholesky, F^{-*} by back substitution, range(H) everything
-        fh, inv_adj = hc.factor, hc.solve_adjoint
-        basis = np.eye(hm.shape[0], dtype=np.complex128)
-    else:
-        # H = F F* for F = H^{1/2}, with F^{+*} = H^{1/2+}
-        hf = psd_factor(hm, "H")
-        fh, hsp = hf.power(0.5), hf.power(-0.5)
-        inv_adj, basis = (lambda b: hsp @ b), hf.range_basis
+    hfac = hc if hc.definite else psd_factor(hm, "H")
+    fh = hfac.factor
     # K = G G*: M = G* F = W_r S_r V_r* gives F* X F = |M| = V_r S_r V_r*
     g_adj = _gram_factor(km, "K").conj().T
     f = svd(g_adj @ fh)
     sq, quarter = _abs_powers(f)
-    root_pinv_sq = inv_adj(sq)
+    root_pinv_sq = hfac.solve_adjoint(sq)
     gram = fh.conj().T @ fh
-    x = _hermitize(hc.solve_adjoint(f.right @ f.left.conj().T @ g_adj)
-                   if hc.definite else root_pinv_sq @ hsp)
+    if hc.definite:
+        x = hc.solve_adjoint(f.right @ f.left.conj().T @ g_adj)
+    else:
+        x = hfac.solve_adjoint(root_pinv_sq.conj().T)
+    x = _hermitize(x)
 
-    ii_a = basis_inclusion(sq, basis, tol, name="ii-a")
-    ii_b = basis_inclusion(root_pinv_sq.conj().T, basis, tol, name="ii-b")
-    iii = basis_inclusion(quarter, basis, tol, name="iii")
+    identity = np.eye(fh.shape[1], dtype=np.complex128)
+    ii_a = basis_inclusion(sq, identity, tol, name="ii-a")
+    ii_b = basis_inclusion(root_pinv_sq.conj().T, identity, tol, name="ii-b")
+    iii = basis_inclusion(quarter, identity, tol, name="iii")
 
-    # (iv) is the majorization form sq = quarter quarter* <= lambda F* F
-    # (lambda H for F = H^{1/2}), whose range half is exactly (iii)
+    # (iv) is the majorization form sq = quarter quarter* <= lambda F* F,
+    # whose range half is exactly (iii)
     lam = max(float(herm_eig(x).values[-1]), 0.0)
     a_min = float(_unscale(np.array([lam]), shift, "norm bound overflows")[0])
-    if not iii.holds:
-        probe = 1e6
-        iv = ConditionReport(
-            name="iv",
-            holds=False,
-            witness=psd_gap(sq, probe * gram),
-            detail=f"no finite lambda; gap at lambda={probe:.0e} still negative",
-        )
-    else:
-        y = lam * (1.0 + LAMBDA_SLACK) * gram
-        gap = psd_gap(sq, y)
-        iv = ConditionReport(
-            name="iv",
-            holds=gap >= -TOL_PSD * (frob(sq) + frob(y)),
-            witness=gap,
-            detail=f"lambda={a_min:.9e}",
-        )
+    y = lam * (1.0 + LAMBDA_SLACK) * gram
+    gap = psd_gap(sq, y)
+    iv = ConditionReport(
+        name="iv",
+        holds=gap >= -TOL_PSD * (frob(sq) + frob(y)),
+        witness=gap,
+        detail=f"lambda={a_min:.9e}",
+    )
     reports = [ii_a, ii_b, iii, iv]
     if not hc.definite:
         return PtReport(None, None, None, False, reports)
@@ -233,9 +220,12 @@ def pt_conditions(h, k, tol: float = TOL_RANGE) -> list[ConditionReport]:
       iii   range((H^{1/2} K H^{1/2})^{1/4})      within range(H^{1/2})
       iv    existence of lambda with (H^{1/2} K H^{1/2})^{1/2} <= lambda H
 
-    The four are equivalent when H is nonsingular; for singular H the
-    first two are the necessary pair and the reports may disagree, which
-    is why each is evaluated independently.
+    In finite dimensions every range is closed, so all four hold for any
+    PSD H and K: :func:`pt_battery` decides them in C^r, r = rank(H),
+    where ii-a, ii-b and iii hold with witness 0 and the witness of iv is
+    the margin that lambda (1 + LAMBDA_SLACK) leaves. They are necessary,
+    not sufficient: a singular H admits no solution although they hold,
+    which :attr:`PtReport.h_nonsingular` reports.
     """
     return pt_battery(h, k, tol).conditions
 

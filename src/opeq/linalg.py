@@ -31,8 +31,9 @@ factorization U_r diag(sigma_r) V_r* at its rank r (by one fixed relative
 cutoff, RANK_CUTOFF), which gives that rank, the pseudoinverse and the
 range basis U_r; every criterion opeq decides asks only about ranges, so
 no caller needs U or V completed to a square unitary. A PSD matrix gets a
-:class:`PsdFactor`, which gives its rank, range basis and every
-(pseudoinverse) power.
+:class:`PsdFactor`, thin in the same way, U_r diag(lambda_r) U_r*, which
+gives its rank, range basis, every (pseudoinverse) power and the factor
+F = U_r diag(lambda_r)^{1/2} of full column rank with m = F F*.
 
 Definiteness has one rule: an operand is positive definite iff its
 pivoted Cholesky factorization (:func:`cholesky`, a column loop on the
@@ -41,8 +42,9 @@ pivot. A positive definite operand is then used through its factor
 m = F F* and the triangular substitutions F^{-1} and F^{-*}, with no
 eigendecomposition; any other takes :func:`psd_factor`, or the one
 refusal :func:`_definite_cholesky` where it must be positive definite.
-For H = F F* and K = G G* (each the Cholesky factor or, when singular,
-the square root), the positive solution of XHX = K satisfies
+Both factors offer ``factor`` and ``solve_adjoint`` (F^{-*}, or F^{+*}
+for the thin one), so a caller reads either the same way. For H = F F*
+and K = G G*, the positive solution of XHX = K satisfies
 F* X F = |G* F|, and the geometric mean of A = F F* and B = G G* is
 F (V W*) G* for G* F^{-*} = W S V*: each takes one svd and no square
 root of a positive definite operand.
@@ -57,10 +59,10 @@ psd_gap and every solver share it through them. A refusal is never
 stored, and leaving the scope drops everything. Outside a scope nothing
 is looked up or kept: a global memo would hold memory after the call
 that filled it and would keep serving results after JACOBI_MAX_SWEEPS or
-another setting changed. The arrays of a
-HermitianEig, SvdResult or Cholesky are read-only everywhere, so sharing
-one result between callers cannot leak a write, and code that works
-outside a scope works the same inside one.
+another setting changed. The arrays of a HermitianEig, SvdResult,
+PsdFactor or Cholesky are read-only everywhere, so sharing one result
+between callers cannot leak a write, and code that works outside a scope
+works the same inside one.
 
 Matrices are plain numpy arrays with dtype complex128. Helpers here accept
 anything ``np.asarray`` can turn into a finite 2-D array.
@@ -225,39 +227,55 @@ class SvdResult:
         return require_finite(out, "pseudoinverse overflows")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PsdFactor:
-    """Eigenpairs of a Hermitian PSD matrix with its zero eigenvalues made exact.
+    """Thin eigenfactorization m = U_r diag(lambda_r) U_r* of a Hermitian
+    PSD matrix at its rank r.
 
-    ``values`` are ascending and nonnegative: the clamp window and the zero
-    floor have already been applied, so rank, range basis and every power
-    agree on which directions are null.
+    ``values`` are the r positive eigenvalues, ascending, left after the
+    clamp window and the zero floor; ``vectors`` is U_r, n x r with
+    orthonormal columns, so rank, range basis, factor and every power
+    read the same directions. Frozen, arrays read-only.
     """
 
     values: np.ndarray
     vectors: np.ndarray
 
+    def __post_init__(self):
+        _read_only(self.values, self.vectors)
+
     @property
     def rank(self) -> int:
-        return int(np.count_nonzero(self.values))
+        return len(self.values)
 
     @property
     def range_basis(self) -> np.ndarray:
-        """Orthonormal basis U_r of the range: eigenvectors of nonzero eigenvalues."""
-        return self.vectors[:, self.values > 0]
+        """Orthonormal basis U_r of the range: ``vectors`` itself."""
+        return self.vectors
+
+    @property
+    def factor(self) -> np.ndarray:
+        """F = U_r diag(lambda_r)^{1/2}, n x r of full column rank, with
+        m = F F*; rank 0 gives one zero column, so F has a side to act on."""
+        return self._scaled(0.5)
+
+    def solve_adjoint(self, b: np.ndarray) -> np.ndarray:
+        """F^{+*} b = U_r diag(lambda_r)^{-1/2} b, for b with as many rows
+        as F has columns."""
+        return self._scaled(-0.5) @ b
+
+    def _scaled(self, exponent: float) -> np.ndarray:
+        """U_r diag(lambda_r)^exponent, or one zero column at rank 0."""
+        out = np.zeros((self.vectors.shape[0], max(self.rank, 1)), dtype=np.complex128)
+        out[:, : self.rank] = self.vectors * self.values**exponent
+        return out
 
     def power(self, exponent: float) -> np.ndarray:
-        """m^exponent; a negative exponent gives the pseudoinverse power
-        (m^+)^-exponent, which leaves the zero eigenvalues at zero. Raises
-        InputError when the power leaves the floating-point range."""
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            if exponent >= 0:
-                lam = self.values ** exponent
-            else:
-                lam = np.zeros_like(self.values)
-                pos = self.values > 0
-                lam[pos] = 1.0 / self.values[pos] ** -exponent
-            out = _hermitize((self.vectors * lam) @ self.vectors.conj().T)
+        """U_r diag(lambda_r)^exponent U_r*: m^exponent, and for a negative
+        exponent the pseudoinverse power (m^+)^-exponent. Raises InputError
+        when the power leaves the floating-point range."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _hermitize((self.vectors * self.values**exponent) @ self.vectors.conj().T)
         return require_finite(out, "matrix power overflows")
 
 
@@ -669,20 +687,23 @@ def hermitian_part(m, label: str) -> np.ndarray:
 
 
 def psd_factor(m, label: str = "matrix", tol: float = PSD_CLAMP_TOL) -> PsdFactor:
-    """Factor a PSD Hermitian matrix with one eigendecomposition.
+    """Factor a PSD Hermitian matrix thin, with one eigendecomposition.
 
-    Eigenvalues inside the window [-tol * ||m||, 0) are clamped to zero;
-    anything more negative raises InputError naming ``label``. Eigenvalues
-    at or below PSD_ZERO_FLOOR * max are treated as exact zeros: a matrix
-    arriving here may be a formed product (a rank-deficient operand
-    K = w w*, or the Gram square s @ s and the sandwich H^{1/2} K H^{1/2}
-    of the sweep's cross-checks), whose zero eigenspace carries formation
-    noise around 1e-15 relative, and a fractional power would amplify that
-    to sqrt(eps). pt_battery, riccati_geomean and the riccati residual
-    come here only for an operand that :func:`cholesky` does not find
-    positive definite. With the floor at 0, eight tier-1 tests fail, both
-    singular-H necessity tests among them: H^{1/2+} inverts a formed H's
-    noise eigenvalues, and ii-b fails.
+    An eigenvalue below -tol * ||m|| raises InputError naming ``label``.
+    The eigenpairs of eigenvalues at or below PSD_ZERO_FLOOR * max, the
+    clamp window [-tol * ||m||, 0) among them, are dropped, and the rest
+    make the :class:`PsdFactor`. A matrix arriving here may be a formed
+    product (a rank-deficient operand K = w w*, or the Gram square s @ s
+    and the sandwich H^{1/2} K H^{1/2} of the sweep's cross-checks), whose
+    zero eigenspace carries formation noise around 1e-15 relative; a
+    fractional power would amplify that to sqrt(eps), and a factor would
+    take it for range. pt_battery, riccati_geomean and the riccati
+    residual come here only for an operand that :func:`cholesky` does not
+    find positive definite. With the floor at 0, eight tier-1 tests fail,
+    on rank, roots and lambda: the singular-H necessity tests pass, as the
+    conditions are identities in C^r at any rank, but the noise counts as
+    rank, and F^{+*} inverts a formed H's noise eigenvalues, so lambda in
+    (iv) comes out near 3.5e8 where the reference is 1.5.
     """
     eig = herm_eig(m)
     scale = float(np.max(np.abs(eig.values)))
@@ -691,8 +712,8 @@ def psd_factor(m, label: str = "matrix", tol: float = PSD_CLAMP_TOL) -> PsdFacto
             f"{label} is not PSD: min eigenvalue is {eig.values[0] / scale:.3e} "
             f"times the largest magnitude, below the clamp window {-tol:.3e}"
         )
-    values = np.where(eig.values <= PSD_ZERO_FLOOR * scale, 0.0, eig.values)
-    return PsdFactor(values=values, vectors=eig.vectors)
+    null = int(np.count_nonzero(eig.values <= PSD_ZERO_FLOOR * scale))
+    return PsdFactor(values=eig.values[null:], vectors=eig.vectors[:, null:])
 
 
 def _definite_cholesky(m, label: str) -> Cholesky:
@@ -707,12 +728,12 @@ def _definite_cholesky(m, label: str) -> Cholesky:
 
 
 def _gram_factor(m, label: str) -> np.ndarray:
-    """A factor G with m = G G*: the :func:`cholesky` factor F when m is
-    positive definite, else m^{1/2} from :func:`psd_factor` with clamp
-    window TOL_PSD, which refuses an m that is not PSD with the message
-    naming ``label``."""
+    """A factor G with m = G G*: the :func:`cholesky` factor when m is
+    positive definite, else the thin factor of :func:`psd_factor` with
+    clamp window TOL_PSD, which refuses an m that is not PSD with the
+    message naming ``label``."""
     c = cholesky(m)
-    return c.factor if c.definite else psd_factor(m, label, tol=TOL_PSD).power(0.5)
+    return (c if c.definite else psd_factor(m, label, tol=TOL_PSD)).factor
 
 
 def psd_power(m, exponent: float) -> np.ndarray:

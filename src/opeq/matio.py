@@ -32,7 +32,7 @@ def matrix_to_doc(m: np.ndarray) -> dict:
     if a.ndim != 2:
         raise MatrixFileError("matrix must be 2-D")
     rows, cols = a.shape
-    data = [[float(v.real), float(v.imag)] for v in a.reshape(-1)]
+    data = np.ascontiguousarray(a).view(np.float64).reshape(-1, 2).tolist()
     return {"rows": int(rows), "cols": int(cols), "data": data}
 
 

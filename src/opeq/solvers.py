@@ -175,10 +175,10 @@ def riccati_geomean(a, b) -> np.ndarray:
     X A^{-1} X = B. Requires a positive definite, refused otherwise by
     :func:`linalg._definite_cholesky`, and b Hermitian PSD.
 
-    A = F F* and B = G G*, with F and G the Cholesky factors, or B^{1/2}
-    from :func:`linalg.psd_factor` when B is not positive definite. One
-    thin svd of M = G* F^{-*} = (F^{-1} G)* = W_r S_r V_r*, with F^{-1} G
-    by forward substitution, gives A # B = F (V_r W_r*) G*: the
+    A = F F* and B = G G*, with F and G the Cholesky factors, or G the
+    thin factor of :func:`linalg.psd_factor` when B is not positive
+    definite. One thin svd of M = G* F^{-*} = (F^{-1} G)* = W_r S_r V_r*,
+    with F^{-1} G by forward substitution, gives A # B = F (V_r W_r*) G*: the
     congruence invariance of the mean (Iannazzo, Numer. Linear Algebra
     Appl. 23, 2016). The thin factors suffice, as V_r W_r* M = |M|. No
     square root is taken and the sandwich A^{-1/2} B A^{-1/2} is never

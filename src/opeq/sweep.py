@@ -4,8 +4,7 @@ Each suite draws its instances from one PCG64 stream (numpy's
 default_rng), consumed in a fixed order, so a given seed yields a
 byte-identical report. Suites assert the contracts of the solvers and
 checkers on constructed-solvable and constructed-unsolvable inputs and
-record worst-case margins; one suite only records an agreement rate and
-cannot fail.
+record worst-case margins.
 
 :func:`run_sweep` runs the suites inside one factor-sharing scope
 (``linalg._shared_factors``): the suites check several conditions on the
@@ -178,7 +177,7 @@ def norm_bound_bisect(h: np.ndarray, k: np.ndarray) -> float:
     different route.
     """
     hf = psd_factor(h, "h")
-    if hf.values[0] == 0.0:
+    if hf.rank < h.shape[0]:
         raise InputError("the norm bound needs positive definite h")
     hs = hf.power(0.5)
     inner = hs @ k @ hs
@@ -211,9 +210,6 @@ class SuiteResult:
             prev = self.margins.get(key)
             if prev is None or value > prev:
                 self.margins[key] = float(value)
-
-    def stat(self, key: str, value: float) -> None:
-        self.margins[key] = float(value)
 
     def to_doc(self) -> dict:
         return {
@@ -417,7 +413,6 @@ def suite_pt_roundtrip(rng, trials, max_dim):
 
 def suite_pt_necessity(rng, trials, max_dim):
     res = SuiteResult("pt_necessity_singular")
-    agree_count = 0
     for _ in range(trials):
         n = int(rng.integers(2, max_dim + 1))
         h = random_psd_singular(rng, n)
@@ -425,12 +420,7 @@ def suite_pt_necessity(rng, trials, max_dim):
         # k is reachable by construction: x = t satisfies x h x = k, so the
         # necessity conditions must hold even though h is singular
         k = _hermitize(t @ h @ t)
-        reports = pt_conditions(h, k)
-        ii_a, ii_b, iii, iv = reports
-        res.observe(ii_a.holds and ii_b.holds)
-        if ii_a.holds == iii.holds == iv.holds:
-            agree_count += 1
-    res.stat("condition_agreement_rate", agree_count / max(trials, 1))
+        res.observe(all(c.holds for c in pt_conditions(h, k)))
     return res
 
 

@@ -162,3 +162,20 @@ def test_huge_integer_literals_are_matrix_file_errors():
 def test_deep_nesting_is_a_matrix_file_error():
     with pytest.raises(MatrixFileError, match="nested too deeply"):
         parse_matrix_text("[" * 100000 + "]" * 100000)
+
+
+def test_matrix_doc_data_matches_the_entrywise_reference():
+    # the entrywise loop the array view replaced, kept as the reference:
+    # the same floats in the same order give the same bytes
+    rng = np.random.default_rng(31)
+    for i in range(60):
+        rows, cols = (int(v) for v in rng.integers(1, 9, size=2))
+        m = (rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))) * 10.0 ** rng.uniform(-320, 300)
+        m[rng.random((rows, cols)) < 0.2] = complex(-0.0, -0.0)
+        m = m.T if i % 2 else m
+        m = m.real if i % 3 == 0 else m
+        a = np.asarray(m, dtype=np.complex128)
+        reference = [[float(v.real), float(v.imag)] for v in a.reshape(-1)]
+        doc = matrix_to_doc(m)
+        assert emit_json(doc["data"]) == emit_json(reference)
+        assert (doc["rows"], doc["cols"]) == a.shape

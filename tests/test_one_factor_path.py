@@ -1,6 +1,6 @@
 """XHX = K runs one path at every rank of H: H = F F* with F its Cholesky
-factor when H is positive definite and F = H^{1/2} otherwise, K = G G*, and
-one svd of G* F. The Riccati solver and its residual refuse an operand
+factor when H is positive definite and its thin eigenfactor otherwise,
+K = G G*, and one svd of G* F. The Riccati solver and its residual refuse an operand
 that is not positive definite by one rule, linalg._definite_cholesky."""
 
 import re

@@ -1,0 +1,74 @@
+"""A PSD operand that is not positive definite is factored thin: m = F F*
+with F = U_r diag(lambda_r)^{1/2} of full column rank r. Through that
+factor the XHX = K conditions for singular H are identities in C^r, and
+both pt commands say whether H admits a solution."""
+
+import json
+
+import numpy as np
+import pytest
+
+from opeq.cli import main
+from opeq.conditions import pt_conditions
+from opeq.linalg import frob, psd_factor
+from opeq.matio import save_matrix
+from opeq.sweep import random_psd, random_psd_singular
+
+
+def test_singular_h_conditions_hold_at_any_tolerance():
+    # K = T H T is reached by X = T, so every condition holds; in C^r the
+    # range tests leave no rounding noise for even tol = 1e-300 to see
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        n = int(rng.integers(2, 17))
+        h = random_psd_singular(rng, n)
+        t = random_psd(rng, n)
+        k = 0.5 * (t @ h @ t + (t @ h @ t).conj().T)
+        ii_a, ii_b, iii, iv = pt_conditions(h, k, tol=1e-300)
+        assert ii_a.witness == 0.0 and ii_b.witness == 0.0 and iii.witness == 0.0
+        assert iv.witness >= 0.0
+        assert ii_a.holds and ii_b.holds and iii.holds and iv.holds
+
+
+def test_psd_factor_is_thin():
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        n = int(rng.integers(1, 9))
+        r = int(rng.integers(1, n + 1))
+        m = random_psd(rng, n, rank=r)
+        f = psd_factor(m)
+        assert f.rank == r and f.values.shape == (r,) and f.vectors.shape == (n, r)
+        assert np.all(f.values > 0) and np.all(np.diff(f.values) >= 0)
+        fac = f.factor
+        assert fac.shape == (n, r)
+        assert frob(fac @ fac.conj().T - m) <= 1e-12 * frob(m)
+        # F^{+*} F* is the projector U_r U_r* onto range(m)
+        proj = f.vectors @ f.vectors.conj().T
+        assert frob(f.solve_adjoint(fac.conj().T) - proj) <= 1e-10
+    zero = psd_factor(np.zeros((3, 3)))
+    assert zero.rank == 0 and zero.vectors.shape == (3, 0)
+    assert np.array_equal(zero.factor, np.zeros((3, 1)))
+    assert np.array_equal(zero.solve_adjoint(np.ones((1, 2))), np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize(
+    "h, k, nonsingular",
+    [(np.diag([1.0, 0.0]), np.eye(2), False), (np.eye(2), np.diag([4.0, 1.0]), True)],
+    ids=["singular-h", "definite-h"],
+)
+def test_check_pt_conditions_reports_h_nonsingular(capsys, tmp_path, h, k, nonsingular):
+    paths = []
+    for name, m in (("H", h), ("K", k)):
+        paths += [f"--{name}", str(tmp_path / f"{name}.json")]
+        save_matrix(paths[-1], m.astype(complex))
+    code = main(["check", "pt-conditions", *paths])
+    doc = json.loads(capsys.readouterr().out)
+    # the conditions hold either way, and the outcome reports only them
+    assert code == 0 and doc["outcome"] == "solved"
+    assert all(c["holds"] for c in doc["conditions"])
+    assert doc["detail"]["h_nonsingular"] is nonsingular
+    if nonsingular:
+        assert doc["detail"]["norm_bound"] == pytest.approx(2.0, rel=1e-15)
+    else:
+        assert doc["detail"]["note"].startswith("singular H:")
+        assert "norm_bound" not in doc["detail"]
