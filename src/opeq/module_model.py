@@ -37,6 +37,11 @@ DEFAULT_GRID_N = 1024
 # by at most this factor when the grid is doubled.
 STABLE_FACTOR = 1.1
 
+# thl2_decompose and op_psd_gap's pair branch work in blocks of this many
+# node indices, so their scratch is 512 KiB of complex values rather than
+# a grid array.
+BLOCK = 1 << 15
+
 # The modeled variants and the block size k of their operators.
 VARIANTS = {"pair": 2, "l2": 1}
 
@@ -53,13 +58,27 @@ class GridFunction:
     samples: np.ndarray
 
     def __post_init__(self):
+        self._check_shape()
+        if not np.isfinite(self.samples).all():
+            raise InputError("samples must be finite")
+
+    def _check_shape(self) -> None:
         arr = np.asarray(self.samples, dtype=np.complex128)
         if arr.ndim != 1:
             raise InputError("samples must be a 1-D array")
         _check_grid_n(arr.size - 1)
-        if not np.isfinite(arr).all():
-            raise InputError("samples must be finite")
         self.samples = arr
+
+    @classmethod
+    def _checked(cls, samples: np.ndarray) -> "GridFunction":
+        """Wrap samples whose finiteness is already established: the shape
+        is checked, the finiteness pass of the public constructor is not
+        repeated. Only for results that have passed ``require_finite`` or
+        are built from finite samples."""
+        gf = object.__new__(cls)
+        gf.samples = samples
+        gf._check_shape()
+        return gf
 
     @property
     def n(self) -> int:
@@ -80,17 +99,21 @@ class GridFunction:
 
     @classmethod
     def coordinate(cls, n: int) -> "GridFunction":
-        return cls(cls.nodes(n).astype(np.complex128))
+        return cls._checked(cls.nodes(n).astype(np.complex128))
 
     @classmethod
     def constant(cls, value, n: int) -> "GridFunction":
-        return cls(np.full(n + 1, value, dtype=np.complex128))
+        _check_grid_n(n)
+        value = np.complex128(value)
+        if not np.isfinite(value):
+            raise InputError("samples must be finite")
+        return cls._checked(np.full(n + 1, value, dtype=np.complex128))
 
     def sup(self) -> float:
         return float(np.max(np.abs(self.samples)))
 
     def conj(self) -> "GridFunction":
-        return GridFunction(self.samples.conj())
+        return GridFunction._checked(self.samples.conj())
 
     def _coerce(self, other) -> np.ndarray:
         if isinstance(other, GridFunction):
@@ -123,11 +146,16 @@ class PureState:
             raise InputError(f"state must sit in [0, 1], got {self.x0}")
 
 
+def _ideal_test(end: float, sup: float) -> bool:
+    """The ideal test on end = |f(0)| and the sup norm of f."""
+    return bool(end <= TOL_IDEAL * (1.0 + sup))
+
+
 def in_ideal_M(f: GridFunction) -> bool:
     """Membership in the ideal of functions vanishing at the left endpoint."""
     end = abs(f.samples[0])
     # an exact zero passes at any sup norm, so the sup is not taken for it
-    return bool(end == 0.0 or end <= TOL_IDEAL * (1.0 + f.sup()))
+    return bool(end == 0.0) or _ideal_test(end, f.sup())
 
 
 @dataclass(eq=False)
@@ -233,7 +261,7 @@ def module_inner(x: ModuleElement, y: ModuleElement) -> GridFunction:
     """Algebra-valued inner product, conjugate linear in the first slot."""
     _same_variant(x, y, "module_inner")
     # a coordinate past either support contributes 0
-    return GridFunction(
+    return GridFunction._checked(
         _sum_of_products((np.conj(a.samples), b.samples) for a, b in zip(x.components, y.components))
     )
 
@@ -246,7 +274,9 @@ def op_apply(t: ModuleOperator, x: ModuleElement) -> ModuleElement:
         acc = _sum_of_products(
             (b.samples, c.samples) for b, c in zip(row, x.components) if b is not None
         )
-        out.append(GridFunction(np.zeros(x.n + 1, dtype=np.complex128) if acc is None else acc))
+        if acc is None:
+            acc = np.zeros(x.n + 1, dtype=np.complex128)
+        out.append(GridFunction._checked(acc))
     return ModuleElement(variant=x.variant, components=tuple(out))
 
 
@@ -273,7 +303,7 @@ def op_compose(s: ModuleOperator, t: ModuleOperator) -> ModuleOperator:
                 for left, right in zip(row, col)
                 if left is not None and right is not None
             )
-            out_row.append(None if acc is None else GridFunction(acc))
+            out_row.append(None if acc is None else GridFunction._checked(acc))
         out.append(out_row)
     if all(b is None for row in out for b in row):
         out[0][0] = GridFunction.constant(0.0, s.n)
@@ -307,6 +337,7 @@ class PreimageReport:
     """Result of hunting a preimage g with multiplier * g = target."""
 
     candidate: GridFunction
+    candidate_sup: float
     divergence_ratio: float
     ideal_ok: bool | None
     in_range: bool
@@ -327,24 +358,33 @@ def multiplier_preimage(
     endpoint extrapolated again, from the nodes 2/n and 4/n. in_range
     requires stability and, when asked, membership in the ideal. A
     quotient or endpoint that overflows is refused with InputError.
+
+    |g| is taken once, on the fine grid, and both sup norms read it: the
+    coarse one is the largest of |g| at the positive even nodes and of the
+    re-extrapolated coarse endpoint. ``candidate_sup`` keeps the fine one,
+    and the ideal test reads it through the same rule as
+    :func:`in_ideal_M`.
     """
     if target.n != multiplier.n:
         raise InputError(f"grid mismatch: {target.n} vs {multiplier.n}")
     g_fine = _divide_with_endpoint(target.samples, multiplier.samples)
-    g_coarse = g_fine[::2].copy()
-    _extrapolate_endpoint(g_coarse)
-    sup_fine = float(np.max(np.abs(g_fine)))
-    sup_coarse = float(np.max(np.abs(g_coarse)))
+    mag = np.abs(g_fine)
+    sup_fine = float(np.max(mag))
+    # the coarse grid's values at 0, 2/n and 4/n; only the first changes
+    coarse_head = g_fine[:5:2].copy()
+    _extrapolate_endpoint(coarse_head)
+    sup_coarse = float(max(np.max(mag[2::2]), np.abs(coarse_head)[0]))
     if sup_coarse == 0.0:
         ratio = 1.0 if sup_fine == 0.0 else math.inf
     else:
         ratio = sup_fine / sup_coarse
-    candidate = GridFunction(g_fine)
+    candidate = GridFunction._checked(g_fine)
     stable = (1.0 / STABLE_FACTOR) <= ratio <= STABLE_FACTOR
-    ideal_ok = in_ideal_M(candidate) if require_ideal else None
+    ideal_ok = _ideal_test(abs(g_fine[0]), sup_fine) if require_ideal else None
     in_range = stable and (ideal_ok is not False)
     return PreimageReport(
         candidate=candidate,
+        candidate_sup=sup_fine,
         divergence_ratio=ratio,
         ideal_ok=ideal_ok,
         in_range=in_range,
@@ -359,28 +399,34 @@ def op_psd_gap(s: ModuleOperator, t: ModuleOperator, c: float) -> float:
     l2 operators it is diag(value, 0, 0, ...), so the zero tail caps the
     gap at 0. A negative return certifies that s <= c*t fails somewhere.
     A missing (None) pair block enters the formulas as the scalar 0.0, so
-    it costs no grid array.
+    it costs no grid array. The pair formulas run on blocks of BLOCK
+    nodes, so their temporaries stay the size of one block; the gap is the
+    least of the block minima, taken by ``np.min``, which keeps a NaN.
     """
     _same_variant(s, t, "op_psd_gap")
     if s.variant == "l2":
         vals = c * t.blocks[0][0].samples - s.blocks[0][0].samples
         return float(min(np.min(vals.real), 0.0))
 
-    def block(op, i, j):
+    def block(op, i, j, nodes):
         b = op.blocks[i][j]
-        return 0.0 if b is None else b.samples
+        return 0.0 if b is None else b.samples[nodes]
 
-    m00 = c * block(t, 0, 0) - block(s, 0, 0)
-    m01 = c * block(t, 0, 1) - block(s, 0, 1)
-    m10 = c * block(t, 1, 0) - block(s, 1, 0)
-    m11 = c * block(t, 1, 1) - block(s, 1, 1)
-    # hermitize pointwise, then closed-form least eigenvalue of 2x2
-    off = 0.5 * (m01 + np.conj(m10))
-    d0 = m00.real
-    d1 = m11.real
-    mean = 0.5 * (d0 + d1)
-    rad = np.sqrt((0.5 * (d0 - d1)) ** 2 + np.abs(off) ** 2)
-    return float(np.min(mean - rad))
+    minima = []
+    for lo in range(0, s.n + 1, BLOCK):
+        nodes = slice(lo, lo + BLOCK)
+        m00 = c * block(t, 0, 0, nodes) - block(s, 0, 0, nodes)
+        m01 = c * block(t, 0, 1, nodes) - block(s, 0, 1, nodes)
+        m10 = c * block(t, 1, 0, nodes) - block(s, 1, 0, nodes)
+        m11 = c * block(t, 1, 1, nodes) - block(s, 1, 1, nodes)
+        # hermitize pointwise, then closed-form least eigenvalue of 2x2
+        off = 0.5 * (m01 + np.conj(m10))
+        d0 = m00.real
+        d1 = m11.real
+        mean = 0.5 * (d0 + d1)
+        rad = np.sqrt((0.5 * (d0 - d1)) ** 2 + np.abs(off) ** 2)
+        minima.append(np.min(mean - rad))
+    return float(np.min(minima))
 
 
 def _interp(samples: np.ndarray, x0: float) -> complex:
@@ -434,6 +480,14 @@ def thl2_decompose(f: ModuleElement, p: PureState) -> LocalDecomposition:
     ``residual`` is the largest |f - (lambda g + h)| over every node; it is
     exactly 0 where h copies f, so it too is formed only past that. A ramp
     or quotient that overflows is refused with InputError.
+
+    Past x0/2 the work runs in blocks of BLOCK node indices, starting at
+    the first node past x0/2. Each block builds its nodes as j * (1/n),
+    the bits of :meth:`GridFunction.nodes`, fills its part of the ramp and
+    of g, checks that part of g for finiteness, and forms its residual in
+    scratch of one block's size. g and h are the only arrays on the whole
+    grid. The residual is the largest of the block maxima, taken by
+    ``np.max``, which keeps a NaN.
     """
     if f.variant != "l2":
         raise InputError("thl2_decompose expects an l2 element")
@@ -441,37 +495,50 @@ def thl2_decompose(f: ModuleElement, p: PureState) -> LocalDecomposition:
     if x0 <= 0.0:
         raise InputError("degenerate state: decomposition needs x0 > 0")
     n = f.n
-    nodes = GridFunction.nodes(n)
+    step = 1.0 / n
     f1 = f.components[0].samples
     half = 0.5 * x0
     f_at_half = _interp(f1, half)
     slope = 2.0 * f_at_half / x0
     # j/n <= half exactly when j <= half * n, as scaling by n = 2**k is
     # exact: nodes[:jh] are those at or below half, nodes[:jx] those below
-    # x0. jh >= 1, since node 0 is at or below half.
+    # x0. jh >= 1, since node 0 is at or below half, and jh <= n / 2 + 1.
     jh = math.floor(half * n) + 1
     jx = math.ceil(x0 * n)
     h1 = np.zeros(n + 1, dtype=np.complex128)
     h1[:jh] = f1[:jh]
     g1 = np.zeros(n + 1, dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(slope, x0 - nodes[jh:jx], out=h1[jh:jx])
-        np.subtract(f1[jh:], h1[jh:], out=g1[jh:])
-        g1[jh:] /= nodes[jh:]
-    # a ramp that overflowed reaches g too
-    require_finite(g1[jh:], "decomposition overflows")
-    resid = nodes[jh:] * g1[jh:]
-    resid += h1[jh:]
-    np.subtract(f1[jh:], resid, out=resid)
-    residual = float(np.max(np.abs(resid)))
-    g = ModuleElement(variant="l2", components=(GridFunction(g1),))
-    h = ModuleElement(variant="l2", components=(GridFunction(h1),))
-    return LocalDecomposition(g=g, h=h, residual=residual)
+    size = min(BLOCK, n + 1 - jh)
+    resid = np.empty(size, dtype=np.complex128)
+    mag = np.empty(size, dtype=np.float64)
+    maxima = []
+    for lo in range(jh, n + 1, BLOCK):
+        hi = min(lo + BLOCK, n + 1)
+        nodes = np.arange(lo, hi, dtype=np.float64)
+        nodes *= step
+        f_b, h_b, g_b = f1[lo:hi], h1[lo:hi], g1[lo:hi]
+        ramp = min(hi, jx) - lo
+        with np.errstate(over="ignore", invalid="ignore"):
+            if ramp > 0:
+                np.subtract(x0, nodes[:ramp], out=mag[:ramp])
+                np.multiply(slope, mag[:ramp], out=h_b[:ramp])
+            np.subtract(f_b, h_b, out=g_b)
+            g_b /= nodes
+        # a ramp that overflowed reaches g too
+        require_finite(g_b, "decomposition overflows")
+        r_b = resid[: hi - lo]
+        np.multiply(nodes, g_b, out=r_b)
+        r_b += h_b
+        np.subtract(f_b, r_b, out=r_b)
+        maxima.append(np.max(np.abs(r_b, out=mag[: hi - lo])))
+    g = ModuleElement(variant="l2", components=(GridFunction._checked(g1),))
+    h = ModuleElement(variant="l2", components=(GridFunction._checked(h1),))
+    return LocalDecomposition(g=g, h=h, residual=float(np.max(maxima)))
 
 
 def _preimage_dict(rep: PreimageReport) -> dict:
     return {
-        "candidate_sup": rep.candidate.sup(),
+        "candidate_sup": rep.candidate_sup,
         "divergence_ratio": rep.divergence_ratio,
         "ideal_ok": rep.ideal_ok,
         "in_range": rep.in_range,
