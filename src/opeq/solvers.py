@@ -22,9 +22,9 @@ from .linalg import (
     TOL_PSD,
     InputError,
     _definite_cholesky,
-    _gram_factor,
     _hermitize,
     _prescaled,
+    _psd_cholesky,
     _unscale,
     as_matrix,
     hermitian_part,
@@ -175,15 +175,16 @@ def riccati_geomean(a, b) -> np.ndarray:
     X A^{-1} X = B. Requires a positive definite, refused otherwise by
     :func:`linalg._definite_cholesky`, and b Hermitian PSD.
 
-    A = F F* and B = G G*, with F and G the Cholesky factors, or G the
-    thin factor of :func:`linalg.psd_factor` when B is not positive
-    definite. One thin svd of M = G* F^{-*} = (F^{-1} G)* = W_r S_r V_r*,
+    A = F F* and B = G G*, with F and G the Cholesky factors; G is the
+    truncated one, n x rank(B), when B is not positive definite, and
+    :func:`linalg._psd_cholesky` refuses a B that is not PSD. One thin
+    svd of M = G* F^{-*} = (F^{-1} G)* = W_r S_r V_r*,
     with F^{-1} G by forward substitution, gives A # B = F (V_r W_r*) G*: the
     congruence invariance of the mean (Iannazzo, Numer. Linear Algebra
     Appl. 23, 2016). The thin factors suffice, as V_r W_r* M = |M|. No
     square root is taken and the sandwich A^{-1/2} B A^{-1/2} is never
     formed, so kappa(A) kappa(B) is not squared. Two cholesky calls and
-    one svd, and herm_eig only for a singular B.
+    one svd at every rank of B, and no herm_eig.
     """
     am = as_matrix(a)
     bm = as_matrix(b)
@@ -194,7 +195,7 @@ def riccati_geomean(a, b) -> np.ndarray:
     sa, ea = _prescaled(hermitian_part(am, "a"))
     tb, eb = _prescaled(hermitian_part(bm, "b"))
     ac = _definite_cholesky(sa, "a")
-    g = _gram_factor(tb, "b")
+    g = _psd_cholesky(tb, "b").factor
     f = svd(ac.solve(g).conj().T)
     x = _hermitize(ac.factor @ (f.right @ f.left.conj().T) @ g.conj().T)
     return _unscale(x, (ea + eb) // 2, "geometric mean overflows")

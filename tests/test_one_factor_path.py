@@ -1,7 +1,10 @@
-"""XHX = K runs one path at every rank of H: H = F F* with F its Cholesky
-factor when H is positive definite and its thin eigenfactor otherwise,
-K = G G*, and one svd of G* F. The Riccati solver and its residual refuse an operand
-that is not positive definite by one rule, linalg._definite_cholesky."""
+"""XHX = K runs one path at every rank of H: one pivoted Cholesky of each
+of H and K, H = F F* with F the Cholesky factor when H is positive
+definite and its thin eigenfactor, one svd of that factor, otherwise,
+K = G G* with G the Cholesky factor at every rank, and one svd of G* F.
+No eigensolver runs on a PSD operand. The Riccati solver and its residual
+refuse an operand that is not positive definite by one rule,
+linalg._definite_cholesky."""
 
 import re
 
@@ -62,20 +65,34 @@ def _counting(monkeypatch, kernel_name):
     return calls
 
 
-# each of H and K costs one eigendecomposition only when it is singular;
-# X's top eigenvalue and the gap in (iv) cost one each at every rank
-@pytest.mark.parametrize("h_rank, k_rank, eigs", [
-    (5, 5, 2), (5, 3, 3), (3, 5, 3), (3, 3, 4),
+# H and K cost one Cholesky each at every rank, and a singular H one svd
+# of its factor; X's top eigenvalue and the gap in (iv) cost one
+# eigendecomposition each, and M = G* F one svd
+@pytest.mark.parametrize("h_rank, k_rank, svds", [
+    (5, 5, 1), (5, 3, 1), (3, 5, 2), (3, 3, 2),
 ])
-def test_pt_solve_factorizations(monkeypatch, h_rank, k_rank, eigs):
+def test_pt_solve_factorizations(monkeypatch, h_rank, k_rank, svds):
     rng = np.random.default_rng(7)
     h = random_psd(rng, 5, rank=h_rank)
     k = random_psd(rng, 5, rank=k_rank)
     eig_calls = _counting(monkeypatch, "_herm_eig_jacobi")
     svd_calls = _counting(monkeypatch, "_svd_jacobi")
+    cholesky_calls = _counting(monkeypatch, "_cholesky_pivoted")
     rep = pt_solve(h, k)
     assert rep.h_nonsingular == (h_rank == 5)
-    assert len(eig_calls) == eigs
+    assert len(eig_calls) == 2
+    assert len(svd_calls) == svds
+    assert len(cholesky_calls) == 2
+
+
+def test_riccati_singular_b_runs_no_eigensolver(monkeypatch):
+    rng = np.random.default_rng(7)
+    a = random_spd(rng, 5)
+    b = random_psd(rng, 5, rank=3)
+    eig_calls = _counting(monkeypatch, "_herm_eig_jacobi")
+    svd_calls = _counting(monkeypatch, "_svd_jacobi")
+    riccati_geomean(a, b)
+    assert len(eig_calls) == 0
     assert len(svd_calls) == 1
 
 
