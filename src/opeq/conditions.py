@@ -17,9 +17,8 @@ import numpy as np
 from .linalg import (
     TOL_PSD,
     InputError,
-    PsdFactor,
-    SvdResult,
     _definite_cholesky,
+    _hermitian_power,
     _hermitize,
     _prescaled,
     _psd_cholesky,
@@ -131,32 +130,26 @@ class PtReport:
         return self.h_nonsingular and all(c.holds for c in self.conditions)
 
 
-def _abs_part(f: SvdResult) -> np.ndarray:
-    """|M| = V_r S_r V_r*, read off f = svd(M). For M = G* F with H = F F*
-    and K = G G*, |M| = (F* K F)^{1/2}."""
-    return PsdFactor(values=f.singulars[: f.rank][::-1], vectors=f.right[:, ::-1]).power(1.0)
-
-
 def pt_battery(h, k, tol: float = TOL_RANGE) -> PtReport:
     """Evaluate the XHX = K conditions (see :func:`pt_conditions`) and,
     for nonsingular H, the positive solution X = H^{-1} # K with its
     residual from :func:`verify_solution`.
 
     One path serves every rank of H. :func:`linalg._psd_cholesky` factors
-    each of H and K once and refuses one that is not PSD. K = G G* with G
-    its truncated Cholesky factor; H = F F* with F the Cholesky factor when
-    H is positive definite, else U_r diag(sigma_r) from one svd of that
-    factor (:meth:`linalg.Cholesky.eigenfactor`), and F^{+*} is back
-    substitution or U_r diag(sigma_r)^{-1}. One thin svd of
-    M = G* F = W_r S_r V_r* gives F* X F = |M| = V_r S_r V_r*. With
+    each of H and K once and refuses one that is not PSD; H = F F* and
+    K = G G* with F and G their truncated Cholesky factors, n x rank. Any
+    F with F F* = H gives F* X F = |M| for M = G* F, so one thin svd
+    M = W_r S_r V_r* gives |M| = V_r S_r V_r* at every rank of H. With
     H^{1/2} = F Q* for a Q with orthonormal columns, the conditions become
     statements in C^r, r = rank(H): ii-a, ii-b and iii test the ranges of
     |M|, (F^{+*} |M|)* and |M|^{1/2} against C^r itself, so each holds
-    with witness 0, and (iv) reads |M| <= lambda F* F. Only X differs:
-    F^{-*} (V_r W_r*) G* for nonsingular H, F^{+*} |M| F^{+} otherwise.
-    herm_eig runs twice, for X's top eigenvalue and the gap in (iv), and
-    never on H or K. The sandwich H^{1/2} K H^{1/2} is never formed, so
-    kappa(H) kappa(K) is not squared.
+    with witness 0, and (iv) reads |M| <= lambda F* F. Only F^{+*}
+    depends on the rank: back substitution for positive definite H, where
+    X = F^{-*} (V_r W_r*) G*, else the pseudoinverse off one svd of F,
+    where X = F^{+*} |M| F^{+}. herm_eig runs twice, for X's top
+    eigenvalue and the gap in (iv), and never on H or K. The sandwich
+    H^{1/2} K H^{1/2} is never formed, so kappa(H) kappa(K) is not
+    squared.
 
     lambda in (iv) is the top eigenvalue of X, and so is a_min for
     nonsingular H. X(sH, tK) = sqrt(t/s) X, so all of it runs on H and K
@@ -169,18 +162,19 @@ def pt_battery(h, k, tol: float = TOL_RANGE) -> PtReport:
         raise InputError(f"H and K must have equal shape, got {hm.shape} vs {km.shape}")
     shift = (ek - eh) // 2
     hc = _psd_cholesky(hm, "H")
-    hfac = hc if hc.definite else hc.eigenfactor()
-    fh = hfac.factor
+    fh = hc.factor
     # K = G G*: M = G* F = W_r S_r V_r* gives F* X F = |M| = V_r S_r V_r*
     g_adj = _psd_cholesky(km, "K").factor.conj().T
     f = svd(g_adj @ fh)
-    sq = _abs_part(f)
-    root_pinv_sq = hfac.solve_adjoint(sq)
+    sq = _hermitian_power(f.right[:, ::-1], f.singulars[: f.rank][::-1], 1.0)
     gram = fh.conj().T @ fh
     if hc.definite:
+        root_pinv_sq = hc.solve_adjoint(sq)
         x = hc.solve_adjoint(f.right @ f.left.conj().T @ g_adj)
     else:
-        x = hfac.solve_adjoint(root_pinv_sq.conj().T)
+        fh_pinv = svd(fh).pinv()
+        root_pinv_sq = fh_pinv.conj().T @ sq
+        x = root_pinv_sq @ fh_pinv
     x = _hermitize(x)
 
     identity = np.eye(fh.shape[1], dtype=np.complex128)

@@ -35,29 +35,29 @@ no caller needs U or V completed to a square unitary. A PSD matrix gets a
 pivot at or below n * RANK_CUTOFF times the first, and that one
 factorization decides rank, definiteness (all n pivots clear the cutoff)
 and the refusal of an operand that is not PSD (:func:`_psd_cholesky`).
-F serves as it is where any factor does; a positive definite operand is
-used through F^{-1} and F^{-*}, and one :func:`svd` of F gives the
-:class:`PsdFactor` U_r diag(sigma_r^2) U_r* where eigen-directions are
-needed. herm_eig runs only on matrices that may be indefinite. Both
-factors offer ``factor`` and ``solve_adjoint`` (F^{-*}, or F^{+*} for
-the thin one), so a caller reads either the same way. For H = F F*
-and K = G G*, the positive solution of XHX = K satisfies
-F* X F = |G* F|, and the geometric mean of A = F F* and B = G G* is
-F (V W*) G* for G* F^{-*} = W S V*: each takes one svd and no square
-root of a positive definite operand.
+F, n x r, serves as it is wherever a factor does. A positive definite
+operand is used through F^{-1} and F^{-*} by substitution; a singular
+one, where a pseudoinverse or eigen-directions are needed, through one
+:func:`svd` of F = U_r diag(sigma_r) V_r*, which gives F^{+} and
+m = U_r diag(sigma_r^2) U_r* (:func:`psd_power`). herm_eig runs only on
+matrices that may be indefinite. For H = F F* and K = G G*, the
+positive solution of XHX = K satisfies F* X F = |G* F|, and the
+geometric mean of A = F F* and B = G G* is F (V W*) G* for
+G* F^{-*} = W S V*: each takes one svd and no square root of a positive
+definite operand.
 
 Callers that check several conditions on the same operands (the sweep
 suites, each CLI command) open a factor-sharing scope,
 :func:`_shared_factors`. Inside it herm_eig, svd and cholesky each keep an
 LRU of their last 8 results, keyed by the input's shape and complex128
 bytes, and a repeated input gets the stored result back instead of a
-second factorization; pinv, range_projector, spectral_norm, psd_factor,
+second factorization; pinv, range_projector, spectral_norm, psd_power,
 psd_gap and every solver share it through them. A refusal is never
 stored, and leaving the scope drops everything. Outside a scope nothing
 is looked up or kept: a global memo would hold memory after the call
 that filled it and would keep serving results after JACOBI_MAX_SWEEPS or
-another setting changed. The arrays of a HermitianEig, SvdResult,
-PsdFactor or Cholesky are read-only everywhere, so sharing one result
+another setting changed. The arrays of a HermitianEig, SvdResult or
+Cholesky are read-only everywhere, so sharing one result
 between callers cannot leak a write, and code that works outside a scope
 works the same inside one.
 
@@ -76,9 +76,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Assertion tolerances (relative).
+# Relative tolerance of every Hermitian check and of the PSD gap decisions.
 TOL_PSD = 1e-9
-TOL_HERMITIAN = 1e-10
 
 # The clamp window of every PSD operand, for its Cholesky.remainder.
 PSD_CLAMP_TOL = 1e-10
@@ -222,58 +221,6 @@ class SvdResult:
 
 
 @dataclass(frozen=True)
-class PsdFactor:
-    """Thin eigenfactorization m = U_r diag(lambda_r) U_r* of a Hermitian
-    PSD matrix at its rank r.
-
-    ``values`` are the r positive eigenvalues, ascending (see
-    :meth:`Cholesky.eigenfactor`); ``vectors`` is U_r, n x r with
-    orthonormal columns, so rank, range basis, factor and every power
-    read the same directions. Frozen, arrays read-only.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        _read_only(self.values, self.vectors)
-
-    @property
-    def rank(self) -> int:
-        return len(self.values)
-
-    @property
-    def range_basis(self) -> np.ndarray:
-        """Orthonormal basis U_r of the range: ``vectors`` itself."""
-        return self.vectors
-
-    @property
-    def factor(self) -> np.ndarray:
-        """F = U_r diag(lambda_r)^{1/2}, n x r of full column rank, with
-        m = F F*; rank 0 gives one zero column, so F has a side to act on."""
-        return self._scaled(0.5)
-
-    def solve_adjoint(self, b: np.ndarray) -> np.ndarray:
-        """F^{+*} b = U_r diag(lambda_r)^{-1/2} b, for b with as many rows
-        as F has columns."""
-        return self._scaled(-0.5) @ b
-
-    def _scaled(self, exponent: float) -> np.ndarray:
-        """U_r diag(lambda_r)^exponent, or one zero column at rank 0."""
-        out = np.zeros((self.vectors.shape[0], max(self.rank, 1)), dtype=np.complex128)
-        out[:, : self.rank] = self.vectors * self.values**exponent
-        return out
-
-    def power(self, exponent: float) -> np.ndarray:
-        """U_r diag(lambda_r)^exponent U_r*: m^exponent, and for a negative
-        exponent the pseudoinverse power (m^+)^-exponent. Raises InputError
-        when the power leaves the floating-point range."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = _hermitize((self.vectors * self.values**exponent) @ self.vectors.conj().T)
-        return require_finite(out, "matrix power overflows")
-
-
-@dataclass(frozen=True)
 class Cholesky:
     """Pivoted Cholesky factorization m = F F* with F = P L.
 
@@ -281,10 +228,12 @@ class Cholesky:
     and ``perm`` the pivot order, so m[perm][:, perm] = L L* + diag(0, S)
     for S the Schur complement left at the pivot cutoff; ``remainder`` is
     ||S||_F / ||m||_F, 0 at full rank. ``factor`` is F, L with its rows
-    put back (F[perm] = L), one zero column at rank 0. r counts the
-    pivots above :func:`cholesky`'s cutoff, so m is positive definite
-    exactly when r = n, and then :meth:`solve` and :meth:`solve_adjoint`
-    apply the inverses of F. Frozen, arrays read-only.
+    put back (F[perm] = L), one zero column at rank 0: m's one factor at
+    every rank, F F* = m up to S. ``rank`` r counts the pivots above
+    :func:`cholesky`'s cutoff, so m is positive definite exactly when
+    r = n, and then :meth:`solve` and :meth:`solve_adjoint` apply the
+    inverses of F; below full rank F^{+} is read off ``svd(factor)``.
+    Frozen, arrays read-only.
     """
 
     lower: np.ndarray
@@ -296,14 +245,12 @@ class Cholesky:
         _read_only(self.lower, self.perm, self.factor)
 
     @property
-    def definite(self) -> bool:
-        return self.lower.shape[1] == self.lower.shape[0]
+    def rank(self) -> int:
+        return self.lower.shape[1]
 
-    def eigenfactor(self) -> PsdFactor:
-        """F F* = U_r diag(sigma_r^2) U_r* from one :func:`svd` of F, not an
-        eigensolver (Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13, 1992)."""
-        f = svd(self.factor)
-        return PsdFactor(values=f.singulars[: f.rank][::-1] ** 2, vectors=f.left[:, ::-1])
+    @property
+    def definite(self) -> bool:
+        return self.rank == self.lower.shape[0]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """F^{-1} b = L^{-1} P* b by forward substitution, for definite m."""
@@ -472,7 +419,7 @@ def herm_eig(m) -> HermitianEig:
     when the off-diagonal Frobenius mass is at most JACOBI_OFF_TOL times
     the input norm, and raises InputError if that takes more than
     JACOBI_MAX_SWEEPS sweeps. The
-    input must satisfy ||m - m*||_F <= TOL_HERMITIAN * ||m||_F. Inside a
+    input must satisfy ||m - m*||_F <= TOL_PSD * ||m||_F. Inside a
     :func:`_shared_factors` scope a repeated input returns the stored result.
     """
     return _shared(_herm_eig_jacobi, m)
@@ -493,7 +440,7 @@ def _herm_eig_jacobi(a: np.ndarray) -> HermitianEig:
     # top's largest part lies in [2**-33, 2**31), so numpy's norm is safe
     scale = float(np.linalg.norm(top))
     adj = top.conj().T
-    if float(np.linalg.norm(top - adj)) > TOL_HERMITIAN * scale:
+    if float(np.linalg.norm(top - adj)) > TOL_PSD * scale:
         raise InputError("matrix is not Hermitian within tolerance")
     top += adj
     top *= 0.5
@@ -635,7 +582,7 @@ def cholesky(m) -> Cholesky:
     Schur complement S is formed once for ``remainder``: m is congruent to
     diag(I, S) (Ostrowski), so S keeps every negative eigenvalue of m, and
     a PSD m leaves it at rounding level. The input must satisfy
-    ||m - m*||_F <= TOL_HERMITIAN * ||m||_F. Inside a
+    ||m - m*||_F <= TOL_PSD * ||m||_F. Inside a
     :func:`_shared_factors` scope a repeated input returns the stored result.
     """
     return _shared(_cholesky_pivoted, m)
@@ -649,7 +596,7 @@ def _cholesky_pivoted(a: np.ndarray) -> Cholesky:
         raise InputError(f"Cholesky factorization needs a square matrix, got {a.shape}")
     # a's largest part lies in [2**-33, 2**31), so numpy's norm is safe
     norm = float(np.linalg.norm(a))
-    if float(np.linalg.norm(a - a.conj().T)) > TOL_HERMITIAN * norm:
+    if float(np.linalg.norm(a - a.conj().T)) > TOL_PSD * norm:
         raise InputError("matrix is not Hermitian within tolerance")
     a = _hermitize(a)
     lower = np.zeros((n, n), dtype=np.complex128)
@@ -717,16 +664,27 @@ def _definite_cholesky(m, label: str) -> Cholesky:
     return c
 
 
-def psd_factor(m, label: str = "matrix") -> PsdFactor:
-    """The thin eigenfactorization of a PSD m, read off its one
-    :func:`_psd_cholesky`: the pivot cutoff decides the rank, so the
-    formation noise of a formed product (K = w w*, s @ s) is not range."""
-    return _psd_cholesky(m, label).eigenfactor()
+def _hermitian_power(vectors: np.ndarray, values: np.ndarray, exponent: float) -> np.ndarray:
+    """U diag(values)^exponent U* for U = vectors with orthonormal columns
+    and positive values; raises InputError when the power leaves the
+    floating-point range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _hermitize((vectors * values**exponent) @ vectors.conj().T)
+    return require_finite(out, "matrix power overflows")
 
 
 def psd_power(m, exponent: float) -> np.ndarray:
-    """Fractional power of a PSD Hermitian matrix (see :func:`psd_factor`)."""
-    return psd_factor(m).power(exponent)
+    """m^exponent for a PSD Hermitian m, and for a negative exponent the
+    pseudoinverse power (m^+)^-exponent.
+
+    One :func:`svd` of the factor F of :func:`_psd_cholesky`,
+    F = U_r diag(sigma_r) V_r*, gives m = U_r diag(sigma_r^2) U_r*: the
+    eigen-directions come off the factor, not an eigensolver (Demmel and
+    Veselic, SIAM J. Matrix Anal. Appl. 13, 1992), and the pivot cutoff
+    decides the rank, so the formation noise of a formed product (s @ s)
+    is not range. The terms are summed smallest sigma first."""
+    f = svd(_psd_cholesky(m, "matrix").factor)
+    return _hermitian_power(f.left[:, ::-1], f.singulars[: f.rank][::-1] ** 2, exponent)
 
 
 def psd_sqrt(m) -> np.ndarray:

@@ -101,6 +101,8 @@ def load_matrix(path: str) -> tuple[np.ndarray, str]:
             text = fh.read()
     except OSError as exc:
         raise MatrixFileError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise MatrixFileError(f"{path}: not UTF-8 text ({exc.reason})") from None
     try:
         return parse_matrix_text(text), digest_text(text)
     except MatrixFileError as exc:

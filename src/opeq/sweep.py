@@ -28,13 +28,13 @@ from .conditions import (
 from .linalg import (
     InputError,
     _hermitize,
+    _psd_cholesky,
     _shared_factors,
     adjoint,
     frob,
     herm_eig,
     orthonormalize,
     pinv,
-    psd_factor,
     psd_gap,
     psd_sqrt,
     range_projector,
@@ -176,10 +176,9 @@ def norm_bound_bisect(h: np.ndarray, k: np.ndarray) -> float:
     the solver's closed form, so it cross-checks the solver's norm by a
     different route.
     """
-    hf = psd_factor(h, "h")
-    if hf.rank < h.shape[0]:
+    if not _psd_cholesky(h, "h").definite:
         raise InputError("the norm bound needs positive definite h")
-    hs = hf.power(0.5)
+    hs = psd_sqrt(h)
     inner = hs @ k @ hs
     s = psd_sqrt(_hermitize(inner))
     a = 0.0

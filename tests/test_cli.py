@@ -131,6 +131,15 @@ def test_missing_matrix_file_exit_2(capsys, mats, tmp_path):
     assert doc["detail"]["message"].startswith(f"{path}: ")
 
 
+def test_non_utf8_matrix_file_exit_2(capsys, mats, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff\xfe\xe9")
+    code, doc = run(capsys, "solve", "pt", "--H", str(path), "--K", mats["eye2"])
+    assert code == 2
+    assert doc["outcome"] == "error"
+    assert doc["detail"]["message"].startswith(f"{path}: not UTF-8 text")
+
+
 def test_missing_flag_exit_2(capsys, mats):
     code, doc = run(capsys, "solve", "pt", "--H", mats["eye2"])
     assert code == 2

@@ -12,7 +12,6 @@ from opeq.linalg import (
     hermitian_part,
     orthonormalize,
     pinv,
-    psd_factor,
     psd_gap,
     psd_power,
     psd_sqrt,
@@ -327,24 +326,23 @@ def test_as_matrix_validation():
         as_matrix(np.array([[np.inf]], dtype=complex))
 
 
-def test_psd_factor_derives_rank_basis_and_pseudoinverse_powers():
+def test_psd_power_derives_rank_basis_and_pseudoinverse_powers():
     rng = np.random.default_rng(43)
     for _ in range(20):
         n = int(rng.integers(2, 7))
         r = int(rng.integers(1, n))
         m = random_psd(rng, n, rank=r)
-        f = psd_factor(m)
-        assert f.rank == r
-        u = f.range_basis
+        c = cholesky(m)
+        assert c.rank == r and not c.definite
+        u = svd(c.factor).range_basis
         assert u.shape == (n, r)
         assert frob(u @ u.conj().T - range_projector(m)) <= 1e-10
-        half = f.power(0.5)
+        half = psd_power(m, 0.5)
         assert frob(half @ half - m) <= 1e-10 * (1.0 + frob(m))
-        assert frob(f.power(-0.5) - pinv(half)) <= 1e-8 * (1.0 + frob(pinv(half)))
-        assert not cholesky(m).definite
+        assert frob(psd_power(m, -0.5) - pinv(half)) <= 1e-8 * (1.0 + frob(pinv(half)))
     assert cholesky(np.diag([2.0, 3.0])).definite
     with pytest.raises(InputError, match="H is not PSD"):
-        psd_factor(np.diag([1.0, -1.0]), "H")
+        linalg._psd_cholesky(np.diag([1.0, -1.0]), "H")
 
 
 def test_cholesky_factors_and_substitutes():

@@ -102,6 +102,14 @@ def test_load_missing_file_names_path(tmp_path):
     assert "nope.json" in str(err.value)
 
 
+def test_load_non_utf8_file_names_path(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"rows": 1}'.encode("utf-16-le"))
+    with pytest.raises(MatrixFileError) as err:
+        load_matrix(str(path))
+    assert str(err.value).startswith(f"{path}: not UTF-8 text")
+
+
 def test_load_matrix_digests_the_file_text(tmp_path):
     path = tmp_path / "m.json"
     save_matrix(str(path), np.eye(2))

@@ -1,8 +1,8 @@
 """XHX = K runs one path at every rank of H: one pivoted Cholesky of each
-of H and K, H = F F* with F the Cholesky factor when H is positive
-definite and its thin eigenfactor, one svd of that factor, otherwise,
-K = G G* with G the Cholesky factor at every rank, and one svd of G* F.
-No eigensolver runs on a PSD operand. The Riccati solver and its residual
+of H and K, H = F F* and K = G G* with F and G the truncated Cholesky
+factors at every rank, and one svd of G* F. Only F^{+*} depends on the
+rank: back substitution when H is positive definite, otherwise the
+pseudoinverse off one svd of F. No eigensolver runs on a PSD operand. The Riccati solver and its residual
 refuse an operand that is not positive definite by one rule,
 linalg._definite_cholesky."""
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from opeq import cli, linalg
-from opeq.linalg import InputError, _shared_factors, cholesky, herm_eig, psd_factor, svd
+from opeq.linalg import InputError, _shared_factors, cholesky, herm_eig, svd
 from opeq.matio import save_matrix
 from opeq.sweep import SUITES, random_matrix, run_sweep
 
@@ -61,11 +61,11 @@ def test_repeat_is_shared_inside_and_fresh_outside(factor, kernel_name, draw, na
 def test_results_are_read_only_inside_and_outside():
     rng = np.random.default_rng(6)
     h, g = _hermitian(rng, 3), _general(rng, 3)
-    outside = (herm_eig(h), svd(g), psd_factor(h @ h))
+    outside = (herm_eig(h), svd(g), cholesky(h @ h))
     with _shared_factors():
-        inside = (herm_eig(h), svd(g), psd_factor(h @ h))
-    for eig, f, p in (outside, inside):
-        for arr in (p.values, p.vectors, p.range_basis):
+        inside = (herm_eig(h), svd(g), cholesky(h @ h))
+    for eig, f, c in (outside, inside):
+        for arr in (c.lower, c.perm, c.factor):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
         with pytest.raises(ValueError):

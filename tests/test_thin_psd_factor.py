@@ -1,7 +1,8 @@
 """A PSD operand that is not positive definite is factored thin: m = F F*
-with F = U_r diag(lambda_r)^{1/2} of full column rank r. Through that
-factor the XHX = K conditions for singular H are identities in C^r, and
-both pt commands say whether H admits a solution."""
+with F its truncated pivoted Cholesky factor, n x r of full column rank r,
+and F^{+} read off svd(F). Through that factor the XHX = K conditions for
+singular H are identities in C^r, and both pt commands say whether H
+admits a solution."""
 
 import json
 
@@ -10,7 +11,7 @@ import pytest
 
 from opeq.cli import main
 from opeq.conditions import pt_conditions
-from opeq.linalg import frob, psd_factor
+from opeq.linalg import cholesky, frob, svd
 from opeq.matio import save_matrix
 from opeq.sweep import random_psd, random_psd_singular
 
@@ -30,25 +31,26 @@ def test_singular_h_conditions_hold_at_any_tolerance():
         assert ii_a.holds and ii_b.holds and iii.holds and iv.holds
 
 
-def test_psd_factor_is_thin():
+def test_cholesky_factor_is_thin():
     rng = np.random.default_rng(29)
     for _ in range(40):
         n = int(rng.integers(1, 9))
         r = int(rng.integers(1, n + 1))
         m = random_psd(rng, n, rank=r)
-        f = psd_factor(m)
-        assert f.rank == r and f.values.shape == (r,) and f.vectors.shape == (n, r)
-        assert np.all(f.values > 0) and np.all(np.diff(f.values) >= 0)
-        fac = f.factor
+        c = cholesky(m)
+        assert c.rank == r
+        fac = c.factor
         assert fac.shape == (n, r)
         assert frob(fac @ fac.conj().T - m) <= 1e-12 * frob(m)
-        # F^{+*} F* is the projector U_r U_r* onto range(m)
-        proj = f.vectors @ f.vectors.conj().T
-        assert frob(f.solve_adjoint(fac.conj().T) - proj) <= 1e-10
-    zero = psd_factor(np.zeros((3, 3)))
-    assert zero.rank == 0 and zero.vectors.shape == (3, 0)
+        # F^{+*} F* is the projector U_r U_r* onto range(m), for F = U_r S_r V_r*
+        f = svd(fac)
+        assert f.rank == r and np.all(np.diff(f.singulars) <= 0)
+        proj = f.left @ f.left.conj().T
+        assert frob(f.pinv().conj().T @ fac.conj().T - proj) <= 1e-10
+    zero = cholesky(np.zeros((3, 3)))
+    assert zero.rank == 0 and not zero.definite
     assert np.array_equal(zero.factor, np.zeros((3, 1)))
-    assert np.array_equal(zero.solve_adjoint(np.ones((1, 2))), np.zeros((3, 2)))
+    assert np.array_equal(svd(zero.factor).pinv().conj().T @ np.ones((1, 2)), np.zeros((3, 2)))
 
 
 @pytest.mark.parametrize(
