@@ -4,8 +4,9 @@ Subcommands: solve (douglas | axb | congruence | pt | riccati), check
 (range | douglas | pt-conditions), demo (ex1 | ex2 | l2), sweep. Every
 invocation prints one RunReport JSON document on stdout. Exit codes:
 0 solved / condition holds, 1 unsolvable / condition failed (with a full
-report), 2 input error. Every solve family follows one rule: it is solved
-iff its conditions hold and its residual is at most the tolerance. The
+report), 2 input error, an --out path that cannot be written included.
+Every solve family follows one rule: it is solved iff its conditions hold
+and its residual is at most the tolerance. The
 conditions of XHX = K also hold for singular H, which admits no solution,
 so ``solve pt`` and ``check pt-conditions`` both report h_nonsingular.
 OPEQ_TOL overrides the default tolerance; an explicit --tol beats the
@@ -17,6 +18,7 @@ and solvers read is factored once.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -59,7 +61,10 @@ CHECK_FLAGS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state in it between calls."""
     p = argparse.ArgumentParser(
         prog="opeq",
         description="Solve and check operator equations (AX=B, AXB=C, AXA*=C, "

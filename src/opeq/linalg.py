@@ -683,7 +683,13 @@ def psd_power(m, exponent: float) -> np.ndarray:
     Veselic, SIAM J. Matrix Anal. Appl. 13, 1992), and the pivot cutoff
     decides the rank, so the formation noise of a formed product (s @ s)
     is not range. The terms are summed smallest sigma first."""
-    f = svd(_psd_cholesky(m, "matrix").factor)
+    return _cholesky_power(_psd_cholesky(m, "matrix"), exponent)
+
+
+def _cholesky_power(c: Cholesky, exponent: float) -> np.ndarray:
+    """:func:`psd_power` of the PSD matrix that c factors, for a caller that
+    has its :func:`_psd_cholesky` already."""
+    f = svd(c.factor)
     return _hermitian_power(f.left[:, ::-1], f.singulars[: f.rank][::-1] ** 2, exponent)
 
 

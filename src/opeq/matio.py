@@ -4,13 +4,17 @@ Matrices travel as JSON documents {rows, cols, data} with data a row-major
 list of [re, im] pairs. Documents are written by the standard json
 module, whose floats are Python's shortest round-trip repr (-0.0 stays
 -0.0 and 2.0 stays a float), so emit followed by parse is the identity on
-entries, bit for bit. Reports use the same emitter, which keeps sweep
-output byte-identical for a fixed seed.
+entries, bit for bit. A matrix file is one line. A report is indented by
+two spaces, except that a solution's data is one line. The one-line forms
+go through json's C encoder, which json.dumps uses only when no indent is
+set. Reports are built deterministically, which keeps sweep output
+byte-identical for a fixed seed.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -21,6 +25,11 @@ from . import __version__
 from .linalg import InputError
 
 OUTCOMES = ("solved", "unsolvable", "error")
+
+# Stands in for a solution's data in a report's indented text. json writes
+# the NUL as \u0000, and no other string of a report that carries a
+# solution holds one, so the placeholder's text occurs once.
+_DATA_SLOT = "\x00data"
 
 
 class MatrixFileError(InputError):
@@ -77,8 +86,33 @@ def parse_matrix_doc(doc) -> np.ndarray:
     data = doc["data"]
     _require(isinstance(data, list), "data", "expected a list")
     _require(len(data) == rows * cols, "data", f"expected {rows * cols} entries, got {len(data)}")
+    pairs = _finite_pairs(data, rows * cols)
+    if pairs is not None:
+        return pairs.view(np.complex128).reshape(rows, cols)
+    # the entrywise reference: it reads every other document, and it finds
+    # the first bad entry of a refused one and names its locus
     entries = [_entry(pair, k) for k, pair in enumerate(data)]
     return np.array(entries, dtype=np.complex128).reshape(rows, cols)
+
+
+def _finite_pairs(data: list, count: int) -> np.ndarray | None:
+    """data as a (count, 2) float64 array when it is count [re, im] pairs of
+    finite int or float numbers, else None. numpy converts an int entry as
+    float() does, so every entry has the bits the entrywise loop gives it."""
+    try:
+        a = np.array(data)
+    except ValueError:
+        # ragged or too deeply nested
+        return None
+    if not (
+        a.dtype == np.float64
+        and a.shape == (count, 2)
+        # bool is an int subclass that numpy reads as 0.0 or 1.0
+        and set(map(type, itertools.chain.from_iterable(data))) <= {float, int}
+        and np.isfinite(a).all()
+    ):
+        return None
+    return a
 
 
 def parse_matrix_text(text: str) -> np.ndarray:
@@ -110,23 +144,40 @@ def load_matrix(path: str) -> tuple[np.ndarray, str]:
 
 
 def emit_json(value) -> str:
-    """Serialize to indented JSON; a non-finite float or a value json cannot
-    encode is refused. Key order is preserved, so documents built
-    deterministically emit byte-identical text."""
+    """Serialize to JSON indented by two spaces; a non-finite float or a
+    value json cannot encode is refused. Key order is preserved, so
+    documents built deterministically emit byte-identical text. An indent
+    sends json.dumps to its pure-Python encoder, so bulk data goes through
+    :func:`_emit_line` instead."""
     try:
         return json.dumps(value, indent=2, allow_nan=False)
     except (ValueError, TypeError) as exc:
         raise MatrixFileError(f"cannot serialize: {exc}") from None
 
 
+def _emit_line(value) -> str:
+    """Serialize to one line of JSON through json's C encoder. A value it
+    refuses is refused by :func:`emit_json`, so the message is the one the
+    indented form gives (the C encoder's omits the offending value)."""
+    try:
+        return json.dumps(value, allow_nan=False)
+    except (ValueError, TypeError):
+        emit_json(value)
+        raise
+
+
 def emit_matrix(m: np.ndarray) -> str:
-    return emit_json(matrix_to_doc(m)) + "\n"
+    """A matrix file's text: its document on one line."""
+    return _emit_line(matrix_to_doc(m)) + "\n"
 
 
 def save_matrix(path: str, m: np.ndarray) -> None:
     text = emit_matrix(m)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise MatrixFileError(f"{path}: {exc.strerror or exc}") from None
 
 
 def digest_text(text: str) -> str:
@@ -177,4 +228,14 @@ class RunReport:
         return doc
 
     def emit(self) -> str:
-        return emit_json(self.to_doc()) + "\n"
+        """The report indented by :func:`emit_json`, with a solution's data
+        on one line: it is encoded alone and written where a placeholder
+        sat in the indented text."""
+        doc = self.to_doc()
+        solution = doc["solution"]
+        if solution is None:
+            return emit_json(doc) + "\n"
+        data = solution["data"]
+        solution["data"] = _DATA_SLOT
+        head, _, tail = emit_json(doc).partition(json.dumps(_DATA_SLOT))
+        return head + _emit_line(data) + tail + "\n"

@@ -27,6 +27,7 @@ from .conditions import (
 )
 from .linalg import (
     InputError,
+    _cholesky_power,
     _hermitize,
     _psd_cholesky,
     _shared_factors,
@@ -176,9 +177,12 @@ def norm_bound_bisect(h: np.ndarray, k: np.ndarray) -> float:
     the solver's closed form, so it cross-checks the solver's norm by a
     different route.
     """
-    if not _psd_cholesky(h, "h").definite:
+    hc = _psd_cholesky(h, "h")
+    if not hc.definite:
         raise InputError("the norm bound needs positive definite h")
-    hs = psd_sqrt(h)
+    # H^{1/2} off the factorization that decided definiteness: psd_sqrt(h)
+    # would factor h again outside a _shared_factors scope
+    hs = _cholesky_power(hc, 0.5)
     inner = hs @ k @ hs
     s = psd_sqrt(_hermitize(inner))
     a = 0.0

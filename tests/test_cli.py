@@ -5,7 +5,7 @@ import pytest
 
 from opeq import cli
 from opeq.cli import main
-from opeq.matio import save_matrix
+from opeq.matio import load_matrix, save_matrix
 
 
 @pytest.fixture
@@ -50,6 +50,33 @@ def test_solve_pt_frozen(capsys, mats, tmp_path):
     assert sol[0, 0, 0] == pytest.approx(2.0) and sol[1, 1, 0] == pytest.approx(1.0)
     written = json.loads(out.read_text())
     assert written["rows"] == 2
+
+
+def test_solve_report_data_is_one_line_and_out_reads_back(capsys, mats, tmp_path):
+    out = tmp_path / "x.json"
+    code = main(["solve", "riccati", "--A", mats["a_nd"], "--B", mats["b_nd"], "--out", str(out)])
+    text = capsys.readouterr().out
+    assert code == 0
+    doc = json.loads(text)
+    data = doc["solution"]["data"]
+    assert '    "data": ' + json.dumps(data) in text.splitlines()
+    x, _ = load_matrix(str(out))
+    assert x.tobytes() == np.array(data, dtype=np.float64).tobytes()
+    assert out.read_text().count("\n") == 1
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_out_to_an_unwritable_path_exit_2(capsys, mats, tmp_path):
+    path = str(tmp_path / "no" / "such" / "x.json")
+    code, doc = run(
+        capsys, "solve", "pt", "--H", mats["eye2"], "--K", mats["diag41"], "--out", path
+    )
+    assert code == 2
+    assert doc["outcome"] == "error"
+    assert doc["detail"]["message"].startswith(f"{path}: ")
 
 
 def test_solve_douglas_unsolvable_exit_1(capsys, mats):

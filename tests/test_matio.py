@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opeq import matio
 from opeq.conditions import ConditionReport
 from opeq.matio import (
     MatrixFileError,
@@ -187,3 +188,112 @@ def test_matrix_doc_data_matches_the_entrywise_reference():
         doc = matrix_to_doc(m)
         assert emit_json(doc["data"]) == emit_json(reference)
         assert (doc["rows"], doc["cols"]) == a.shape
+
+
+def _entrywise(doc):
+    # the per-entry loop parse_matrix_doc falls back to, as the reference
+    entries = [matio._entry(pair, k) for k, pair in enumerate(doc["data"])]
+    return np.array(entries, dtype=np.complex128).reshape(doc["rows"], doc["cols"])
+
+
+# -0.0, subnormals, the edge of the double range, and integers that a
+# double rounds: 2^53 + 1 and 2^63 + 1 numpy reads as float64 (past int64),
+# 2^70 + 12345 it keeps as an object, which the entrywise loop then reads
+SPECIAL_ENTRIES = [
+    -0.0, 0.0, 5e-324, -2.5e-310, 1e-308, 1e308, -1e308, 1.7976931348623157e308,
+    0, -7, 2**53 + 1, -(2**53 + 1), 2**63 + 1, 2**70 + 12345,
+]
+
+
+def test_parsed_data_matches_the_entrywise_loop_bit_for_bit():
+    rng = np.random.default_rng(23)
+    fast = 0
+    for _ in range(120):
+        rows, cols = (int(v) for v in rng.integers(1, 7, size=2))
+        scale = 10.0 ** rng.integers(-300, 300, size=(rows * cols, 2))
+        data = (rng.normal(size=(rows * cols, 2)) * scale).tolist()
+        for _ in range(int(rng.integers(0, 6))):
+            k, part = int(rng.integers(rows * cols)), int(rng.integers(2))
+            data[k][part] = SPECIAL_ENTRIES[int(rng.integers(len(SPECIAL_ENTRIES)))]
+        doc = {"rows": rows, "cols": cols, "data": data}
+        want = _entrywise(doc).tobytes()
+        assert parse_matrix_doc(doc).tobytes() == want
+        pairs = matio._finite_pairs(data, rows * cols)
+        if pairs is not None:
+            fast += 1
+            assert pairs.tobytes() == want
+        # the written file reads back to the same bits
+        assert parse_matrix_text(json.dumps(doc)).tobytes() == want
+    assert fast >= 60
+
+
+# Each refused second entry and the message of the entrywise loop, which the
+# numpy path hands every document it does not accept.
+REFUSALS = [
+    pytest.param("[true,0.5]", "data[1][0]: expected a number", id="bool-re"),
+    pytest.param("[0.5,false]", "data[1][1]: expected a number", id="bool-im"),
+    pytest.param('["1.5",0.5]', "data[1][0]: expected a number", id="string"),
+    pytest.param("[null,0.5]", "data[1][0]: expected a number", id="null"),
+    pytest.param("[0.5]", "data[1]: expected a [re, im] pair", id="short-pair"),
+    pytest.param("[0.5,1.5,2.5]", "data[1]: expected a [re, im] pair", id="long-pair"),
+    pytest.param("[0.5,[1.5]]", "data[1][1]: expected a number", id="nested-im"),
+    pytest.param("[[0.5],1.5]", "data[1][0]: expected a number", id="nested-re"),
+    pytest.param("null", "data[1]: expected a [re, im] pair", id="null-pair"),
+    pytest.param("[Infinity,0.5]", "data[1][0]: value must be finite", id="Infinity"),
+    pytest.param("[0.5,-Infinity]", "data[1][1]: value must be finite", id="-Infinity"),
+    pytest.param("[NaN,0.5]", "data[1][0]: value must be finite", id="NaN"),
+    pytest.param("[1e999,0.5]", "data[1][0]: value must be finite", id="1e999"),
+    pytest.param(
+        "[0.5,1%s]" % ("0" * 400), "data[1][1]: value overflows the floating-point range", id="integer-past-double"
+    ),
+]
+
+
+@pytest.mark.parametrize("entry, message", REFUSALS)
+def test_refusal_messages_are_the_entrywise_loops(entry, message):
+    with pytest.raises(MatrixFileError) as err:
+        parse_matrix_text('{"rows":2,"cols":1,"data":[[0.5,1.5],%s]}' % entry)
+    assert str(err.value) == message
+
+
+def test_missing_field_message():
+    with pytest.raises(MatrixFileError) as err:
+        parse_matrix_text('{"rows":2,"cols":1}')
+    assert str(err.value) == "document: missing field 'data'"
+
+
+def test_matrix_file_is_one_line():
+    text = emit_matrix(SIGNED_ZEROS)
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert text == json.dumps(matrix_to_doc(SIGNED_ZEROS)) + "\n"
+
+
+def test_report_with_a_solution_reads_back_as_its_document():
+    solution = np.array([[complex(-0.0, 5e-324), 1e308], [2.0, complex(0.1, -2.5e-310)]])
+    rep = RunReport(
+        command="solve pt",
+        outcome="solved",
+        inputs={"H": "sha256:00", "K": "sha256:01"},
+        residuals={"solve": 0.0},
+        conditions=[ConditionReport(name="iv", holds=True, witness=1.0, detail="lambda=1")],
+        solution=solution,
+        detail={"h_nonsingular": True, "norm_bound": 2.0},
+    )
+    text = rep.emit()
+    assert json.loads(text) == rep.to_doc()
+    # the envelope keeps its indent and the data is one line of it
+    lines = text.splitlines()
+    data_lines = [line for line in lines if '"data"' in line]
+    assert data_lines == ['    "data": ' + json.dumps(matrix_to_doc(solution)["data"])]
+    assert lines[1] == '  "command": "solve pt",'
+    got = parse_matrix_doc(json.loads(text)["solution"])
+    assert got.tobytes() == solution.tobytes()
+
+
+def test_report_solution_refuses_non_finite_with_the_indented_message():
+    rep = RunReport(command="solve pt", outcome="solved", solution=np.array([[np.inf]]))
+    with pytest.raises(MatrixFileError) as err:
+        rep.emit()
+    with pytest.raises(MatrixFileError) as indented:
+        emit_json(rep.to_doc())
+    assert str(err.value) == str(indented.value)

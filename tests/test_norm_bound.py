@@ -69,6 +69,27 @@ def test_norm_bound_eigendecompositions_per_call(monkeypatch):
     assert worst <= 16
 
 
+def test_norm_bound_factors_each_operand_once_outside_a_scope(monkeypatch):
+    # one pivoted Cholesky of h decides definiteness and gives H^{1/2}, with
+    # the bits of psd_sqrt(h); the other factors H^{1/2} K H^{1/2}
+    calls = 0
+    kernel = opeq.linalg._cholesky_pivoted
+
+    def counted(a):
+        nonlocal calls
+        calls += 1
+        return kernel(a)
+
+    monkeypatch.setattr(opeq.linalg, "_cholesky_pivoted", counted)
+    rng = np.random.default_rng(4)
+    for n in (1, 4, 7):
+        h = random_spd(rng, n)
+        k = random_psd(rng, n)
+        calls = 0
+        norm_bound_bisect(h, k)
+        assert calls == 2
+
+
 def test_psd_power_refuses_overflow():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
