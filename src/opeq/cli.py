@@ -7,8 +7,10 @@ invocation prints one RunReport JSON document on stdout. Exit codes:
 report), 2 input error, an --out path that cannot be written included.
 Every solve family follows one rule: it is solved iff its conditions hold
 and its residual is at most the tolerance. The
-conditions of XHX = K also hold for singular H, which admits no solution,
-so ``solve pt`` and ``check pt-conditions`` both report h_nonsingular.
+conditions of XHX = K also hold for singular H, where opeq emits no
+solution because a positive solution, when one exists, is not unique;
+``solve pt`` and ``check pt-conditions`` both report h_nonsingular, which
+says which case holds.
 OPEQ_TOL overrides the default tolerance; an explicit --tol beats the
 environment. A command runs inside one factor-sharing scope
 (linalg._shared_factors), so an operand that several of its conditions

@@ -1,6 +1,6 @@
 """Solvability diagnostics: range inclusions, majorization constants, the
-condition battery for XHX = K (returned with its solution as the PtReport
-that pt_solve hands out), and verify_solution, the one residual that every
+XHX = K solver pt_solve (its condition battery returned with its solution
+as one PtReport), and verify_solution, the one residual that every
 solver reports.
 
 Checks never raise on a negative outcome. Each returns a ConditionReport
@@ -84,6 +84,13 @@ def range_inclusion(b, a, tol: float = TOL_RANGE) -> ConditionReport:
     return basis_inclusion(b, svd(a).range_basis, tol)
 
 
+def _loewner_leq(x, y) -> tuple[bool, float]:
+    """The operator inequality x <= y, and gap = :func:`linalg.psd_gap`: it
+    holds when gap >= -TOL_PSD * (||x||_F + ||y||_F)."""
+    gap = psd_gap(x, y)
+    return gap >= -TOL_PSD * (frob(x) + frob(y)), gap
+
+
 def majorization_lambda(b, a, tol: float = TOL_RANGE) -> float | None:
     """Smallest lambda >= 0 with B B* <= lambda A A*, or None if none exists.
 
@@ -101,9 +108,7 @@ def majorization_lambda(b, a, tol: float = TOL_RANGE) -> float | None:
     lam = spectral_norm(f.pinv() @ bm) ** 2
     bb = bm @ bm.conj().T
     aa = am @ am.conj().T
-    y = lam * (1.0 + LAMBDA_SLACK) * aa
-    gap = psd_gap(bb, y)
-    if gap < -TOL_PSD * (frob(bb) + frob(y)):
+    if not _loewner_leq(bb, lam * (1.0 + LAMBDA_SLACK) * aa)[0]:
         return None
     return lam
 
@@ -130,10 +135,11 @@ class PtReport:
         return self.h_nonsingular and all(c.holds for c in self.conditions)
 
 
-def pt_battery(h, k, tol: float = TOL_RANGE) -> PtReport:
-    """Evaluate the XHX = K conditions (see :func:`pt_conditions`) and,
-    for nonsingular H, the positive solution X = H^{-1} # K with its
-    residual from :func:`verify_solution`.
+def pt_solve(h, k, tol: float = TOL_RANGE) -> PtReport:
+    """Solve XHX = K for the positive X, H and K Hermitian PSD: the
+    conditions of :func:`pt_conditions` and, for nonsingular H, the
+    positive solution X = H^{-1} # K with its residual from
+    :func:`verify_solution`.
 
     One path serves every rank of H. :func:`linalg._psd_cholesky` factors
     each of H and K once and refuses one that is not PSD; H = F F* and
@@ -177,27 +183,18 @@ def pt_battery(h, k, tol: float = TOL_RANGE) -> PtReport:
         x = root_pinv_sq @ fh_pinv
     x = _hermitize(x)
 
-    identity = np.eye(fh.shape[1], dtype=np.complex128)
-    ii_a = basis_inclusion(sq, identity, tol, name="ii-a")
-    ii_b = basis_inclusion(root_pinv_sq.conj().T, identity, tol, name="ii-b")
-    # iii: witness 0 as for ii-a, bound tol ||(|M|^{1/2})||_F = tol sqrt(sum S_r)
-    bound = tol * float(np.sqrt(f.singulars.sum()))
-    iii = ConditionReport(name="iii", holds=True, witness=0.0,
-                          detail=f"projector residual {0.0:.3e}, bound {bound:.3e}")
+    # ii-a, ii-b and iii are identities in C^r: witness 0, bound tol times
+    # the Frobenius norm of |M|, F^{+*} |M| and |M|^{1/2}, sqrt(sum S_r)
+    norms = {"ii-a": frob(sq), "ii-b": frob(root_pinv_sq), "iii": float(np.sqrt(f.singulars.sum()))}
+    reports = [ConditionReport(name, True, 0.0, f"projector residual {0.0:.3e}, bound {tol * norm:.3e}")
+               for name, norm in norms.items()]
 
     # (iv) is the majorization form |M| = |M|^{1/2} |M|^{1/2} <= lambda F* F,
     # whose range half is exactly (iii)
     lam = max(float(herm_eig(x).values[-1]), 0.0)
     a_min = float(_unscale(np.array([lam]), shift, "norm bound overflows")[0])
-    y = lam * (1.0 + LAMBDA_SLACK) * gram
-    gap = psd_gap(sq, y)
-    iv = ConditionReport(
-        name="iv",
-        holds=gap >= -TOL_PSD * (frob(sq) + frob(y)),
-        witness=gap,
-        detail=f"lambda={a_min:.9e}",
-    )
-    reports = [ii_a, ii_b, iii, iv]
+    holds, gap = _loewner_leq(sq, lam * (1.0 + LAMBDA_SLACK) * gram)
+    reports.append(ConditionReport(name="iv", holds=holds, witness=gap, detail=f"lambda={a_min:.9e}"))
     if not hc.definite:
         return PtReport(None, None, None, False, reports)
     residual = verify_solution("xhx_k", x, h=hm, k=km)
@@ -214,13 +211,15 @@ def pt_conditions(h, k, tol: float = TOL_RANGE) -> list[ConditionReport]:
       iv    existence of lambda with (H^{1/2} K H^{1/2})^{1/2} <= lambda H
 
     In finite dimensions every range is closed, so all four hold for any
-    PSD H and K: :func:`pt_battery` decides them in C^r, r = rank(H),
+    PSD H and K: :func:`pt_solve` decides them in C^r, r = rank(H),
     where ii-a, ii-b and iii hold with witness 0 and the witness of iv is
     the margin that lambda (1 + LAMBDA_SLACK) leaves. They are necessary,
-    not sufficient: a singular H admits no solution although they hold,
-    which :attr:`PtReport.h_nonsingular` reports.
+    not sufficient. For a singular H no solution is emitted, because a
+    positive solution X, when one exists, is not unique: X + t P solves
+    too for P the projector onto ker(H) and every t >= 0.
+    :attr:`PtReport.h_nonsingular` says which case holds.
     """
-    return pt_battery(h, k, tol).conditions
+    return pt_solve(h, k, tol).conditions
 
 
 VERIFY_KINDS = ("ax_b", "axb_c", "axastar_c", "xhx_k", "riccati")

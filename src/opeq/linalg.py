@@ -19,8 +19,9 @@ BLAS call per side is still cheaper than numpy's batched 2x2 products,
 which call BLAS once per pair, and the gather that moved the layout.
 One rule,
 :func:`_prescaled`, picks the power of two that keeps an operand in range;
-herm_eig, svd, cholesky, orthonormalize and the two root-taking solvers
-(pt_battery, riccati_geomean) scale by it, frob by its own. So norms
+herm_eig, svd, cholesky, orthonormalize, the one Hermitian input check
+(:func:`_hermitian_norm`) and the two root-taking solvers (pt_solve,
+riccati_geomean) scale by it, frob by its own. So norms
 neither overflow nor underflow, and non-convergence raises
 :class:`InputError`. A result that leaves the floating-point range
 anyway is refused by :func:`require_finite`, never returned as inf or NaN.
@@ -76,10 +77,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Relative tolerance of every Hermitian check and of the PSD gap decisions.
+# Relative tolerance of every Hermitian check and of every x <= y gap;
+# PSD verdicts are PSD_CLAMP_TOL's.
 TOL_PSD = 1e-9
 
-# The clamp window of every PSD operand, for its Cholesky.remainder.
+# The clamp window of every PSD verdict, for its Cholesky.remainder.
 PSD_CLAMP_TOL = 1e-10
 
 # Jacobi sweep control: herm_eig's off-diagonal mass and svd's column-pair
@@ -116,6 +118,17 @@ def adjoint(m) -> np.ndarray:
 def _hermitize(m: np.ndarray) -> np.ndarray:
     """The Hermitian part (m + m*) / 2 of a square array, with no check."""
     return 0.5 * (m + m.conj().T)
+
+
+def _hermitian_norm(a: np.ndarray, label: str) -> float:
+    """||a||_F of a square :func:`_prescaled` array a, checked Hermitian:
+    ||a - a*||_F above TOL_PSD * ||a||_F raises
+    InputError(f"{label} is not Hermitian within tolerance"). a's largest
+    part lies in [2**-33, 2**31), so numpy's norm is safe."""
+    norm = float(np.linalg.norm(a))
+    if float(np.linalg.norm(a - a.conj().T)) > TOL_PSD * norm:
+        raise InputError(f"{label} is not Hermitian within tolerance")
+    return norm
 
 
 def _prescaled(m: np.ndarray) -> tuple[np.ndarray, int]:
@@ -251,6 +264,11 @@ class Cholesky:
     @property
     def definite(self) -> bool:
         return self.rank == self.lower.shape[0]
+
+    @property
+    def psd(self) -> bool:
+        """opeq's one PSD rule: remainder at most PSD_CLAMP_TOL."""
+        return self.remainder <= PSD_CLAMP_TOL
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """F^{-1} b = L^{-1} P* b by forward substitution, for definite m."""
@@ -437,12 +455,8 @@ def _herm_eig_jacobi(a: np.ndarray) -> HermitianEig:
     state = np.zeros((2 * size, size), dtype=np.complex128)
     top = state[:size]
     top[:n, :n] = a
-    # top's largest part lies in [2**-33, 2**31), so numpy's norm is safe
-    scale = float(np.linalg.norm(top))
-    adj = top.conj().T
-    if float(np.linalg.norm(top - adj)) > TOL_PSD * scale:
-        raise InputError("matrix is not Hermitian within tolerance")
-    top += adj
+    scale = _hermitian_norm(top, "matrix")
+    top += top.conj().T
     top *= 0.5
     state.reshape(-1)[size * size :: size + 1] = 1.0
     scatter, moved, off_mask = _sweep_plan(size)
@@ -594,10 +608,7 @@ def _cholesky_pivoted(a: np.ndarray) -> Cholesky:
     n, nc = a.shape
     if n != nc:
         raise InputError(f"Cholesky factorization needs a square matrix, got {a.shape}")
-    # a's largest part lies in [2**-33, 2**31), so numpy's norm is safe
-    norm = float(np.linalg.norm(a))
-    if float(np.linalg.norm(a - a.conj().T)) > TOL_PSD * norm:
-        raise InputError("matrix is not Hermitian within tolerance")
+    norm = _hermitian_norm(a, "matrix")
     a = _hermitize(a)
     lower = np.zeros((n, n), dtype=np.complex128)
     perm = np.arange(n)
@@ -638,8 +649,7 @@ def hermitian_part(m, label: str) -> np.ndarray:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise InputError(f"{label} must be square, got {a.shape}")
-    if frob(a - a.conj().T) > TOL_PSD * frob(a):
-        raise InputError(f"{label} is not Hermitian within tolerance")
+    _hermitian_norm(_prescaled(a)[0], label)
     return _hermitize(a)
 
 
@@ -647,7 +657,7 @@ def _psd_cholesky(m, label: str) -> Cholesky:
     """:func:`cholesky` of a PSD m: a remainder above PSD_CLAMP_TOL is
     refused as "<label> is not PSD", one within it is dropped as rounding."""
     c = cholesky(m)
-    if c.remainder > PSD_CLAMP_TOL:
+    if not c.psd:
         raise InputError(
             f"{label} is not PSD: the Schur complement left at the pivot cutoff is "
             f"{c.remainder:.3e} of its norm, above the clamp window {PSD_CLAMP_TOL:.3e}"
@@ -699,12 +709,8 @@ def psd_sqrt(m) -> np.ndarray:
 
 
 def psd_gap(x, y) -> float:
-    """Smallest eigenvalue of y - x.
-
-    The operator inequality x <= y is read as gap >= -TOL_PSD * (||x|| +
-    ||y||) by callers; the raw signed gap is returned so they can pick
-    their own scale.
-    """
+    """Smallest eigenvalue of y - x, the raw signed gap from which
+    :mod:`conditions` decides the operator inequality x <= y."""
     a = as_matrix(x)
     b = as_matrix(y)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:

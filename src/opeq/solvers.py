@@ -1,5 +1,7 @@
 """Solvers for the operator equations AX=B, AXB=C, AXA*=C, XHX=K, and the
-Riccati equation XA^{-1}X=B at matrix scale.
+Riccati equation XA^{-1}X=B at matrix scale. The XHX = K solver,
+pt_solve, is :func:`conditions.pt_solve`, whose conditions read off the
+factors it solves with.
 
 Every solver but riccati_geomean returns one result shape: ``solution``,
 ``residual`` (always :func:`conditions.verify_solution`'s), ``conditions``
@@ -16,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import (ConditionReport, PtReport, TOL_RANGE, basis_inclusion, pt_battery,
+from .conditions import (ConditionReport, PtReport, TOL_RANGE, basis_inclusion, pt_solve,
                          verify_solution)
 from .linalg import (
-    TOL_PSD,
+    PSD_CLAMP_TOL,
     InputError,
     _definite_cholesky,
     _hermitize,
@@ -27,8 +29,8 @@ from .linalg import (
     _psd_cholesky,
     _unscale,
     as_matrix,
+    cholesky,
     hermitian_part,
-    herm_eig,
     svd,
 )
 
@@ -130,23 +132,19 @@ def congruence_solve(a, c, tol: float = TOL_RANGE) -> ReducedSolution:
 
     The candidate X = A^+ C (A^+)* is Hermitian PSD whenever the instance
     is solvable, which requires C Hermitian PSD together with range(C) in
-    range(A) and range((A^+ C)*) in range(A). Indefinite C is reported as
-    an unsolvable instance, not an input error; non-Hermitian C is
-    rejected outright.
+    range(A) and range((A^+ C)*) in range(A). "C is PSD" is opeq's one PSD
+    rule, :attr:`linalg.Cholesky.psd`, and its witness the remainder of
+    :func:`linalg.cholesky` on C. An indefinite C is reported as an unsolvable
+    instance, not an input error; non-Hermitian C is rejected outright.
     """
     am = as_matrix(a)
     cm = hermitian_part(c, "C")
     if am.shape[0] != cm.shape[0]:
         raise InputError(f"row mismatch: A is {am.shape}, C is {cm.shape}")
 
-    vals = herm_eig(cm).values
-    scale = float(np.max(np.abs(vals)))
-    psd_cond = ConditionReport(
-        name="C is PSD",
-        holds=float(vals[0]) >= -TOL_PSD * scale,
-        witness=float(vals[0]),
-        detail=f"min eigenvalue at scale {scale:.3e}",
-    )
+    cc = cholesky(cm)
+    psd_cond = ConditionReport(name="C is PSD", holds=cc.psd, witness=cc.remainder,
+                               detail=f"Schur remainder {cc.remainder:.3e}, bound {PSD_CLAMP_TOL:.3e}")
 
     fa = svd(am)
     ap = fa.pinv()
@@ -158,14 +156,6 @@ def congruence_solve(a, c, tol: float = TOL_RANGE) -> ReducedSolution:
     )
     n_a = _hermitize(np.eye(am.shape[1], dtype=np.complex128) - ap @ am)
     return ReducedSolution(x, residual, n_a, n_a.copy(), [psd_cond, cond1, cond2])
-
-
-def pt_solve(h, k, tol: float = TOL_RANGE) -> PtReport:
-    """Solve XHX = K for the positive X, H and K Hermitian PSD: the
-    :func:`conditions.pt_battery` report, one Cholesky-polar path at every
-    rank of H, with a solution when :func:`linalg.cholesky` finds H
-    positive definite."""
-    return pt_battery(h, k, tol)
 
 
 def riccati_geomean(a, b) -> np.ndarray:

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -306,3 +308,15 @@ def test_huge_integer_entry_exit_2(capsys, mats, tmp_path, digits):
     assert code == 2
     assert doc["outcome"] == "error"
     assert "huge.json" in doc["detail"]["message"]
+
+
+def test_readme_example_report_is_current(capsys, tmp_path, monkeypatch):
+    """The solve pt report in README's "Command line" section, byte for byte."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    expected = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    save_matrix("H.json", np.eye(2, dtype=complex))
+    save_matrix("K.json", np.diag([4.0, 1.0]).astype(complex))
+    assert main(["solve", "pt", "--H", "H.json", "--K", "K.json", "--out", "X.json"]) == 0
+    assert capsys.readouterr().out == expected

@@ -146,6 +146,9 @@ def test_suites_report_the_same_inside_and_outside(seed):
     (("solve", "pt"), "_svd_jacobi", 1, 1),
     (("solve", "riccati"), "_cholesky_pivoted", 2, 3),
     (("solve", "pt"), "_cholesky_pivoted", 2, 2),
+    (("solve", "congruence"), "_herm_eig_jacobi", 0, 0),
+    (("solve", "congruence"), "_svd_jacobi", 1, 1),
+    (("solve", "congruence"), "_cholesky_pivoted", 1, 1),
 ])
 def test_cli_command_factors_each_operand_once(monkeypatch, tmp_path, capsys,
                                                command, kernel_name, shared, unshared):
