@@ -4,8 +4,8 @@ as one PtReport), and verify_solution, the one residual that every
 solver reports.
 
 Checks never raise on a negative outcome. Each returns a ConditionReport
-whose ``witness`` is the signed margin that decided it, so callers can see
-how close a verdict was.
+whose ``witness`` is the residual that decided it, so callers can see how
+close a verdict was; a condition that holds as a theorem has witness 0.
 """
 
 from __future__ import annotations
@@ -44,9 +44,8 @@ LAMBDA_SLACK = 1e-6
 class ConditionReport:
     """Outcome of one solvability condition.
 
-    ``witness`` is a signed margin: residual-type conditions hold when it
-    is at most the stated bound, gap-type conditions hold when it is at
-    least minus the PSD tolerance.
+    ``witness`` is a residual: the condition holds when it is at most the
+    stated bound, and a condition that holds for every input has witness 0.
     """
 
     name: str
@@ -84,21 +83,14 @@ def range_inclusion(b, a, tol: float = TOL_RANGE) -> ConditionReport:
     return basis_inclusion(b, svd(a).range_basis, tol)
 
 
-def _loewner_leq(x, y) -> tuple[bool, float]:
-    """The operator inequality x <= y, and gap = :func:`linalg.psd_gap`: it
-    holds when gap >= -TOL_PSD * (||x||_F + ||y||_F)."""
-    gap = psd_gap(x, y)
-    return gap >= -TOL_PSD * (frob(x) + frob(y)), gap
-
-
 def majorization_lambda(b, a, tol: float = TOL_RANGE) -> float | None:
     """Smallest lambda >= 0 with B B* <= lambda A A*, or None if none exists.
 
     In finite dimensions such a lambda exists exactly when range(B) is
     contained in range(A), and then equals the squared spectral norm of
     A^+ B. Both the inclusion and A^+ come from one ``svd(a)``. The value
-    is re-verified as an operator inequality (with a small multiplicative
-    slack) before being returned.
+    is re-verified before being returned: Y = lambda (1 + LAMBDA_SLACK) A A*
+    must leave psd_gap(B B*, Y) >= -TOL_PSD (||B B*||_F + ||Y||_F).
     """
     bm = as_matrix(b)
     am = as_matrix(a)
@@ -107,8 +99,8 @@ def majorization_lambda(b, a, tol: float = TOL_RANGE) -> float | None:
         return None
     lam = spectral_norm(f.pinv() @ bm) ** 2
     bb = bm @ bm.conj().T
-    aa = am @ am.conj().T
-    if not _loewner_leq(bb, lam * (1.0 + LAMBDA_SLACK) * aa)[0]:
+    aa = lam * (1.0 + LAMBDA_SLACK) * (am @ am.conj().T)
+    if not psd_gap(bb, aa) >= -TOL_PSD * (frob(bb) + frob(aa)):
         return None
     return lam
 
@@ -149,18 +141,19 @@ def pt_solve(h, k, tol: float = TOL_RANGE) -> PtReport:
     H^{1/2} = F Q* for a Q with orthonormal columns, the conditions become
     statements in C^r, r = rank(H): ii-a, ii-b and iii test the ranges of
     |M|, (F^{+*} |M|)* and |M|^{1/2} against C^r itself, so each holds
-    with witness 0, and (iv) reads |M| <= lambda F* F. Only F^{+*}
-    depends on the rank: back substitution for positive definite H, where
-    X = F^{-*} (V_r W_r*) G*, else the pseudoinverse off one svd of F,
-    where X = F^{+*} |M| F^{+}. herm_eig runs twice, for X's top
-    eigenvalue and the gap in (iv), and never on H or K. The sandwich
+    with witness 0, and (iv) reads |M| <= lambda F* F, which holds with
+    witness 0 too: for y in C^r, y* |M| y = (Fy)* X (Fy) <= lambda ||Fy||^2
+    = lambda y* F* F y. Only F^{+*} depends on the rank: back substitution
+    for positive definite H, where X = F^{-*} (V_r W_r*) G*, else the
+    pseudoinverse off one svd of F, where X = F^{+*} |M| F^{+}. herm_eig
+    runs once, for X's top eigenvalue, and never on H or K. The sandwich
     H^{1/2} K H^{1/2} is never formed, so kappa(H) kappa(K) is not
     squared.
 
     lambda in (iv) is the top eigenvalue of X, and so is a_min for
     nonsingular H. X(sH, tK) = sqrt(t/s) X, so all of it runs on H and K
     scaled by :func:`linalg._prescaled`, and X, a_min and lambda in (iv)
-    are scaled back; witnesses and residual are those of the scaled
+    are scaled back; the bounds and the residual are those of the scaled
     operands."""
     hm, eh = _prescaled(hermitian_part(h, "H"))
     km, ek = _prescaled(hermitian_part(k, "K"))
@@ -173,7 +166,6 @@ def pt_solve(h, k, tol: float = TOL_RANGE) -> PtReport:
     g_adj = _psd_cholesky(km, "K").factor.conj().T
     f = svd(g_adj @ fh)
     sq = _hermitian_power(f.right[:, ::-1], f.singulars[: f.rank][::-1], 1.0)
-    gram = fh.conj().T @ fh
     if hc.definite:
         root_pinv_sq = hc.solve_adjoint(sq)
         x = hc.solve_adjoint(f.right @ f.left.conj().T @ g_adj)
@@ -189,12 +181,10 @@ def pt_solve(h, k, tol: float = TOL_RANGE) -> PtReport:
     reports = [ConditionReport(name, True, 0.0, f"projector residual {0.0:.3e}, bound {tol * norm:.3e}")
                for name, norm in norms.items()]
 
-    # (iv) is the majorization form |M| = |M|^{1/2} |M|^{1/2} <= lambda F* F,
-    # whose range half is exactly (iii)
+    # (iv), |M| <= lambda F* F, holds for lambda = lambda_max(X) (docstring)
     lam = max(float(herm_eig(x).values[-1]), 0.0)
     a_min = float(_unscale(np.array([lam]), shift, "norm bound overflows")[0])
-    holds, gap = _loewner_leq(sq, lam * (1.0 + LAMBDA_SLACK) * gram)
-    reports.append(ConditionReport(name="iv", holds=holds, witness=gap, detail=f"lambda={a_min:.9e}"))
+    reports.append(ConditionReport("iv", True, 0.0, f"lambda={a_min:.9e}"))
     if not hc.definite:
         return PtReport(None, None, None, False, reports)
     residual = verify_solution("xhx_k", x, h=hm, k=km)
@@ -211,12 +201,12 @@ def pt_conditions(h, k, tol: float = TOL_RANGE) -> list[ConditionReport]:
       iv    existence of lambda with (H^{1/2} K H^{1/2})^{1/2} <= lambda H
 
     In finite dimensions every range is closed, so all four hold for any
-    PSD H and K: :func:`pt_solve` decides them in C^r, r = rank(H),
-    where ii-a, ii-b and iii hold with witness 0 and the witness of iv is
-    the margin that lambda (1 + LAMBDA_SLACK) leaves. They are necessary,
-    not sufficient. For a singular H no solution is emitted, because a
-    positive solution X, when one exists, is not unique: X + t P solves
-    too for P the projector onto ker(H) and every t >= 0.
+    PSD H and K: :func:`pt_solve` states them in C^r, r = rank(H), where
+    each holds with witness 0, iv with lambda the top eigenvalue of
+    X = F^{+*} |M| F^{+}. They are necessary, not sufficient. For a
+    singular H no solution is emitted, because a positive solution X,
+    when one exists, is not unique: X + t P solves too for P the
+    projector onto ker(H) and every t >= 0.
     :attr:`PtReport.h_nonsingular` says which case holds.
     """
     return pt_solve(h, k, tol).conditions

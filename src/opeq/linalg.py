@@ -40,12 +40,13 @@ F, n x r, serves as it is wherever a factor does. A positive definite
 operand is used through F^{-1} and F^{-*} by substitution; a singular
 one, where a pseudoinverse or eigen-directions are needed, through one
 :func:`svd` of F = U_r diag(sigma_r) V_r*, which gives F^{+} and
-m = U_r diag(sigma_r^2) U_r* (:func:`psd_power`). herm_eig runs only on
-matrices that may be indefinite. For H = F F* and K = G G*, the
-positive solution of XHX = K satisfies F* X F = |G* F|, and the
-geometric mean of A = F F* and B = G G* is F (V W*) G* for
-G* F^{-*} = W S V*: each takes one svd and no square root of a positive
-definite operand.
+m = U_r diag(sigma_r^2) U_r* (:func:`psd_power`). herm_eig never runs on
+a solver's operand: it runs on the solution X of XHX = K, for its top
+eigenvalue lambda, in :func:`psd_gap` and in the sweep's reference
+checks. For H = F F* and K = G G*, the positive solution of XHX = K
+satisfies F* X F = |G* F|, and the geometric mean of A = F F* and
+B = G G* is F (V W*) G* for G* F^{-*} = W S V*: each takes one svd and
+no square root of a positive definite operand.
 
 Callers that check several conditions on the same operands (the sweep
 suites, each CLI command) open a factor-sharing scope,

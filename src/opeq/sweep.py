@@ -9,10 +9,10 @@ record worst-case margins.
 :func:`run_sweep` runs the suites inside one factor-sharing scope
 (``linalg._shared_factors``): the suites check several conditions on the
 same operands through public entry points that each factor them, and in
-the scope herm_eig and svd return their stored result for any of the last
-8 inputs they factored. The results are read-only and bit-equal to a
-fresh factorization, so the report is byte-identical to one made without
-the scope, and the memo is dropped when the sweep returns.
+the scope herm_eig, svd and cholesky return their stored result for any of
+the last 8 inputs they factored. The results are read-only and bit-equal
+to a fresh factorization, so the report is byte-identical to one made
+without the scope, and the memo is dropped when the sweep returns.
 """
 
 from __future__ import annotations
@@ -421,13 +421,16 @@ def suite_pt_necessity(rng, trials, max_dim):
         h = random_psd_singular(rng, n)
         t = random_psd(rng, n)
         # k is reachable by construction: x = t satisfies x h x = k, so the
-        # necessity conditions must hold even though h is singular. ii-a,
-        # ii-b and iii hold with witness 0 for every PSD h, so iv's gap is
-        # the one margin that can drift toward a failure.
+        # necessity conditions must hold even though h is singular. On
+        # range(h), with range basis U_r, the reduced equation has the
+        # unique positive solution U_r* t U_r, whose norm is an independent
+        # reference for the lambda of iv.
         k = _hermitize(t @ h @ t)
         conds = pt_conditions(h, k)
-        iv = next(c for c in conds if c.name == "iv")
-        res.observe(all(c.holds for c in conds), iv_violation=-iv.witness)
+        lam = float(conds[3].detail.removeprefix("lambda="))
+        u = svd(h).range_basis
+        gap = abs(lam - spectral_norm(u.conj().T @ t @ u)) / lam
+        res.observe(all(c.holds for c in conds) and gap <= 1e-8, lambda_gap=gap)
     return res
 
 

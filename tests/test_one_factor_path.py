@@ -6,14 +6,17 @@ pseudoinverse off one svd of F. No eigensolver runs on a PSD operand. The Riccat
 refuse an operand that is not positive definite by one rule,
 linalg._definite_cholesky."""
 
+import json
 import re
 
 import numpy as np
 import pytest
 
 from opeq import linalg
+from opeq.cli import main
 from opeq.conditions import pt_conditions, verify_solution
-from opeq.linalg import InputError
+from opeq.linalg import InputError, spectral_norm, svd
+from opeq.matio import save_matrix
 from opeq.solvers import pt_solve, riccati_geomean
 from opeq.sweep import random_psd, random_psd_singular, random_spd
 
@@ -40,17 +43,36 @@ def _singular_h_pairs(seed, count):
         n = 2 + i % 11
         h = random_psd_singular(rng, n)
         t = random_psd(rng, n)
-        yield h, random_spd(rng, n)
-        yield h, 0.5 * (t @ h @ t + (t @ h @ t).conj().T)
+        yield h, random_spd(rng, n), None
+        yield h, 0.5 * (t @ h @ t + (t @ h @ t).conj().T), t
 
 
 def test_singular_h_conditions_hold_with_reference_lambda():
-    for h, k in _singular_h_pairs(18, 44):
+    for h, k, t in _singular_h_pairs(18, 44):
         reports = pt_conditions(h, k)
         assert [c.holds for c in reports] == [True] * 4
+        assert [c.witness for c in reports] == [0.0] * 4
         lam = float(re.fullmatch(r"lambda=(\S+)", reports[3].detail).group(1))
         ref = _lambda_reference(h, k)
         assert abs(lam - ref) <= 1e-8 * ref
+        if t is not None:
+            # K = T H T: U_r* T U_r solves the reduced equation on range(H)
+            u = svd(h).range_basis
+            assert abs(lam - spectral_norm(u.conj().T @ t @ u)) <= 1e-8 * lam
+
+
+def test_graded_definite_h_condition_iv_holds(tmp_path, capsys):
+    # kappa(H) = 1e13: lambda F* F - |M| has least eigenvalue 0, and a slack
+    # s on lambda would lift it by only s lambda 1e-13, below its rounding
+    q = np.linalg.qr(np.random.default_rng(13).normal(size=(6, 12)).view(np.complex128))[0]
+    h, k = str(tmp_path / "H.json"), str(tmp_path / "K.json")
+    save_matrix(h, (q * np.logspace(0, -13, 6)) @ q.conj().T)
+    save_matrix(k, np.eye(6, dtype=complex))
+    assert main(["check", "pt-conditions", "--H", h, "--K", k]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["detail"]["h_nonsingular"] is True
+    iv = doc["conditions"][3]
+    assert (iv["name"], iv["holds"], iv["witness"]) == ("iv", True, 0.0)
 
 
 def _counting(monkeypatch, kernel_name):
@@ -66,8 +88,8 @@ def _counting(monkeypatch, kernel_name):
 
 
 # H and K cost one Cholesky each at every rank, and a singular H one svd
-# of its factor; X's top eigenvalue and the gap in (iv) cost one
-# eigendecomposition each, and M = G* F one svd
+# of its factor; X's top eigenvalue costs the one eigendecomposition, and
+# M = G* F one svd
 @pytest.mark.parametrize("h_rank, k_rank, svds", [
     (5, 5, 1), (5, 3, 1), (3, 5, 2), (3, 3, 2),
 ])
@@ -80,7 +102,7 @@ def test_pt_solve_factorizations(monkeypatch, h_rank, k_rank, svds):
     cholesky_calls = _counting(monkeypatch, "_cholesky_pivoted")
     rep = pt_solve(h, k)
     assert rep.h_nonsingular == (h_rank == 5)
-    assert len(eig_calls) == 2
+    assert len(eig_calls) == 1
     assert len(svd_calls) == svds
     assert len(cholesky_calls) == 2
 
