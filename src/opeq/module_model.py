@@ -37,9 +37,9 @@ DEFAULT_GRID_N = 1024
 # by at most this factor when the grid is doubled.
 STABLE_FACTOR = 1.1
 
-# thl2_decompose and op_psd_gap's pair branch work in blocks of this many
-# node indices, so their scratch is 512 KiB of complex values rather than
-# a grid array.
+# thl2_decompose, op_psd_gap and ex2's constructive probes work in blocks
+# of this many node indices, so their scratch is 512 KiB of complex values
+# rather than a grid array.
 BLOCK = 1 << 15
 
 # The modeled variants and the block size k of their operators.
@@ -103,11 +103,15 @@ class GridFunction:
 
     @classmethod
     def constant(cls, value, n: int) -> "GridFunction":
+        """The constant function ``value``. Its samples are a read-only
+        view of the one value (``np.broadcast_to``), so a constant costs no
+        grid array; sums, products, conjugates and quotients of it are
+        fresh arrays."""
         _check_grid_n(n)
         value = np.complex128(value)
         if not np.isfinite(value):
             raise InputError("samples must be finite")
-        return cls._checked(np.full(n + 1, value, dtype=np.complex128))
+        return cls._checked(np.broadcast_to(value, n + 1))
 
     def sup(self) -> float:
         return float(np.max(np.abs(self.samples)))
@@ -274,9 +278,7 @@ def op_apply(t: ModuleOperator, x: ModuleElement) -> ModuleElement:
         acc = _sum_of_products(
             (b.samples, c.samples) for b, c in zip(row, x.components) if b is not None
         )
-        if acc is None:
-            acc = np.zeros(x.n + 1, dtype=np.complex128)
-        out.append(GridFunction._checked(acc))
+        out.append(GridFunction.constant(0.0, x.n) if acc is None else GridFunction._checked(acc))
     return ModuleElement(variant=x.variant, components=tuple(out))
 
 
@@ -399,26 +401,27 @@ def op_psd_gap(s: ModuleOperator, t: ModuleOperator, c: float) -> float:
     l2 operators it is diag(value, 0, 0, ...), so the zero tail caps the
     gap at 0. A negative return certifies that s <= c*t fails somewhere.
     A missing (None) pair block enters the formulas as the scalar 0.0, so
-    it costs no grid array. The pair formulas run on blocks of BLOCK
-    nodes, so their temporaries stay the size of one block; the gap is the
-    least of the block minima, taken by ``np.min``, which keeps a NaN.
+    it costs no grid array. Both variants run on blocks of BLOCK nodes, so
+    their temporaries stay the size of one block; the gap is the least of
+    the block minima, taken by ``np.min``, which keeps a NaN. The l2 value
+    is formed as the complex c*t - s before its real part is read, as
+    reading t's real part first can flip the sign of a zero.
     """
     _same_variant(s, t, "op_psd_gap")
-    if s.variant == "l2":
-        vals = c * t.blocks[0][0].samples - s.blocks[0][0].samples
-        return float(min(np.min(vals.real), 0.0))
 
-    def block(op, i, j, nodes):
-        b = op.blocks[i][j]
-        return 0.0 if b is None else b.samples[nodes]
+    def local(i, j, nodes):
+        # c*t - s at block (i, j) on the nodes
+        tb, sb = t.blocks[i][j], s.blocks[i][j]
+        tv = 0.0 if tb is None else tb.samples[nodes]
+        return c * tv - (0.0 if sb is None else sb.samples[nodes])
 
     minima = []
     for lo in range(0, s.n + 1, BLOCK):
         nodes = slice(lo, lo + BLOCK)
-        m00 = c * block(t, 0, 0, nodes) - block(s, 0, 0, nodes)
-        m01 = c * block(t, 0, 1, nodes) - block(s, 0, 1, nodes)
-        m10 = c * block(t, 1, 0, nodes) - block(s, 1, 0, nodes)
-        m11 = c * block(t, 1, 1, nodes) - block(s, 1, 1, nodes)
+        if s.variant == "l2":
+            minima.append(np.min(local(0, 0, nodes).real))
+            continue
+        m00, m01, m10, m11 = (local(i, j, nodes) for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
         # hermitize pointwise, then closed-form least eigenvalue of 2x2
         off = 0.5 * (m01 + np.conj(m10))
         d0 = m00.real
@@ -426,7 +429,8 @@ def op_psd_gap(s: ModuleOperator, t: ModuleOperator, c: float) -> float:
         mean = 0.5 * (d0 + d1)
         rad = np.sqrt((0.5 * (d0 - d1)) ** 2 + np.abs(off) ** 2)
         minima.append(np.min(mean - rad))
-    return float(np.min(minima))
+    gap = np.min(minima)
+    return float(min(gap, 0.0) if s.variant == "l2" else gap)
 
 
 def _interp(samples: np.ndarray, x0: float) -> complex:
@@ -575,6 +579,38 @@ def demo_ex1(grid_n: int = DEFAULT_GRID_N) -> dict:
     }
 
 
+def _ex2_lift_residual(n: int) -> float:
+    """ex2's module-level cross-check on the constant probe: the largest
+    |A pre - D D* x| over both components, with D and A the corner
+    embeddings of lambda^{2/3} and lambda, x = (1, 0) and
+    pre = (0, lambda^{1/3}). D is dropped once D D* x is formed, and the
+    difference is taken in blocks of BLOCK nodes, so no more than five
+    grid arrays are alive at once."""
+    nodes = GridFunction.nodes(n)
+    d_t = ModuleOperator.pair(
+        None, GridFunction(np.power(nodes, 2.0 / 3.0).astype(np.complex128)), None, None
+    )
+    x = ModuleElement(
+        variant="pair",
+        components=(GridFunction.constant(1.0, n), GridFunction.constant(0.0, n)),
+    )
+    u = op_apply(op_compose(d_t, op_adjoint(d_t)), x)
+    del d_t
+    pre = ModuleElement(
+        variant="pair",
+        components=(
+            GridFunction.constant(0.0, n),
+            GridFunction(np.power(nodes, 1.0 / 3.0).astype(np.complex128)),
+        ),
+    )
+    lifted = op_apply(ModuleOperator.pair(None, GridFunction.coordinate(n), None, None), pre)
+    blocks = [slice(lo, lo + BLOCK) for lo in range(0, n + 1, BLOCK)]
+    return max(
+        float(np.max([np.max(np.abs(a.samples[b] - v.samples[b])) for b in blocks]))
+        for a, v in zip(lifted.components, u.components)
+    )
+
+
 def demo_ex2(grid_n: int = DEFAULT_GRID_N) -> dict:
     """Range inclusion of the Gram square without operator range inclusion.
 
@@ -585,65 +621,66 @@ def demo_ex2(grid_n: int = DEFAULT_GRID_N) -> dict:
     The witness target (the constant 1) admits only the quotient
     1/lambda, whose sup norm doubles with each grid refinement, so it
     stays outside the range.
+
+    The constructive side runs in blocks of BLOCK node indices. Each block
+    builds its nodes as j * (1/n), the bits of :meth:`GridFunction.nodes`,
+    then the multipliers and the probes on them, and keeps only the block
+    maxima of the residual and, for the ideal test, g(0) from the first
+    block and the block maxima of |g| when g(0) is not 0. The module
+    cross-check and the witness each run in their own scope, so no grid
+    array outlives its phase.
     """
-    nodes = GridFunction.nodes(grid_n)
-    coord = GridFunction.coordinate(grid_n)
-    # the real multipliers promoted to complex once: a product with a
-    # complex probe would promote them again each time
-    cuberoot = np.power(nodes, 1.0 / 3.0).astype(np.complex128)
-    gram_mult = np.power(nodes, 4.0 / 3.0).astype(np.complex128)
-    probes = {
-        "constant": np.ones(grid_n + 1, dtype=np.complex128),
-        "coordinate": coord.samples,
-        "oscillating": np.exp(2j * np.pi * nodes),
-    }
-    constructive = []
-    for label, f in probes.items():
-        g = GridFunction(cuberoot * f)
-        gap = coord.samples * g.samples
-        gap -= gram_mult * f
-        resid = float(np.max(np.abs(gap)))
-        constructive.append(
-            {
-                "f": label,
-                "ideal_ok": in_ideal_M(g),
-                "factorization_residual": resid,
-            }
-        )
+    _check_grid_n(grid_n)
+    labels = ("constant", "coordinate", "oscillating")
+    resid_maxima = {label: [] for label in labels}
+    g_maxima = {label: [] for label in labels}
+    g_end = {}
+    step = 1.0 / grid_n
+    for lo in range(0, grid_n + 1, BLOCK):
+        nodes = np.arange(lo, min(lo + BLOCK, grid_n + 1), dtype=np.float64)
+        nodes *= step
+        coord = nodes.astype(np.complex128)
+        # the real multipliers promoted to complex once per block: a product
+        # with a complex probe would promote them again for each probe
+        cuberoot = np.power(nodes, 1.0 / 3.0).astype(np.complex128)
+        gram_mult = np.power(nodes, 4.0 / 3.0).astype(np.complex128)
+        probes = (np.ones(nodes.size, dtype=np.complex128), coord, np.exp(2j * np.pi * nodes))
+        for label, f in zip(labels, probes):
+            g = cuberoot * f
+            if lo == 0:
+                g_end[label] = abs(g[0])
+            # as in in_ideal_M, the sup of g is taken only when g(0) != 0
+            if g_end[label] != 0.0:
+                g_maxima[label].append(np.max(np.abs(g)))
+            gap = coord * g
+            gap -= gram_mult * f
+            resid_maxima[label].append(np.max(np.abs(gap)))
+    constructive = [
+        {
+            "f": label,
+            "ideal_ok": bool(g_end[label] == 0.0)
+            or _ideal_test(g_end[label], float(np.max(g_maxima[label]))),
+            "factorization_residual": float(np.max(resid_maxima[label])),
+        }
+        for label in labels
+    ]
     preimage_in_ideal = all(
         c["ideal_ok"] and c["factorization_residual"] <= TOL_IDEAL * 2.0
         for c in constructive
     )
-    # module-level cross-check on one probe: apply the actual 2x2 ops
-    d_t = ModuleOperator.pair(
-        None, GridFunction(np.power(nodes, 2.0 / 3.0).astype(np.complex128)), None, None
-    )
-    a_t = ModuleOperator.pair(None, coord, None, None)
-    x = ModuleElement(
-        variant="pair",
-        components=(GridFunction.constant(1.0, grid_n), GridFunction.constant(0.0, grid_n)),
-    )
-    u = op_apply(op_compose(d_t, op_adjoint(d_t)), x)
-    pre = ModuleElement(
-        variant="pair",
-        components=(GridFunction.constant(0.0, grid_n), GridFunction(cuberoot)),
-    )
-    lifted = op_apply(a_t, pre)
-    module_resid = max(
-        float(np.max(np.abs(lifted.components[k].samples - u.components[k].samples)))
-        for k in range(2)
-    )
-    witness = multiplier_preimage(
-        GridFunction.constant(1.0, grid_n), coord, require_ideal=True
+    witness = _preimage_dict(
+        multiplier_preimage(
+            GridFunction.constant(1.0, grid_n), GridFunction.coordinate(grid_n), require_ideal=True
+        )
     )
     return {
         "example": "ex2",
         "grid_n": grid_n,
         "constructive": constructive,
         "preimage_in_ideal": preimage_in_ideal,
-        "module_lift_residual": module_resid,
-        "witness_preimage": _preimage_dict(witness),
-        "conclusion_holds": preimage_in_ideal and not witness.in_range,
+        "module_lift_residual": _ex2_lift_residual(grid_n),
+        "witness_preimage": witness,
+        "conclusion_holds": preimage_in_ideal and not witness["in_range"],
     }
 
 
@@ -662,8 +699,8 @@ def demo_l2(grid_n: int = DEFAULT_GRID_N) -> dict:
     per_state = []
     for i in range(1, 10):
         x0 = i / 10
-        dec = thl2_decompose(f, PureState(x0))
-        per_state.append({"x0": x0, "residual": dec.residual})
+        # only the residual is kept, so each state's g and h are freed
+        per_state.append({"x0": x0, "residual": thl2_decompose(f, PureState(x0)).residual})
     aa = op_compose(a_op, op_adjoint(a_op))
     bb = op_compose(b_op, op_adjoint(b_op))
     cs = [1.0, 10.0, 1e6]

@@ -1,8 +1,9 @@
-"""thl2_decompose and op_psd_gap's pair branch work in blocks of BLOCK node
-indices and give the bits of their full-grid forms on grids of more than
-one block. thl2_decompose's blocks start at the first node past x0/2, so
-the states put x0/2 and x0 on, one node before and one node after a
-multiple of BLOCK, and put the end of the ramp on a block boundary."""
+"""thl2_decompose, op_psd_gap and demo_ex2's constructive probes work in
+blocks of BLOCK node indices and give the bits of their full-grid forms on
+grids of more than one block. thl2_decompose's blocks start at the first
+node past x0/2, so the states put x0/2 and x0 on, one node before and one
+node after a multiple of BLOCK, and put the end of the ramp on a block
+boundary."""
 
 import warnings
 
@@ -16,6 +17,12 @@ from opeq.module_model import (
     ModuleElement,
     ModuleOperator,
     PureState,
+    demo_ex2,
+    in_ideal_M,
+    multiplier_preimage,
+    op_adjoint,
+    op_apply,
+    op_compose,
     op_psd_gap,
     thl2_decompose,
 )
@@ -102,6 +109,74 @@ def test_psd_gap_across_blocks_with_signed_zeros_gives_the_zero_block_bits():
         for s in ops:
             for t in ops[::5]:
                 assert _bits(op_psd_gap(s, t, c)) == _bits(_psd_gap_reference(s, t, c))
+    # l2: c * t multiplies by c + 0j, so for t = -0 - 1j the real part of
+    # c * t is +0.0 where c times t's real part is -0.0, and the cap
+    # min(gap, 0.0) returns whichever zero comes first
+    tilted = zeros.copy()
+    tilted.imag = np.where(rng.random(n + 1) < 0.5, -1.0, 1.0)
+    mults = [
+        *blocks,
+        GridFunction(tilted),
+        GridFunction.constant(0.0, n),
+        GridFunction.constant(complex(-0.0, -1.0), n),
+    ]
+    l2_ops = [ModuleOperator.on_first_coordinate(m) for m in mults]
+    for c in (1.0, -1.0, 0.0):
+        for s in l2_ops:
+            for t in l2_ops:
+                assert _bits(op_psd_gap(s, t, c)) == _bits(_psd_gap_reference(s, t, c))
+
+
+def _ex2_reference(n):
+    """demo_ex2's constructive entries and module lift residual on the
+    whole grid at once."""
+    nodes = GridFunction.nodes(n)
+    coord = GridFunction.coordinate(n)
+    cuberoot = np.power(nodes, 1.0 / 3.0).astype(np.complex128)
+    gram_mult = np.power(nodes, 4.0 / 3.0).astype(np.complex128)
+    probes = {
+        "constant": np.ones(n + 1, dtype=np.complex128),
+        "coordinate": coord.samples,
+        "oscillating": np.exp(2j * np.pi * nodes),
+    }
+    constructive = []
+    for label, f in probes.items():
+        g = GridFunction(cuberoot * f)
+        gap = coord.samples * g.samples
+        gap -= gram_mult * f
+        constructive.append(
+            {"f": label, "ideal_ok": in_ideal_M(g), "factorization_residual": float(np.max(np.abs(gap)))}
+        )
+    d_t = ModuleOperator.pair(
+        None, GridFunction(np.power(nodes, 2.0 / 3.0).astype(np.complex128)), None, None
+    )
+    a_t = ModuleOperator.pair(None, coord, None, None)
+    one = np.ones(n + 1, dtype=np.complex128)
+    zero = np.zeros(n + 1, dtype=np.complex128)
+    x = ModuleElement(variant="pair", components=(GridFunction(one), GridFunction(zero)))
+    u = op_apply(op_compose(d_t, op_adjoint(d_t)), x)
+    pre = ModuleElement(variant="pair", components=(GridFunction(zero), GridFunction(cuberoot)))
+    lifted = op_apply(a_t, pre)
+    module_resid = max(
+        float(np.max(np.abs(lifted.components[k].samples - u.components[k].samples)))
+        for k in range(2)
+    )
+    witness = multiplier_preimage(GridFunction(one), coord, require_ideal=True)
+    return constructive, module_resid, witness
+
+
+@pytest.mark.parametrize("n", BLOCK_GRIDS)
+def test_ex2_across_blocks_gives_the_full_grid_bits(n):
+    doc = demo_ex2(n)
+    constructive, module_resid, witness = _ex2_reference(n)
+    assert [c["f"] for c in doc["constructive"]] == [c["f"] for c in constructive]
+    for got, ref in zip(doc["constructive"], constructive):
+        assert got["ideal_ok"] is ref["ideal_ok"], got["f"]
+        assert _bits(got["factorization_residual"]) == _bits(ref["factorization_residual"]), got["f"]
+    assert _bits(doc["module_lift_residual"]) == _bits(module_resid)
+    assert _bits(doc["witness_preimage"]["candidate_sup"]) == _bits(witness.candidate_sup)
+    assert _bits(doc["witness_preimage"]["divergence_ratio"]) == _bits(witness.divergence_ratio)
+    assert doc["witness_preimage"]["in_range"] is witness.in_range
 
 
 def _spike(n, k, value):

@@ -44,6 +44,9 @@ def _thl2_reference(f1, x0):
 
 
 def _psd_gap_reference(s, t, c):
+    if s.variant == "l2":
+        vals = c * t.blocks[0][0].samples - s.blocks[0][0].samples
+        return float(min(np.min(vals.real), 0.0))
     n = s.n
 
     def block(op, i, j):
