@@ -4,13 +4,13 @@ Subcommands: solve (douglas | axb | congruence | pt | riccati), check
 (range | douglas | pt-conditions), demo (ex1 | ex2 | l2), sweep. Every
 invocation prints one RunReport JSON document on stdout. Exit codes:
 0 solved / condition holds, 1 unsolvable / condition failed (with a full
-report), 2 input error, an --out path that cannot be written included.
-Every solve family follows one rule: it is solved iff its conditions hold
-and its residual is at most the tolerance. The
-conditions of XHX = K also hold for singular H, where opeq emits no
-solution because a positive solution, when one exists, is not unique;
-``solve pt`` and ``check pt-conditions`` both report h_nonsingular, which
-says which case holds.
+report), 2 input error, an unwritable --out path or unallocatable demo
+grid included. Every solve family follows one rule: it is solved iff its
+conditions hold and its residual is at most the tolerance. The conditions
+of XHX = K hold for every PSD H and K, in text that reads no tolerance;
+for singular H opeq emits no solution, because a positive solution, when
+one exists, is not unique; ``solve pt`` and ``check pt-conditions`` both
+report h_nonsingular, which says which case holds.
 OPEQ_TOL overrides the default tolerance; an explicit --tol beats the
 environment. A command runs inside one factor-sharing scope
 (linalg._shared_factors), so an operand that several of its conditions
@@ -46,14 +46,13 @@ SOLVE_FLAGS = {
     "riccati": ("A", "B"),
 }
 
-# Families whose solver reports conditions and a residual, by the solver's
-# name in this module; it is looked up at call time, so a rebound name is
-# honoured.
+# Families whose solver takes the range tolerance and reports conditions
+# and a residual, by the solver's name in this module; it is looked up at
+# call time, so a rebound name is honoured.
 SOLVERS = {
     "douglas": "douglas_reduced_solve",
     "axb": "axb_reduced_solve",
     "congruence": "congruence_solve",
-    "pt": "pt_solve",
 }
 
 CHECK_FLAGS = {
@@ -145,20 +144,22 @@ def _cmd_solve(args) -> RunReport:
     residuals = {}
     detail = {}
 
-    if args.family in SOLVERS:
-        solver = globals()[SOLVERS[args.family]]
-        rep = solver(*(mats[n] for n in SOLVE_FLAGS[args.family]), tol=tol)
-        conditions = rep.conditions
+    if args.family == "riccati":
+        x = riccati_geomean(mats["A"], mats["B"])
+        residuals["solve"] = verify_solution("riccati", x, a=mats["A"], b=mats["B"])
+        solved = residuals["solve"] <= tol
+    else:
         if args.family == "pt":
+            rep = pt_solve(mats["H"], mats["K"])
             detail = _pt_detail(rep)
+        else:
+            solver = globals()[SOLVERS[args.family]]
+            rep = solver(*(mats[n] for n in SOLVE_FLAGS[args.family]), tol=tol)
+        conditions = rep.conditions
         if rep.residual is not None:
             residuals["solve"] = rep.residual
         solved = rep.solvable and rep.residual <= tol
         x = rep.solution
-    else:
-        x = riccati_geomean(mats["A"], mats["B"])
-        residuals["solve"] = verify_solution("riccati", x, a=mats["A"], b=mats["B"])
-        solved = residuals["solve"] <= tol
     solution = x if solved else None
 
     if solution is not None and args.out:
@@ -196,7 +197,7 @@ def _cmd_check(args) -> RunReport:
     else:
         # the outcome follows the conditions alone; the detail says, as in
         # solve pt, whether H is nonsingular and so admits a solution
-        rep = pt_solve(mats["H"], mats["K"], tol=tol)
+        rep = pt_solve(mats["H"], mats["K"])
         conditions = rep.conditions
         detail = _pt_detail(rep)
         ok = all(c.holds for c in conditions)
@@ -246,7 +247,7 @@ def main(argv=None) -> int:
     try:
         with _shared_factors():
             report = handlers[args.command](args)
-    except InputError as exc:
+    except (InputError, MemoryError) as exc:
         err = RunReport(
             command=args.command,
             outcome="error",

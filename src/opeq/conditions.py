@@ -113,7 +113,8 @@ class PtReport:
     spectral norm, which coincides with the least constant a for which
     (H^{1/2} K H^{1/2})^{1/2} <= a H. For singular H ``solution``,
     ``a_min`` and ``residual`` stay None. ``conditions`` holds the reports
-    ii-a, ii-b, iii and iv in that order.
+    ii-a, ii-b, iii and iv in that order; each holds for every PSD H and K
+    (:func:`pt_conditions`), so ``solvable`` is ``h_nonsingular``.
     """
 
     solution: np.ndarray | None
@@ -124,10 +125,10 @@ class PtReport:
 
     @property
     def solvable(self) -> bool:
-        return self.h_nonsingular and all(c.holds for c in self.conditions)
+        return self.h_nonsingular
 
 
-def pt_solve(h, k, tol: float = TOL_RANGE) -> PtReport:
+def pt_solve(h, k) -> PtReport:
     """Solve XHX = K for the positive X, H and K Hermitian PSD: the
     conditions of :func:`pt_conditions` and, for nonsingular H, the
     positive solution X = H^{-1} # K with its residual from
@@ -137,24 +138,19 @@ def pt_solve(h, k, tol: float = TOL_RANGE) -> PtReport:
     each of H and K once and refuses one that is not PSD; H = F F* and
     K = G G* with F and G their truncated Cholesky factors, n x rank. Any
     F with F F* = H gives F* X F = |M| for M = G* F, so one thin svd
-    M = W_r S_r V_r* gives |M| = V_r S_r V_r* at every rank of H. With
-    H^{1/2} = F Q* for a Q with orthonormal columns, the conditions become
-    statements in C^r, r = rank(H): ii-a, ii-b and iii test the ranges of
-    |M|, (F^{+*} |M|)* and |M|^{1/2} against C^r itself, so each holds
-    with witness 0, and (iv) reads |M| <= lambda F* F, which holds with
-    witness 0 too: for y in C^r, y* |M| y = (Fy)* X (Fy) <= lambda ||Fy||^2
-    = lambda y* F* F y. Only F^{+*} depends on the rank: back substitution
-    for positive definite H, where X = F^{-*} (V_r W_r*) G*, else the
-    pseudoinverse off one svd of F, where X = F^{+*} |M| F^{+}. herm_eig
-    runs once, for X's top eigenvalue, and never on H or K. The sandwich
-    H^{1/2} K H^{1/2} is never formed, so kappa(H) kappa(K) is not
-    squared.
+    M = W_r S_r V_r* gives |M| = V_r S_r V_r* at every rank of H. Only
+    F^{+*} depends on the rank: back substitution for positive definite
+    H, where X = F^{-*} (V_r W_r*) G*, else the pseudoinverse off one svd
+    of F, where X = F^{+*} |M| F^{+}. herm_eig runs once, for X's top
+    eigenvalue, and never on H or K. The sandwich H^{1/2} K H^{1/2} is
+    never formed, so kappa(H) kappa(K) is not squared.
 
-    lambda in (iv) is the top eigenvalue of X, and so is a_min for
-    nonsingular H. X(sH, tK) = sqrt(t/s) X, so all of it runs on H and K
-    scaled by :func:`linalg._prescaled`, and X, a_min and lambda in (iv)
-    are scaled back; the bounds and the residual are those of the scaled
-    operands."""
+    The four conditions are theorems, stated with witness 0 and never
+    computed: see :func:`pt_conditions`. lambda in (iv) is the top
+    eigenvalue of X, and so is a_min for nonsingular H.
+    X(sH, tK) = sqrt(t/s) X, so all of it runs on H and K scaled by
+    :func:`linalg._prescaled`, and X, a_min and lambda in (iv) are scaled
+    back; the residual is that of the scaled operands."""
     hm, eh = _prescaled(hermitian_part(h, "H"))
     km, ek = _prescaled(hermitian_part(k, "K"))
     if hm.shape != km.shape:
@@ -165,23 +161,16 @@ def pt_solve(h, k, tol: float = TOL_RANGE) -> PtReport:
     # K = G G*: M = G* F = W_r S_r V_r* gives F* X F = |M| = V_r S_r V_r*
     g_adj = _psd_cholesky(km, "K").factor.conj().T
     f = svd(g_adj @ fh)
-    sq = _hermitian_power(f.right[:, ::-1], f.singulars[: f.rank][::-1], 1.0)
     if hc.definite:
-        root_pinv_sq = hc.solve_adjoint(sq)
         x = hc.solve_adjoint(f.right @ f.left.conj().T @ g_adj)
     else:
         fh_pinv = svd(fh).pinv()
-        root_pinv_sq = fh_pinv.conj().T @ sq
-        x = root_pinv_sq @ fh_pinv
+        sq = _hermitian_power(f.right[:, ::-1], f.singulars[: f.rank][::-1], 1.0)
+        x = (fh_pinv.conj().T @ sq) @ fh_pinv
     x = _hermitize(x)
 
-    # ii-a, ii-b and iii are identities in C^r: witness 0, bound tol times
-    # the Frobenius norm of |M|, F^{+*} |M| and |M|^{1/2}, sqrt(sum S_r)
-    norms = {"ii-a": frob(sq), "ii-b": frob(root_pinv_sq), "iii": float(np.sqrt(f.singulars.sum()))}
-    reports = [ConditionReport(name, True, 0.0, f"projector residual {0.0:.3e}, bound {tol * norm:.3e}")
-               for name, norm in norms.items()]
-
-    # (iv), |M| <= lambda F* F, holds for lambda = lambda_max(X) (docstring)
+    reports = [ConditionReport(name, True, 0.0, "range identity in C^r, holds for every PSD H and K")
+               for name in ("ii-a", "ii-b", "iii")]
     lam = max(float(herm_eig(x).values[-1]), 0.0)
     a_min = float(_unscale(np.array([lam]), shift, "norm bound overflows")[0])
     reports.append(ConditionReport("iv", True, 0.0, f"lambda={a_min:.9e}"))
@@ -191,7 +180,7 @@ def pt_solve(h, k, tol: float = TOL_RANGE) -> PtReport:
     return PtReport(_unscale(x, shift, "solution overflows"), a_min, residual, True, reports)
 
 
-def pt_conditions(h, k, tol: float = TOL_RANGE) -> list[ConditionReport]:
+def pt_conditions(h, k) -> list[ConditionReport]:
     """Condition battery for solvability of XHX = K with X positive.
 
     Reports, in order:
@@ -200,16 +189,20 @@ def pt_conditions(h, k, tol: float = TOL_RANGE) -> list[ConditionReport]:
       iii   range((H^{1/2} K H^{1/2})^{1/4})      within range(H^{1/2})
       iv    existence of lambda with (H^{1/2} K H^{1/2})^{1/2} <= lambda H
 
-    In finite dimensions every range is closed, so all four hold for any
-    PSD H and K: :func:`pt_solve` states them in C^r, r = rank(H), where
-    each holds with witness 0, iv with lambda the top eigenvalue of
-    X = F^{+*} |M| F^{+}. They are necessary, not sufficient. For a
+    All four are theorems for every PSD H and K, since in finite
+    dimensions every range is closed. With H = F F*, K = G G*, M = G* F
+    and r = rank(H), H^{1/2} = F Q* for a Q with orthonormal columns, so
+    ii-a, ii-b and iii compare the r-row ranges of |M|, (F^{+*} |M|)* and
+    |M|^{1/2} with C^r itself, and (iv) reads |M| <= lambda F* F, true for
+    lambda = lambda_max(X), X = F^{+*} |M| F^{+}: y* |M| y = (Fy)* X (Fy)
+    <= lambda y* F* F y. So each holds with witness 0, in a detail that
+    reads no tolerance. They are necessary, not sufficient. For a
     singular H no solution is emitted, because a positive solution X,
     when one exists, is not unique: X + t P solves too for P the
     projector onto ker(H) and every t >= 0.
     :attr:`PtReport.h_nonsingular` says which case holds.
     """
-    return pt_solve(h, k, tol).conditions
+    return pt_solve(h, k).conditions
 
 
 VERIFY_KINDS = ("ax_b", "axb_c", "axastar_c", "xhx_k", "riccati")

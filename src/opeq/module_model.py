@@ -627,10 +627,16 @@ def demo_ex2(grid_n: int = DEFAULT_GRID_N) -> dict:
     then the multipliers and the probes on them, and keeps only the block
     maxima of the residual and, for the ideal test, g(0) from the first
     block and the block maxima of |g| when g(0) is not 0. The module
-    cross-check and the witness each run in their own scope, so no grid
-    array outlives its phase.
+    cross-check and the witness run first, each in its own scope, so no
+    grid array outlives its phase and an unallocatable grid fails at once.
     """
     _check_grid_n(grid_n)
+    witness = _preimage_dict(
+        multiplier_preimage(
+            GridFunction.constant(1.0, grid_n), GridFunction.coordinate(grid_n), require_ideal=True
+        )
+    )
+    lift_residual = _ex2_lift_residual(grid_n)
     labels = ("constant", "coordinate", "oscillating")
     resid_maxima = {label: [] for label in labels}
     g_maxima = {label: [] for label in labels}
@@ -668,17 +674,12 @@ def demo_ex2(grid_n: int = DEFAULT_GRID_N) -> dict:
         c["ideal_ok"] and c["factorization_residual"] <= TOL_IDEAL * 2.0
         for c in constructive
     )
-    witness = _preimage_dict(
-        multiplier_preimage(
-            GridFunction.constant(1.0, grid_n), GridFunction.coordinate(grid_n), require_ideal=True
-        )
-    )
     return {
         "example": "ex2",
         "grid_n": grid_n,
         "constructive": constructive,
         "preimage_in_ideal": preimage_in_ideal,
-        "module_lift_residual": _ex2_lift_residual(grid_n),
+        "module_lift_residual": lift_residual,
         "witness_preimage": witness,
         "conclusion_holds": preimage_in_ideal and not witness["in_range"],
     }

@@ -1,7 +1,7 @@
 """Solvers for the operator equations AX=B, AXB=C, AXA*=C, XHX=K, and the
 Riccati equation XA^{-1}X=B at matrix scale. The XHX = K solver,
-pt_solve, is :func:`conditions.pt_solve`, whose conditions read off the
-factors it solves with.
+pt_solve, is :func:`conditions.pt_solve`, whose four conditions are
+theorems that hold for every PSD H and K and take no tolerance.
 
 Every solver but riccati_geomean returns one result shape: ``solution``,
 ``residual`` (always :func:`conditions.verify_solution`'s), ``conditions``

@@ -219,6 +219,17 @@ def test_demo_bad_grid_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("which", ["ex1", "ex2", "l2"])
+def test_demo_grid_past_the_address_space_exit_2(capsys, which):
+    # 2^50 nodes need 8 PiB per real array, so the first grid allocation
+    # fails at once; ex2 makes it before its block loop. json.loads
+    # refuses trailing text, so stdout is one report
+    code, doc = run(capsys, "demo", which, "--grid", str(2**50))
+    assert code == 2
+    assert (doc["command"], doc["outcome"]) == ("demo", "error")
+    assert doc["detail"]["message"].startswith("Unable to allocate")
+
+
 def test_sweep_small_and_deterministic(capsys):
     code1 = main(["sweep", "--seed", "42", "--trials", "1", "--max-dim", "2"])
     out1 = capsys.readouterr().out

@@ -107,6 +107,25 @@ def test_pt_solve_factorizations(monkeypatch, h_rank, k_rank, svds):
     assert len(cholesky_calls) == 2
 
 
+@pytest.mark.parametrize("h_rank, calls", [(5, 1), (3, 0)])
+def test_pt_solve_back_substitutes_only_for_x(monkeypatch, h_rank, calls):
+    # a definite H back-substitutes once, for X; a singular H uses F^{+}
+    # and never back-substitutes
+    rng = np.random.default_rng(7)
+    h = random_psd(rng, 5, rank=h_rank)
+    k = random_psd(rng, 5)
+    solve_adjoint = linalg.Cholesky.solve_adjoint
+    seen = []
+
+    def counted(self, b):
+        seen.append(b.shape)
+        return solve_adjoint(self, b)
+
+    monkeypatch.setattr(linalg.Cholesky, "solve_adjoint", counted)
+    pt_solve(h, k)
+    assert len(seen) == calls
+
+
 def test_riccati_singular_b_runs_no_eigensolver(monkeypatch):
     rng = np.random.default_rng(7)
     a = random_spd(rng, 5)

@@ -118,3 +118,26 @@ def test_one_result_shape():
         for field in ("solution", "residual", "conditions", "solvable"):
             assert hasattr(rep, field), (type(rep).__name__, field)
         assert rep.solvable is all(c.holds for c in rep.conditions)
+
+
+@pytest.mark.parametrize(
+    "h, k",
+    [(np.eye(3), np.diag([4.0, 1.0, 0.25])), (np.diag([1.0, 0.5, 0.0]), np.eye(3))],
+    ids=["definite-h", "singular-h"],
+)
+def test_pt_reports_do_not_depend_on_the_tolerance(capsys, tmp_path, h, k):
+    # the four conditions are theorems: neither their verdicts nor their
+    # text may read --tol; solve pt's residual verdict still does
+    paths = []
+    for name, m in (("H", h), ("K", k)):
+        paths += [f"--{name}", str(tmp_path / f"{name}.json")]
+        save_matrix(paths[-1], m.astype(complex))
+    checks, solves = [], []
+    for tol in (["--tol", "1e-300"], [], ["--tol", "0.5"]):
+        main(["check", "pt-conditions", *paths, *tol])
+        checks.append(capsys.readouterr().out)
+        main(["solve", "pt", *paths, *tol])
+        solves.append(json.loads(capsys.readouterr().out)["conditions"])
+    assert checks[0] == checks[1] == checks[2]
+    assert solves[0] == solves[1] == solves[2]
+    assert solves[0] == json.loads(checks[0])["conditions"]
