@@ -5,12 +5,14 @@ Subcommands: solve (douglas | axb | congruence | pt | riccati), check
 invocation prints one RunReport JSON document on stdout. Exit codes:
 0 solved / condition holds, 1 unsolvable / condition failed (with a full
 report), 2 input error, an unwritable --out path or unallocatable demo
-grid included. Every solve family follows one rule: it is solved iff its
-conditions hold and its residual is at most the tolerance. The conditions
-of XHX = K hold for every PSD H and K, in text that reads no tolerance;
-for singular H opeq emits no solution, because a positive solution, when
-one exists, is not unique; ``solve pt`` and ``check pt-conditions`` both
-report h_nonsingular, which says which case holds.
+grid included. Every solve family goes through one path: its solver
+returns a :class:`conditions.SolveResult`, whose ``detail`` the report
+carries, and the family is solved iff the result is solvable (a solution
+whose conditions hold) and its residual is at most the tolerance. The
+conditions of XHX = K hold for every PSD H and K, in text that reads no
+tolerance; for singular H opeq emits no solution, because a positive
+solution, when one exists, is not unique; ``solve pt`` and ``check
+pt-conditions`` both report h_nonsingular, which says which case holds.
 OPEQ_TOL overrides the default tolerance; an explicit --tol beats the
 environment. A command runs inside one factor-sharing scope
 (linalg._shared_factors), so an operand that several of its conditions
@@ -24,7 +26,7 @@ import functools
 import os
 import sys
 
-from .conditions import TOL_RANGE, PtReport, majorization_lambda, range_inclusion, verify_solution
+from .conditions import TOL_RANGE, majorization_lambda, range_inclusion
 from .linalg import InputError, _shared_factors
 from .matio import RunReport, load_matrix, save_matrix
 from .module_model import DEFAULT_GRID_N, DEMOS, demo
@@ -44,15 +46,6 @@ SOLVE_FLAGS = {
     "congruence": ("A", "C"),
     "pt": ("H", "K"),
     "riccati": ("A", "B"),
-}
-
-# Families whose solver takes the range tolerance and reports conditions
-# and a residual, by the solver's name in this module; it is looked up at
-# call time, so a rebound name is honoured.
-SOLVERS = {
-    "douglas": "douglas_reduced_solve",
-    "axb": "axb_reduced_solve",
-    "congruence": "congruence_solve",
 }
 
 CHECK_FLAGS = {
@@ -125,53 +118,32 @@ def _load_inputs(args, flags):
     return mats, digests
 
 
-def _pt_detail(rep: PtReport) -> dict:
-    """The detail of a pt report: whether H is nonsingular, and then the
-    norm bound, else why no solution is emitted."""
-    if rep.h_nonsingular:
-        return {"h_nonsingular": True, "norm_bound": rep.a_min}
-    return {
-        "h_nonsingular": False,
-        "note": "singular H: only the necessity conditions are evaluated, no solution is emitted",
-    }
-
-
 def _cmd_solve(args) -> RunReport:
     tol = _resolve_tol(args)
-    mats, digests = _load_inputs(args, SOLVE_FLAGS[args.family])
-    command = f"solve {args.family}"
-    conditions = []
-    residuals = {}
-    detail = {}
-
-    if args.family == "riccati":
-        x = riccati_geomean(mats["A"], mats["B"])
-        residuals["solve"] = verify_solution("riccati", x, a=mats["A"], b=mats["B"])
-        solved = residuals["solve"] <= tol
-    else:
-        if args.family == "pt":
-            rep = pt_solve(mats["H"], mats["K"])
-            detail = _pt_detail(rep)
-        else:
-            solver = globals()[SOLVERS[args.family]]
-            rep = solver(*(mats[n] for n in SOLVE_FLAGS[args.family]), tol=tol)
-        conditions = rep.conditions
-        if rep.residual is not None:
-            residuals["solve"] = rep.residual
-        solved = rep.solvable and rep.residual <= tol
-        x = rep.solution
-    solution = x if solved else None
+    m, digests = _load_inputs(args, SOLVE_FLAGS[args.family])
+    # each solver is called through its name in this module, looked up at
+    # call time, so a rebound name is honoured; only the reduced solvers
+    # read the range tolerance
+    rep = {
+        "douglas": lambda: douglas_reduced_solve(m["A"], m["B"], tol=tol),
+        "axb": lambda: axb_reduced_solve(m["A"], m["B"], m["C"], tol=tol),
+        "congruence": lambda: congruence_solve(m["A"], m["C"], tol=tol),
+        "pt": lambda: pt_solve(m["H"], m["K"]),
+        "riccati": lambda: riccati_geomean(m["A"], m["B"]),
+    }[args.family]()
+    solved = rep.solvable and rep.residual <= tol
+    solution = rep.solution if solved else None
 
     if solution is not None and args.out:
         save_matrix(args.out, solution)
     return RunReport(
-        command=command,
+        command=f"solve {args.family}",
         outcome="solved" if solved else "unsolvable",
         inputs=digests,
-        residuals=residuals,
-        conditions=conditions,
+        residuals={} if rep.residual is None else {"solve": rep.residual},
+        conditions=rep.conditions,
         solution=solution,
-        detail=detail,
+        detail=rep.detail,
     )
 
 
@@ -199,7 +171,7 @@ def _cmd_check(args) -> RunReport:
         # solve pt, whether H is nonsingular and so admits a solution
         rep = pt_solve(mats["H"], mats["K"])
         conditions = rep.conditions
-        detail = _pt_detail(rep)
+        detail = rep.detail
         ok = all(c.holds for c in conditions)
 
     return RunReport(

@@ -1,7 +1,7 @@
-"""Solvability diagnostics: range inclusions, majorization constants, the
-XHX = K solver pt_solve (its condition battery returned with its solution
-as one PtReport), and verify_solution, the one residual that every
-solver reports.
+"""Solvability diagnostics: range inclusions, majorization constants,
+SolveResult (what every solver returns), the XHX = K solver pt_solve (its
+condition battery returned with its solution), and verify_solution, the
+one residual that every solver reports.
 
 Checks never raise on a negative outcome. Each returns a ConditionReport
 whose ``witness`` is the residual that decided it, so callers can see how
@@ -10,7 +10,7 @@ close a verdict was; a condition that holds as a theorem has witness 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -105,34 +105,39 @@ def majorization_lambda(b, a, tol: float = TOL_RANGE) -> float | None:
     return lam
 
 
-@dataclass
-class PtReport:
-    """Outcome of solving XHX = K for positive X.
+@dataclass(frozen=True)
+class SolveResult:
+    """What every solver returns, in all five families.
 
-    For nonsingular H the positive solution is unique and ``a_min`` is its
-    spectral norm, which coincides with the least constant a for which
-    (H^{1/2} K H^{1/2})^{1/2} <= a H. For singular H ``solution``,
-    ``a_min`` and ``residual`` stay None. ``conditions`` holds the reports
-    ii-a, ii-b, iii and iv in that order; each holds for every PSD H and K
-    (:func:`pt_conditions`), so ``solvable`` is ``h_nonsingular``.
+    ``residual`` is :func:`verify_solution`'s for the family, and None when
+    no solution is emitted. ``conditions`` are the family's reports, none for
+    riccati. ``detail`` is what a report prints beside them: pt's
+    ``h_nonsingular`` and then ``norm_bound`` or a note, empty elsewhere.
+    The null projectors span the freedom of a reduced solver's general
+    solution (:func:`solvers.general_solution`); pt and riccati have none.
     """
 
     solution: np.ndarray | None
-    a_min: float | None
     residual: float | None
-    h_nonsingular: bool
     conditions: list[ConditionReport]
+    detail: dict = field(default_factory=dict)
+    left_null_projector: np.ndarray | None = None
+    right_null_projector: np.ndarray | None = None
 
     @property
     def solvable(self) -> bool:
-        return self.h_nonsingular
+        return self.solution is not None and all(c.holds for c in self.conditions)
 
 
-def pt_solve(h, k) -> PtReport:
+def pt_solve(h, k) -> SolveResult:
     """Solve XHX = K for the positive X, H and K Hermitian PSD: the
     conditions of :func:`pt_conditions` and, for nonsingular H, the
     positive solution X = H^{-1} # K with its residual from
-    :func:`verify_solution`.
+    :func:`verify_solution`. ``detail["h_nonsingular"]`` says which case
+    holds. For nonsingular H the positive solution is unique, and
+    ``detail["norm_bound"]`` is its spectral norm a_min, the least a with
+    (H^{1/2} K H^{1/2})^{1/2} <= a H; for singular H a note says why no
+    solution is emitted.
 
     One path serves every rank of H. :func:`linalg._psd_cholesky` factors
     each of H and K once and refuses one that is not PSD; H = F F* and
@@ -175,9 +180,11 @@ def pt_solve(h, k) -> PtReport:
     a_min = float(_unscale(np.array([lam]), shift, "norm bound overflows")[0])
     reports.append(ConditionReport("iv", True, 0.0, f"lambda={a_min:.9e}"))
     if not hc.definite:
-        return PtReport(None, None, None, False, reports)
+        note = "singular H: only the necessity conditions are evaluated, no solution is emitted"
+        return SolveResult(None, None, reports, {"h_nonsingular": False, "note": note})
     residual = verify_solution("xhx_k", x, h=hm, k=km)
-    return PtReport(_unscale(x, shift, "solution overflows"), a_min, residual, True, reports)
+    return SolveResult(_unscale(x, shift, "solution overflows"), residual, reports,
+                       {"h_nonsingular": True, "norm_bound": a_min})
 
 
 def pt_conditions(h, k) -> list[ConditionReport]:
@@ -200,7 +207,7 @@ def pt_conditions(h, k) -> list[ConditionReport]:
     singular H no solution is emitted, because a positive solution X,
     when one exists, is not unique: X + t P solves too for P the
     projector onto ker(H) and every t >= 0.
-    :attr:`PtReport.h_nonsingular` says which case holds.
+    ``pt_solve(h, k).detail["h_nonsingular"]`` says which case holds.
     """
     return pt_solve(h, k).conditions
 

@@ -3,22 +3,20 @@ Riccati equation XA^{-1}X=B at matrix scale. The XHX = K solver,
 pt_solve, is :func:`conditions.pt_solve`, whose four conditions are
 theorems that hold for every PSD H and K and take no tolerance.
 
-Every solver but riccati_geomean returns one result shape: ``solution``,
-``residual`` (always :func:`conditions.verify_solution`'s), ``conditions``
-and ``solvable``. Unsolvable instances are not errors: the reduced solvers
-return their least-squares candidate with the failed reports, and pt_solve
-with singular H returns its reports and no solution. Errors are reserved
-for malformed operands and for residuals that leave the floating-point
-range.
+Every solver returns one :class:`conditions.SolveResult`: ``solution``,
+``residual`` (always :func:`conditions.verify_solution`'s), ``conditions``,
+``detail`` and ``solvable``, plus null projectors from the three reduced
+solvers. Unsolvable instances are not errors: the reduced solvers return
+their least-squares candidate with the failed reports, and pt_solve with
+singular H returns its reports and no solution. Errors are reserved for
+malformed operands and for residuals that leave the floating-point range.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .conditions import (ConditionReport, PtReport, TOL_RANGE, basis_inclusion, pt_solve,
+from .conditions import (ConditionReport, SolveResult, TOL_RANGE, basis_inclusion, pt_solve,
                          verify_solution)
 from .linalg import (
     PSD_CLAMP_TOL,
@@ -35,27 +33,7 @@ from .linalg import (
 )
 
 
-@dataclass
-class ReducedSolution:
-    """A reduced (minimal-norm flavored) solution candidate plus diagnostics.
-
-    ``left_null_projector`` and ``right_null_projector`` span the freedom
-    of the general solution: every solution of the underlying equation is
-    solution + N_left @ V1 + V2 @ N_right for arbitrary V1, V2.
-    """
-
-    solution: np.ndarray
-    residual: float
-    left_null_projector: np.ndarray
-    right_null_projector: np.ndarray
-    conditions: list[ConditionReport]
-
-    @property
-    def solvable(self) -> bool:
-        return all(c.holds for c in self.conditions)
-
-
-def douglas_reduced_solve(a, b, tol: float = TOL_RANGE) -> ReducedSolution:
+def douglas_reduced_solve(a, b, tol: float = TOL_RANGE) -> SolveResult:
     """Solve AX = B through the pseudoinverse: X = A^+ B.
 
     Solvable exactly when range(B) lies inside range(A); the returned
@@ -74,10 +52,10 @@ def douglas_reduced_solve(a, b, tol: float = TOL_RANGE) -> ReducedSolution:
     cond = basis_inclusion(bm, fa.range_basis, tol, name="range(B) in range(A)")
     n_left = _hermitize(np.eye(am.shape[1], dtype=np.complex128) - ap @ am)
     n_right = np.zeros((bm.shape[1], bm.shape[1]), dtype=np.complex128)
-    return ReducedSolution(d, residual, n_left, n_right, [cond])
+    return SolveResult(d, residual, [cond], left_null_projector=n_left, right_null_projector=n_right)
 
 
-def axb_reduced_solve(a, b, c, tol: float = TOL_RANGE) -> ReducedSolution:
+def axb_reduced_solve(a, b, c, tol: float = TOL_RANGE) -> SolveResult:
     """Solve AXB = C through the reduced candidate X = A^+ C B^+.
 
     Solvable exactly when range(C) lies in range(A) and range((A^+ C)*)
@@ -103,15 +81,20 @@ def axb_reduced_solve(a, b, c, tol: float = TOL_RANGE) -> ReducedSolution:
     cond2 = basis_inclusion((ap @ cm).conj().T, fb.right, tol, name="range((A+C)*) in range(B*)")
     n_left = _hermitize(np.eye(am.shape[1], dtype=np.complex128) - ap @ am)
     n_right = _hermitize(np.eye(bm.shape[0], dtype=np.complex128) - bm @ bp)
-    return ReducedSolution(d, residual, n_left, n_right, [cond1, cond2])
+    return SolveResult(d, residual, [cond1, cond2], left_null_projector=n_left,
+                       right_null_projector=n_right)
 
 
-def general_solution(reduced: ReducedSolution, v1, v2) -> np.ndarray:
-    """Expand a reduced solution by its null-space freedom.
+def general_solution(reduced: SolveResult, v1, v2) -> np.ndarray:
+    """Expand a reduced solution by its null-space freedom: every solution
+    of the underlying equation is solution + N_left @ v1 + v2 @ N_right.
 
-    Returns solution + N_left @ v1 + v2 @ N_right; both parameter blocks
-    must match the solution's shape.
+    Needs the null projectors of a douglas, axb or congruence result; both
+    parameter blocks must match the solution's shape.
     """
+    if reduced.left_null_projector is None:
+        raise InputError("general_solution needs a douglas, axb or congruence result: "
+                         "a pt or riccati result has no null projectors")
     v1m = as_matrix(v1)
     v2m = as_matrix(v2)
     shape = reduced.solution.shape
@@ -127,7 +110,7 @@ def general_solution(reduced: ReducedSolution, v1, v2) -> np.ndarray:
     )
 
 
-def congruence_solve(a, c, tol: float = TOL_RANGE) -> ReducedSolution:
+def congruence_solve(a, c, tol: float = TOL_RANGE) -> SolveResult:
     """Positive solution of AXA* = C, when one exists.
 
     The candidate X = A^+ C (A^+)* is Hermitian PSD whenever the instance
@@ -155,10 +138,11 @@ def congruence_solve(a, c, tol: float = TOL_RANGE) -> ReducedSolution:
         (ap @ cm).conj().T, fa.range_basis, tol, name="range((A+C)*) in range(A)"
     )
     n_a = _hermitize(np.eye(am.shape[1], dtype=np.complex128) - ap @ am)
-    return ReducedSolution(x, residual, n_a, n_a.copy(), [psd_cond, cond1, cond2])
+    return SolveResult(x, residual, [psd_cond, cond1, cond2], left_null_projector=n_a,
+                       right_null_projector=n_a.copy())
 
 
-def riccati_geomean(a, b) -> np.ndarray:
+def riccati_geomean(a, b) -> SolveResult:
     """Geometric mean A # B = A^{1/2} (A^{-1/2} B A^{-1/2})^{1/2} A^{1/2}.
 
     This is the unique PSD solution of the Riccati equation
@@ -174,7 +158,9 @@ def riccati_geomean(a, b) -> np.ndarray:
     Appl. 23, 2016). The thin factors suffice, as V_r W_r* M = |M|. No
     square root is taken and the sandwich A^{-1/2} B A^{-1/2} is never
     formed, so kappa(A) kappa(B) is not squared. Two cholesky calls and
-    one svd at every rank of B, and no herm_eig.
+    one svd at every rank of B, and no herm_eig. The residual is
+    :func:`conditions.verify_solution`'s on a and b as given; there are no
+    conditions, so the result is solvable.
     """
     am = as_matrix(a)
     bm = as_matrix(b)
@@ -188,4 +174,5 @@ def riccati_geomean(a, b) -> np.ndarray:
     g = _psd_cholesky(tb, "b").factor
     f = svd(ac.solve(g).conj().T)
     x = _hermitize(ac.factor @ (f.right @ f.left.conj().T) @ g.conj().T)
-    return _unscale(x, (ea + eb) // 2, "geometric mean overflows")
+    x = _unscale(x, (ea + eb) // 2, "geometric mean overflows")
+    return SolveResult(x, verify_solution("riccati", x, a=am, b=bm), [])

@@ -157,12 +157,12 @@ def test_criterion_05_geometric_mean():
         n = int(rng.integers(1, 9))
         a = random_spd(rng, n)
         b = random_spd(rng, n)
-        g = riccati_geomean(a, b)
-        g_rev = riccati_geomean(b, a)
+        g = riccati_geomean(a, b).solution
+        g_rev = riccati_geomean(b, a).solution
         scale = 1.0 + frob(g)
         sym = frob(g - g_rev) / scale
         res = verify_solution("riccati", g, a=a, b=b)
-        fix = frob(riccati_geomean(a, a) - a)
+        fix = frob(riccati_geomean(a, a).solution - a)
         worst_sym = max(worst_sym, sym)
         worst_res = max(worst_res, res)
         worst_fix = max(worst_fix, fix)

@@ -7,6 +7,7 @@ import pytest
 
 from opeq import cli
 from opeq.cli import main
+from opeq.conditions import majorization_lambda, range_inclusion
 from opeq.matio import load_matrix, save_matrix
 
 
@@ -125,6 +126,8 @@ def test_solve_axb(capsys, mats):
         ("congruence", "congruence_solve", {"--A": "a_cong", "--C": "c_cong"}),
         ("douglas", "douglas_reduced_solve", {"--A": "e1", "--B": "e2"}),
         ("axb", "axb_reduced_solve", {"--A": "eye2", "--B": "eye2", "--C": "diag41"}),
+        ("pt", "pt_solve", {"--H": "eye2", "--K": "diag41"}),
+        ("riccati", "riccati_geomean", {"--A": "a_nd", "--B": "b_nd"}),
     ],
 )
 def test_solve_calls_the_solver_bound_in_cli(capsys, mats, monkeypatch, family, solver, operands):
@@ -193,6 +196,25 @@ def test_check_douglas_lambda_present(capsys, mats):
     code, doc = run(capsys, "check", "douglas", "--A", mats["eye2"], "--B", mats["diag41"])
     assert code == 0
     assert doc["detail"]["lambda"] == pytest.approx(16.0, rel=1e-8)
+
+
+def test_check_douglas_lambda_recheck_refuses_a_loose_inclusion(capsys, tmp_path):
+    # at tol 0.9 the projector residual 0.5 of B = [1; 0.5] passes as an
+    # inclusion into range(diag(1, 0)), but no lambda gives B B* <= lambda A A*:
+    # majorization_lambda's re-check returns None, and check douglas fails
+    a = np.diag([1.0, 0.0])
+    b = np.array([[1.0], [0.5]])
+    assert range_inclusion(b, a, tol=0.9).holds
+    assert majorization_lambda(b, a, tol=0.9) is None
+    paths = {}
+    for name, m in (("A", a), ("B", b)):
+        paths[name] = str(tmp_path / f"{name}.json")
+        save_matrix(paths[name], m.astype(complex))
+    code, doc = run(capsys, "check", "douglas", "--A", paths["A"], "--B", paths["B"], "--tol", "0.9")
+    assert code == 1
+    assert doc["outcome"] == "unsolvable"
+    assert doc["conditions"][0]["holds"] is True
+    assert doc["detail"]["lambda"] is None
 
 
 def test_check_pt_conditions(capsys, mats):

@@ -54,4 +54,4 @@ def test_formed_singular_h_stays_singular():
         n = 2 + i % 15
         h = random_psd_singular(rng, n)
         assert not cholesky(h).definite
-        assert not pt_solve(h, random_psd(rng, n)).h_nonsingular
+        assert not pt_solve(h, random_psd(rng, n)).detail["h_nonsingular"]

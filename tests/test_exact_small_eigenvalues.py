@@ -32,7 +32,7 @@ def test_diagonal_small_eigenvalue_is_kept(mu):
     rep = pt_solve(np.eye(3), k)
     assert rep.solvable
     assert _forward_error(rep.solution, ref) <= 1e-15
-    assert _forward_error(riccati_geomean(np.eye(3), k), ref) <= 1e-15
+    assert _forward_error(riccati_geomean(np.eye(3), k).solution, ref) <= 1e-15
     assert _forward_error(psd_sqrt(k), ref) <= 1e-15
 
 
@@ -49,7 +49,7 @@ def test_rotated_small_eigenvalue_is_kept():
     _clear_of_cutoff(k, 3)
     ref = (q * np.sqrt(lam)) @ q.conj().T
     assert _forward_error(pt_solve(np.eye(4), k).solution, ref) <= 3.8e-9
-    assert _forward_error(riccati_geomean(np.eye(4), k), ref) <= 3.8e-9
+    assert _forward_error(riccati_geomean(np.eye(4), k).solution, ref) <= 3.8e-9
     assert _forward_error(psd_sqrt(k), ref) <= 3.8e-9
 
 

@@ -57,6 +57,6 @@ def test_forward_error_on_graded_operands(solver, k1, k2):
             assert rep.solvable
             x = rep.solution
         else:
-            x = riccati_geomean(first, second)
+            x = riccati_geomean(first, second).solution
         worst = max(worst, float(np.linalg.norm(x - ref) / np.linalg.norm(ref)))
     assert worst <= PINS[(solver, k1, k2)]

@@ -34,7 +34,7 @@ def test_norm_bound_agrees_with_pt_solve():
         n = int(rng.integers(1, 9))
         h = random_spd(rng, n)
         k = random_psd(rng, n)
-        a_min = pt_solve(h, k).a_min
+        a_min = pt_solve(h, k).detail["norm_bound"]
         assert abs(norm_bound_bisect(h, k) - a_min) <= 1e-10 * a_min
 
 
@@ -106,10 +106,10 @@ def test_riccati_scales_subnormal_a(tmp_path, capsys):
     a = 1e-310 * np.eye(2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        g = riccati_geomean(a, np.eye(2))
+        g = riccati_geomean(a, np.eye(2)).solution
     assert frob(g - math.sqrt(1e-310) * np.eye(2)) <= 1e-14 * math.sqrt(1e-310)
-    # the CLI's residual applies A^{-1} through A's Cholesky factor, never
-    # forming 1 / 1e-310, so it accepts the representable answer
+    # the residual applies A^{-1} through A's Cholesky factor, never
+    # forming 1 / 1e-310, so the CLI accepts the representable answer
     pa, pb = tmp_path / "a.json", tmp_path / "b.json"
     save_matrix(str(pa), a.astype(complex))
     save_matrix(str(pb), np.eye(2, dtype=complex))
@@ -123,7 +123,7 @@ def test_riccati_scales_by_even_powers_of_two():
     for sa, sb in ((1e200, 1e-200), (1e-300, 1e300)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            g = riccati_geomean(sa * np.eye(2), sb * np.eye(2))
+            g = riccati_geomean(sa * np.eye(2), sb * np.eye(2)).solution
         assert frob(g - np.eye(2)) <= 1e-15
 
 
@@ -144,4 +144,4 @@ def test_pt_solve_residual_is_finite_at_large_scale():
     rep = pt_solve(np.eye(2), 1e300 * np.eye(2))
     assert rep.solvable
     assert math.isfinite(rep.residual) and rep.residual <= 1e-8
-    assert abs(rep.a_min - 1e150) <= 1e-12 * 1e150
+    assert abs(rep.detail["norm_bound"] - 1e150) <= 1e-12 * 1e150

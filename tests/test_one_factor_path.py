@@ -101,7 +101,7 @@ def test_pt_solve_factorizations(monkeypatch, h_rank, k_rank, svds):
     svd_calls = _counting(monkeypatch, "_svd_jacobi")
     cholesky_calls = _counting(monkeypatch, "_cholesky_pivoted")
     rep = pt_solve(h, k)
-    assert rep.h_nonsingular == (h_rank == 5)
+    assert rep.detail["h_nonsingular"] == (h_rank == 5)
     assert len(eig_calls) == 1
     assert len(svd_calls) == svds
     assert len(cholesky_calls) == 2

@@ -1,4 +1,4 @@
-"""One result shape and one residual across the condition-checked solvers.
+"""One result shape and one residual across all five solve families.
 
 Every solver's residual must be verify_solution's for its kind, bit for bit;
 pt_conditions must be pt_solve's condition battery; and `opeq solve` must
@@ -11,17 +11,17 @@ import json
 import numpy as np
 import pytest
 
-from opeq import PtReport as PackagePtReport
+from opeq import SolveResult as PackageSolveResult
 from opeq.cli import main
-from opeq.conditions import PtReport, pt_conditions, verify_solution
+from opeq.conditions import SolveResult, pt_conditions, verify_solution
 from opeq.matio import save_matrix
 from opeq.solvers import (
-    PtReport as SolversPtReport,
-    ReducedSolution,
+    SolveResult as SolversSolveResult,
     axb_reduced_solve,
     congruence_solve,
     douglas_reduced_solve,
     pt_solve,
+    riccati_geomean,
 )
 
 SEEDS = (3, 17, 2024)
@@ -56,9 +56,10 @@ def test_pt_conditions_is_pt_solve_battery(seed, h_rank):
     h = _psd(rng, n, n if h_rank == "full" else n - 2)
     k = _psd(rng, n, n)
     rep = pt_solve(h, k)
-    assert rep.h_nonsingular == (h_rank == "full")
-    if not rep.h_nonsingular:
-        assert (rep.solution, rep.a_min, rep.residual, rep.solvable) == (None, None, None, False)
+    assert rep.detail["h_nonsingular"] == (h_rank == "full")
+    if not rep.detail["h_nonsingular"]:
+        assert (rep.solution, rep.residual, rep.solvable) == (None, None, False)
+        assert "norm_bound" not in rep.detail
     battery = pt_conditions(h, k)
     assert [c.name for c in battery] == ["ii-a", "ii-b", "iii", "iv"]
     assert len(battery) == len(rep.conditions)
@@ -92,6 +93,9 @@ def test_solver_residuals_are_verify_solution(seed):
     assert rep.solution is not None
     assert rep.residual == verify_solution("xhx_k", rep.solution, h=h, k=k)
 
+    rep = riccati_geomean(h, k)
+    assert rep.residual == verify_solution("riccati", rep.solution, a=h, b=k)
+
 
 def test_solve_pt_above_tolerance_is_unsolvable(capsys, tmp_path):
     paths = {}
@@ -108,16 +112,29 @@ def test_solve_pt_above_tolerance_is_unsolvable(capsys, tmp_path):
 
 
 def test_one_result_shape():
-    assert PtReport is SolversPtReport is PackagePtReport
+    assert SolveResult is SolversSolveResult is PackageSolveResult
     rng = np.random.default_rng(5)
     a = _gauss(rng, 3, 3)
-    reduced = douglas_reduced_solve(a, a @ _gauss(rng, 3, 2))
-    pt = pt_solve(np.eye(2), np.diag([4.0, 1.0]))
-    assert isinstance(reduced, ReducedSolution) and isinstance(pt, PtReport)
-    for rep in (reduced, pt):
-        for field in ("solution", "residual", "conditions", "solvable"):
-            assert hasattr(rep, field), (type(rep).__name__, field)
-        assert rep.solvable is all(c.holds for c in rep.conditions)
+    spd = np.diag([4.0, 1.0, 2.0])
+    reps = {
+        "douglas": douglas_reduced_solve(a, a @ _gauss(rng, 3, 2)),
+        "axb": axb_reduced_solve(a, a, a @ _gauss(rng, 3, 3) @ a),
+        "congruence": congruence_solve(a, _herm(a @ spd @ a.conj().T)),
+        "pt": pt_solve(np.eye(3), spd),
+        "riccati": riccati_geomean(np.eye(3), spd),
+    }
+    for family, rep in reps.items():
+        assert type(rep) is SolveResult, family
+        assert rep.solvable, family
+        assert rep.solvable is (rep.solution is not None and all(c.holds for c in rep.conditions))
+        reduced = family in ("douglas", "axb", "congruence")
+        assert (rep.left_null_projector is not None) is reduced, family
+        assert (rep.right_null_projector is not None) is reduced, family
+        if family != "pt":
+            assert rep.detail == {}, family
+    assert reps["pt"].detail["h_nonsingular"] is True
+    assert reps["pt"].detail["norm_bound"] == pytest.approx(2.0, rel=1e-12)
+    assert reps["riccati"].conditions == []
 
 
 @pytest.mark.parametrize(

@@ -94,6 +94,17 @@ def test_general_solution_block_shape_check():
         general_solution(rep, np.zeros((3, 3)), np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("family, solve", [("pt", pt_solve), ("riccati", riccati_geomean)])
+def test_general_solution_refuses_a_result_without_null_projectors(family, solve):
+    # pt and riccati return their unique positive solution and no null
+    # projectors, so there is no freedom to expand: a refusal that names
+    # the family, not a TypeError from None @ v1
+    rep = solve(np.eye(2), np.diag([4.0, 1.0]))
+    assert rep.left_null_projector is None and rep.right_null_projector is None
+    with pytest.raises(InputError, match=family):
+        general_solution(rep, np.zeros((2, 2)), np.zeros((2, 2)))
+
+
 # --- AXA* = C ----------------------------------------------------------------
 
 
@@ -135,7 +146,7 @@ def test_pt_frozen_diagonal():
     rep = pt_solve(np.diag([1.0, 4.0]), np.diag([9.0, 1.0]))
     assert rep.solvable
     assert np.allclose(rep.solution, np.diag([3.0, 0.5]), atol=1e-12)
-    assert rep.a_min == pytest.approx(3.0, rel=1e-12)
+    assert rep.detail["norm_bound"] == pytest.approx(3.0, rel=1e-12)
     assert rep.residual <= 1e-12
 
 
@@ -163,7 +174,7 @@ def test_pt_random_roundtrip_unique_and_bounded():
 def test_pt_singular_h_declines_but_reports():
     rep = pt_solve(np.diag([1.0, 0.0]), np.ones((2, 2)))
     assert rep.solution is None
-    assert not rep.h_nonsingular
+    assert not rep.detail["h_nonsingular"]
     assert len(rep.conditions) == 4
     # necessity holds for this constructed pair even though h is singular
     assert rep.conditions[0].holds
@@ -208,7 +219,7 @@ def test_pt_solution_on_constructed_k_recovers_x0():
 
 
 def test_riccati_frozen_commuting():
-    g = riccati_geomean(np.diag([1.0, 4.0]), np.diag([4.0, 1.0]))
+    g = riccati_geomean(np.diag([1.0, 4.0]), np.diag([4.0, 1.0])).solution
     assert np.allclose(g, 2.0 * np.eye(2), atol=1e-12)
 
 
@@ -218,10 +229,10 @@ def test_riccati_residual_symmetry_fixed_point():
         n = int(rng.integers(2, 7))
         a = random_spd(rng, n)
         b = random_spd(rng, n)
-        g = riccati_geomean(a, b)
+        g = riccati_geomean(a, b).solution
         assert verify_solution("riccati", g, a=a, b=b) <= 1e-8
-        assert frob(g - riccati_geomean(b, a)) / (1.0 + frob(g)) <= 1e-8
-        assert frob(riccati_geomean(a, a) - a) / (1.0 + frob(a)) <= 1e-9
+        assert frob(g - riccati_geomean(b, a).solution) / (1.0 + frob(g)) <= 1e-8
+        assert frob(riccati_geomean(a, a).solution - a) / (1.0 + frob(a)) <= 1e-9
 
 
 def test_riccati_rejects_singular_first_argument():
@@ -231,7 +242,7 @@ def test_riccati_rejects_singular_first_argument():
 
 def test_riccati_accepts_singular_second_argument():
     b = np.diag([4.0, 0.0])
-    g = riccati_geomean(np.eye(2), b)
+    g = riccati_geomean(np.eye(2), b).solution
     assert np.allclose(g, np.diag([2.0, 0.0]), atol=1e-12)
 
 

@@ -12,11 +12,11 @@ def test_pt_solve_with_zero_k_is_solved_by_zero():
     rep = pt_solve(np.diag([1.0, 2.0]), np.zeros((2, 2)))
     assert rep.solvable
     assert np.array_equal(rep.solution, np.zeros((2, 2)))
-    assert rep.a_min == 0.0
+    assert rep.detail["norm_bound"] == 0.0
 
 
 def test_geometric_mean_with_zero_is_zero():
-    assert np.array_equal(riccati_geomean(np.eye(3), np.zeros((3, 3))), np.zeros((3, 3)))
+    assert np.array_equal(riccati_geomean(np.eye(3), np.zeros((3, 3))).solution, np.zeros((3, 3)))
 
 
 def test_rank_zero_matrix_readers():
