@@ -150,32 +150,24 @@ def _cmd_solve(args) -> RunReport:
 def _cmd_check(args) -> RunReport:
     tol = _resolve_tol(args)
     mats, digests = _load_inputs(args, CHECK_FLAGS[args.battery])
-    command = f"check {args.battery}"
     detail = {}
     residuals = {}
-
-    if args.battery == "range":
-        rep = range_inclusion(mats["B"], mats["A"], tol=tol)
-        conditions = [rep]
-        ok = rep.holds
-    elif args.battery == "douglas":
-        inc = range_inclusion(mats["B"], mats["A"], tol=tol)
-        lam = majorization_lambda(mats["B"], mats["A"], tol=tol)
-        solve = douglas_reduced_solve(mats["A"], mats["B"], tol=tol)
-        conditions = [inc]
-        residuals["least_squares"] = solve.residual
-        detail["lambda"] = lam
-        ok = inc.holds and lam is not None
-    else:
+    if args.battery == "pt-conditions":
         # the outcome follows the conditions alone; the detail says, as in
         # solve pt, whether H is nonsingular and so admits a solution
         rep = pt_solve(mats["H"], mats["K"])
-        conditions = rep.conditions
-        detail = rep.detail
-        ok = all(c.holds for c in conditions)
+        conditions, detail = rep.conditions, rep.detail
+    else:
+        conditions = [range_inclusion(mats["B"], mats["A"], tol=tol)]
+    ok = all(c.holds for c in conditions)
+    if args.battery == "douglas":
+        lam = majorization_lambda(mats["B"], mats["A"], tol=tol)
+        residuals["least_squares"] = douglas_reduced_solve(mats["A"], mats["B"], tol=tol).residual
+        detail["lambda"] = lam
+        ok = ok and lam is not None
 
     return RunReport(
-        command=command,
+        command=f"check {args.battery}",
         outcome="solved" if ok else "unsolvable",
         inputs=digests,
         residuals=residuals,

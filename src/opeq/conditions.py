@@ -3,9 +3,8 @@ SolveResult (what every solver returns), the XHX = K solver pt_solve (its
 condition battery returned with its solution), and verify_solution, the
 one residual that every solver reports.
 
-Checks never raise on a negative outcome. Each returns a ConditionReport
-whose ``witness`` is the residual that decided it, so callers can see how
-close a verdict was; a condition that holds as a theorem has witness 0.
+Checks never raise on a negative outcome. Each returns a ConditionReport,
+whose verdict is witness <= bound, so callers see how close it was.
 """
 
 from __future__ import annotations
@@ -40,38 +39,33 @@ TOL_RANGE = 1e-8
 LAMBDA_SLACK = 1e-6
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConditionReport:
-    """Outcome of one solvability condition.
-
-    ``witness`` is a residual: the condition holds when it is at most the
-    stated bound, and a condition that holds for every input has witness 0.
-    """
+    """Outcome of one solvability condition: ``witness``, the residual that
+    decides it, ``bound``, its cutoff, and ``detail``, fixed text stating the
+    rule. It holds iff witness <= bound; a theorem has witness 0, bound 0."""
 
     name: str
-    holds: bool
     witness: float
+    bound: float
     detail: str = ""
+
+    @property
+    def holds(self) -> bool:
+        return self.witness <= self.bound
 
 
 def basis_inclusion(b, basis: np.ndarray, tol: float = TOL_RANGE,
                     name: str = "range_inclusion") -> ConditionReport:
     """Does the column space of b lie inside the span of the orthonormal
-    columns of ``basis``? Holds iff ||B - U_r U_r* B||_F <= tol * ||B||_F, a
-    bound relative at every scale of B; a zero B holds."""
+    columns of ``basis``? The witness is ||B - U_r U_r* B||_F and the bound
+    tol * ||B||_F, relative at every scale of B; a zero B holds."""
     bm = as_matrix(b)
     if bm.shape[0] != basis.shape[0]:
-        raise InputError(
-            f"range_inclusion needs equal row counts, got {bm.shape} vs {basis.shape[0]} rows"
-        )
-    witness = frob(bm - basis @ (basis.conj().T @ bm))
-    bound = tol * frob(bm)
-    return ConditionReport(
-        name=name,
-        holds=witness <= bound,
-        witness=witness,
-        detail=f"projector residual {witness:.3e}, bound {bound:.3e}",
-    )
+        raise InputError(f"range_inclusion needs equal row counts, "
+                         f"got {bm.shape} vs {basis.shape[0]} rows")
+    return ConditionReport(name, frob(bm - basis @ (basis.conj().T @ bm)), tol * frob(bm),
+                           "projector residual ||B - U_r U_r* B||_F, bound tol ||B||_F")
 
 
 def range_inclusion(b, a, tol: float = TOL_RANGE) -> ConditionReport:
@@ -112,7 +106,7 @@ class SolveResult:
     ``residual`` is :func:`verify_solution`'s for the family, and None when
     no solution is emitted. ``conditions`` are the family's reports, none for
     riccati. ``detail`` is what a report prints beside them: pt's
-    ``h_nonsingular`` and then ``norm_bound`` or a note, empty elsewhere.
+    ``h_nonsingular``, ``norm_bound`` and for singular H a note, else empty.
     The null projectors span the freedom of a reduced solver's general
     solution (:func:`solvers.general_solution`); pt and riccati have none.
     """
@@ -134,10 +128,10 @@ def pt_solve(h, k) -> SolveResult:
     conditions of :func:`pt_conditions` and, for nonsingular H, the
     positive solution X = H^{-1} # K with its residual from
     :func:`verify_solution`. ``detail["h_nonsingular"]`` says which case
-    holds. For nonsingular H the positive solution is unique, and
-    ``detail["norm_bound"]`` is its spectral norm a_min, the least a with
-    (H^{1/2} K H^{1/2})^{1/2} <= a H; for singular H a note says why no
-    solution is emitted.
+    holds. ``detail["norm_bound"]`` is a_min, the least a with
+    (H^{1/2} K H^{1/2})^{1/2} <= a H (the lambda of (iv)), at every rank of
+    H. For nonsingular H it is the norm of the unique positive solution;
+    for singular H a note says why no solution is emitted.
 
     One path serves every rank of H. :func:`linalg._psd_cholesky` factors
     each of H and K once and refuses one that is not PSD; H = F F* and
@@ -150,11 +144,10 @@ def pt_solve(h, k) -> SolveResult:
     eigenvalue, and never on H or K. The sandwich H^{1/2} K H^{1/2} is
     never formed, so kappa(H) kappa(K) is not squared.
 
-    The four conditions are theorems, stated with witness 0 and never
-    computed: see :func:`pt_conditions`. lambda in (iv) is the top
-    eigenvalue of X, and so is a_min for nonsingular H.
-    X(sH, tK) = sqrt(t/s) X, so all of it runs on H and K scaled by
-    :func:`linalg._prescaled`, and X, a_min and lambda in (iv) are scaled
+    The four conditions are theorems, stated with witness 0 and bound 0
+    and never computed: see :func:`pt_conditions`. a_min is the top
+    eigenvalue of X. X(sH, tK) = sqrt(t/s) X, so all of it runs on H and
+    K scaled by :func:`linalg._prescaled`, and X and a_min are scaled
     back; the residual is that of the scaled operands."""
     hm, eh = _prescaled(hermitian_part(h, "H"))
     km, ek = _prescaled(hermitian_part(k, "K"))
@@ -174,17 +167,19 @@ def pt_solve(h, k) -> SolveResult:
         x = (fh_pinv.conj().T @ sq) @ fh_pinv
     x = _hermitize(x)
 
-    reports = [ConditionReport(name, True, 0.0, "range identity in C^r, holds for every PSD H and K")
+    reports = [ConditionReport(name, 0.0, 0.0, "range identity in C^r, holds for every PSD H and K")
                for name in ("ii-a", "ii-b", "iii")]
+    reports.append(ConditionReport("iv", 0.0, 0.0,
+                                   "holds for every PSD H and K, lambda = detail.norm_bound"))
     lam = max(float(herm_eig(x).values[-1]), 0.0)
-    a_min = float(_unscale(np.array([lam]), shift, "norm bound overflows")[0])
-    reports.append(ConditionReport("iv", True, 0.0, f"lambda={a_min:.9e}"))
+    detail = {"h_nonsingular": hc.definite,
+              "norm_bound": float(_unscale(np.array([lam]), shift, "norm bound overflows")[0])}
     if not hc.definite:
-        note = "singular H: only the necessity conditions are evaluated, no solution is emitted"
-        return SolveResult(None, None, reports, {"h_nonsingular": False, "note": note})
+        detail["note"] = ("singular H: only the necessity conditions are evaluated, "
+                          "no solution is emitted")
+        return SolveResult(None, None, reports, detail)
     residual = verify_solution("xhx_k", x, h=hm, k=km)
-    return SolveResult(_unscale(x, shift, "solution overflows"), residual, reports,
-                       {"h_nonsingular": True, "norm_bound": a_min})
+    return SolveResult(_unscale(x, shift, "solution overflows"), residual, reports, detail)
 
 
 def pt_conditions(h, k) -> list[ConditionReport]:
@@ -202,12 +197,13 @@ def pt_conditions(h, k) -> list[ConditionReport]:
     ii-a, ii-b and iii compare the r-row ranges of |M|, (F^{+*} |M|)* and
     |M|^{1/2} with C^r itself, and (iv) reads |M| <= lambda F* F, true for
     lambda = lambda_max(X), X = F^{+*} |M| F^{+}: y* |M| y = (Fy)* X (Fy)
-    <= lambda y* F* F y. So each holds with witness 0, in a detail that
-    reads no tolerance. They are necessary, not sufficient. For a
-    singular H no solution is emitted, because a positive solution X,
-    when one exists, is not unique: X + t P solves too for P the
-    projector onto ker(H) and every t >= 0.
-    ``pt_solve(h, k).detail["h_nonsingular"]`` says which case holds.
+    <= lambda y* F* F y, and for no less, as Fy runs over range(H), which
+    holds range(X); it is ``pt_solve(h, k).detail["norm_bound"]``. So each
+    holds with witness 0 and bound 0, in a detail that reads no tolerance.
+    They are necessary, not sufficient. For a singular H no solution is
+    emitted, because a positive solution X, when one exists, is not
+    unique: X + t P solves too for P the projector onto ker(H) and every
+    t >= 0. ``pt_solve(h, k).detail["h_nonsingular"]`` says which case holds.
     """
     return pt_solve(h, k).conditions
 
@@ -220,8 +216,8 @@ def verify_solution(kind: str, candidate, a=None, b=None, c=None, h=None, k=None
 
     Kinds: ax_b (needs a, b), axb_c (a, b, c), axastar_c (a, c),
     xhx_k (h, k), riccati (a positive definite, b). The residual is
-    ||lhs - rhs||_F / (1 + ||rhs||_F); when lhs - rhs leaves the
-    floating-point range, InputError is raised instead.
+    ||lhs - rhs||_F / (1 + ||rhs||_F); InputError is raised instead when the
+    shapes do not conform or lhs - rhs leaves the floating-point range.
     """
     x = as_matrix(candidate)
     kd = kind.lower().replace("-", "_")
@@ -233,24 +229,34 @@ def verify_solution(kind: str, candidate, a=None, b=None, c=None, h=None, k=None
             raise InputError(f"kind {kd!r} needs operand {names}")
         return as_matrix(val)
 
+    def _conform(x_shape, rhs, rhs_shape, **operands):
+        if x.shape != x_shape or rhs.shape != rhs_shape:
+            shapes = ", ".join(f"{name} {m.shape}" for name, m in operands.items())
+            raise InputError(f"kind {kd!r}: candidate {x.shape} does not conform to {shapes}")
+
     with np.errstate(over="ignore", invalid="ignore"):
         if kd == "ax_b":
             am, rhs = _need(a, "a"), _need(b, "b")
+            _conform((am.shape[1], rhs.shape[1]), rhs, (am.shape[0], rhs.shape[1]), a=am, b=rhs)
             lhs = am @ x
         elif kd == "axb_c":
             am, bm, rhs = _need(a, "a"), _need(b, "b"), _need(c, "c")
+            _conform((am.shape[1], bm.shape[0]), rhs, (am.shape[0], bm.shape[1]), a=am, b=bm, c=rhs)
             lhs = am @ x @ bm
         elif kd == "axastar_c":
             am, rhs = _need(a, "a"), _need(c, "c")
+            _conform((am.shape[1],) * 2, rhs, (am.shape[0],) * 2, a=am, c=rhs)
             lhs = am @ x @ am.conj().T
         elif kd == "xhx_k":
             hm, rhs = _need(h, "h"), _need(k, "k")
+            _conform(hm.shape[::-1], rhs, hm.shape[::-1], h=hm, k=rhs)
             lhs = x @ hm @ x
         else:
             # riccati: X A^{-1} X = (F^{-1} X*)* (F^{-1} X) for A = F F*
             am = _need(a, "a")
             ac = _definite_cholesky(am, "a")
             rhs = _need(b, "b")
+            _conform(am.shape, rhs, am.shape, a=am, b=rhs)
             lhs = ac.solve(x.conj().T).conj().T @ ac.solve(x)
         resid = require_finite(lhs - rhs, "residual overflows")
     return frob(resid) / (1.0 + frob(rhs))

@@ -215,6 +215,7 @@ class RunReport:
                     "name": c.name,
                     "holds": bool(c.holds),
                     "witness": float(c.witness),
+                    "bound": float(c.bound),
                     "detail": c.detail,
                 }
                 for c in self.conditions

@@ -116,8 +116,8 @@ def congruence_solve(a, c, tol: float = TOL_RANGE) -> SolveResult:
     The candidate X = A^+ C (A^+)* is Hermitian PSD whenever the instance
     is solvable, which requires C Hermitian PSD together with range(C) in
     range(A) and range((A^+ C)*) in range(A). "C is PSD" is opeq's one PSD
-    rule, :attr:`linalg.Cholesky.psd`, and its witness the remainder of
-    :func:`linalg.cholesky` on C. An indefinite C is reported as an unsolvable
+    rule, :attr:`linalg.Cholesky.psd`: the remainder of :func:`linalg.cholesky`
+    on C within PSD_CLAMP_TOL. An indefinite C is reported as an unsolvable
     instance, not an input error; non-Hermitian C is rejected outright.
     """
     am = as_matrix(a)
@@ -125,9 +125,8 @@ def congruence_solve(a, c, tol: float = TOL_RANGE) -> SolveResult:
     if am.shape[0] != cm.shape[0]:
         raise InputError(f"row mismatch: A is {am.shape}, C is {cm.shape}")
 
-    cc = cholesky(cm)
-    psd_cond = ConditionReport(name="C is PSD", holds=cc.psd, witness=cc.remainder,
-                               detail=f"Schur remainder {cc.remainder:.3e}, bound {PSD_CLAMP_TOL:.3e}")
+    psd_cond = ConditionReport("C is PSD", cholesky(cm).remainder, PSD_CLAMP_TOL,
+                               "Schur remainder of cholesky(C), bound PSD_CLAMP_TOL")
 
     fa = svd(am)
     ap = fa.pinv()

@@ -6,6 +6,7 @@ import pytest
 from opeq.conditions import (
     majorization_lambda,
     pt_conditions,
+    pt_solve,
     range_inclusion,
     verify_solution,
 )
@@ -88,9 +89,9 @@ def test_pt_condition_iv_lambda_value():
     # so the smallest lambda with quarter^2 <= lam h is max(3/1, 2/4) = 3
     h = np.diag([1.0, 4.0])
     k = np.diag([9.0, 1.0])
-    reports = pt_conditions(h, k)
-    assert reports[3].holds
-    assert "lambda=3.000" in reports[3].detail
+    rep = pt_solve(h, k)
+    assert rep.conditions[3].holds
+    assert rep.detail["norm_bound"] == pytest.approx(3.0, rel=1e-12)
 
 
 def test_verify_solution_kinds():
@@ -105,6 +106,28 @@ def test_verify_solution_kinds():
     assert verify_solution("riccati", g, a=a, b=b) <= 1e-12
     with pytest.raises(InputError):
         verify_solution("nope", x, a=a, b=a)
+
+
+@pytest.mark.parametrize("kind, operands, shapes", [
+    # A X is 3 x 2 against a 3 x 2 B, but X must have A's 2 rows
+    ("ax_b", dict(candidate=np.ones((3, 2)), a=np.ones((3, 2)), b=np.ones((3, 2))),
+     "candidate (3, 2) does not conform to a (3, 2), b (3, 2)"),
+    # A X is 3 x 1, which numpy would broadcast against a 3 x 3 B
+    ("ax_b", dict(candidate=np.ones((2, 1)), a=np.ones((3, 2)), b=np.ones((3, 3))),
+     "candidate (2, 1) does not conform to a (3, 2), b (3, 3)"),
+    ("axb_c", dict(candidate=np.eye(3), a=np.eye(2), b=np.eye(2), c=np.eye(2)),
+     "candidate (3, 3) does not conform to a (2, 2), b (2, 2), c (2, 2)"),
+    ("axastar_c", dict(candidate=np.eye(2), a=np.eye(2), c=np.eye(3)),
+     "candidate (2, 2) does not conform to a (2, 2), c (3, 3)"),
+    ("xhx_k", dict(candidate=np.eye(2), h=np.eye(3), k=np.eye(3)),
+     "candidate (2, 2) does not conform to h (3, 3), k (3, 3)"),
+    ("riccati", dict(candidate=np.eye(3), a=np.eye(2), b=np.eye(2)),
+     "candidate (3, 3) does not conform to a (2, 2), b (2, 2)"),
+], ids=["ax_b", "ax_b-broadcast", "axb_c", "axastar_c", "xhx_k", "riccati"])
+def test_verify_solution_refuses_non_conforming_shapes(kind, operands, shapes):
+    with pytest.raises(InputError) as err:
+        verify_solution(kind, **operands)
+    assert str(err.value) == f"kind {kind!r}: {shapes}"
 
 
 def test_verify_solution_riccati_needs_invertible_a():

@@ -132,11 +132,13 @@ def test_report_document_shape():
         outcome="unsolvable",
         inputs={"A": "sha256:00", "B": "sha256:01"},
         residuals={"witness": 1.0},
-        conditions=[ConditionReport(name="range_inclusion", holds=False, witness=1.0)],
+        conditions=[ConditionReport(name="range_inclusion", witness=1.0, bound=0.5)],
     )
     doc = json.loads(rep.emit())
     assert doc["outcome"] == "unsolvable"
     assert doc["conditions"][0]["holds"] is False
+    assert list(doc["conditions"][0]) == ["name", "holds", "witness", "bound", "detail"]
+    assert doc["conditions"][0]["bound"] == 0.5
     assert doc["solution"] is None
 
 
@@ -275,7 +277,7 @@ def test_report_with_a_solution_reads_back_as_its_document():
         outcome="solved",
         inputs={"H": "sha256:00", "K": "sha256:01"},
         residuals={"solve": 0.0},
-        conditions=[ConditionReport(name="iv", holds=True, witness=1.0, detail="lambda=1")],
+        conditions=[ConditionReport(name="iv", witness=1.0, bound=2.0, detail="fixed rule text")],
         solution=solution,
         detail={"h_nonsingular": True, "norm_bound": 2.0},
     )

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from opeq.cli import main
-from opeq.conditions import pt_conditions
 from opeq.linalg import _prescaled, orthonormalize
 from opeq.matio import save_matrix
 from opeq.solvers import pt_solve, riccati_geomean
@@ -69,25 +68,23 @@ def test_pt_solve_is_bitwise_equivariant(sh, sk):
         assert rep.detail["norm_bound"] == base.detail["norm_bound"] * 2.0 ** ((sk - sh) // 2)
 
 
-def _lambda(report) -> float:
-    return float(report.detail.removeprefix("lambda="))
-
-
 @pytest.mark.parametrize("sh, sk", [(-640, -640), (-640, 640), (640, -640), (640, 640)])
 def test_pt_conditions_for_singular_h_are_bitwise_equivariant(sh, sk):
     # the witnesses are those of the prescaled operands, bit for bit, and
-    # lambda in (iv) scales as X does, up to its printed digits
+    # norm_bound, the lambda of (iv), scales as X does, bit for bit
     rng = np.random.default_rng(14)
     for _ in range(60):
         n = int(rng.integers(2, 9))
         h, k = random_psd_singular(rng, n), random_psd(rng, n)
-        base = pt_conditions(h, k)
+        base = pt_solve(h, k)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            reps = pt_conditions(h * 2.0**sh, k * 2.0**sk)
-        assert [r.holds for r in reps] == [r.holds for r in base]
-        assert [float(r.witness).hex() for r in reps] == [float(r.witness).hex() for r in base]
-        assert _lambda(reps[3]) == pytest.approx(_lambda(base[3]) * 2.0 ** ((sk - sh) // 2), rel=1e-9)
+            rep = pt_solve(h * 2.0**sh, k * 2.0**sk)
+        assert not rep.detail["h_nonsingular"]
+        assert [r.holds for r in rep.conditions] == [r.holds for r in base.conditions]
+        assert ([float(r.witness).hex() for r in rep.conditions]
+                == [float(r.witness).hex() for r in base.conditions])
+        assert rep.detail["norm_bound"] == base.detail["norm_bound"] * 2.0 ** ((sk - sh) // 2)
 
 
 @pytest.mark.parametrize("sa, sb", [(-640, 0), (640, 0), (0, -640), (0, 640), (-640, 640)])

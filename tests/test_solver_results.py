@@ -45,6 +45,7 @@ def _same_report(a, b):
     assert a.name == b.name
     assert a.holds == b.holds
     assert np.float64(a.witness).tobytes() == np.float64(b.witness).tobytes()
+    assert np.float64(a.bound).tobytes() == np.float64(b.bound).tobytes()
     assert a.detail == b.detail
 
 
@@ -59,7 +60,10 @@ def test_pt_conditions_is_pt_solve_battery(seed, h_rank):
     assert rep.detail["h_nonsingular"] == (h_rank == "full")
     if not rep.detail["h_nonsingular"]:
         assert (rep.solution, rep.residual, rep.solvable) == (None, None, False)
-        assert "norm_bound" not in rep.detail
+        assert list(rep.detail) == ["h_nonsingular", "norm_bound", "note"]
+    else:
+        assert list(rep.detail) == ["h_nonsingular", "norm_bound"]
+    assert rep.detail["norm_bound"] > 0.0
     battery = pt_conditions(h, k)
     assert [c.name for c in battery] == ["ii-a", "ii-b", "iii", "iv"]
     assert len(battery) == len(rep.conditions)

@@ -70,8 +70,7 @@ def test_check_pt_conditions_reports_h_nonsingular(capsys, tmp_path, h, k, nonsi
     assert code == 0 and doc["outcome"] == "solved"
     assert all(c["holds"] for c in doc["conditions"])
     assert doc["detail"]["h_nonsingular"] is nonsingular
-    if nonsingular:
-        assert doc["detail"]["norm_bound"] == pytest.approx(2.0, rel=1e-15)
-    else:
+    # the least a with (H^{1/2} K H^{1/2})^{1/2} <= a H, at every rank of H
+    assert doc["detail"]["norm_bound"] == pytest.approx(2.0 if nonsingular else 1.0, rel=1e-15)
+    if not nonsingular:
         assert doc["detail"]["note"].startswith("singular H:")
-        assert "norm_bound" not in doc["detail"]
