@@ -6,13 +6,11 @@ invocation prints one RunReport JSON document on stdout. Exit codes:
 0 solved / condition holds, 1 unsolvable / condition failed (with a full
 report), 2 input error, an unwritable --out path or unallocatable demo
 grid included. Every solve family goes through one path: its solver
-returns a :class:`conditions.SolveResult`, whose ``detail`` the report
+returns a :class:`solvers.SolveResult`, whose ``detail`` the report
 carries, and the family is solved iff the result is solvable (a solution
-whose conditions hold) and its residual is at most the tolerance. The
-conditions of XHX = K hold for every PSD H and K, in text that reads no
-tolerance; for singular H opeq emits no solution, because a positive
-solution, when one exists, is not unique; ``solve pt`` and ``check
-pt-conditions`` both report h_nonsingular, which says which case holds.
+whose conditions hold) and its residual is at most the tolerance. ``check
+pt-conditions`` reports :func:`solvers.pt_solve`'s conditions and detail,
+which read no tolerance and say whether H is nonsingular.
 OPEQ_TOL overrides the default tolerance; an explicit --tol beats the
 environment. A command runs inside one factor-sharing scope
 (linalg._shared_factors), so an operand that several of its conditions

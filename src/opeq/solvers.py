@@ -1,27 +1,28 @@
 """Solvers for the operator equations AX=B, AXB=C, AXA*=C, XHX=K, and the
-Riccati equation XA^{-1}X=B at matrix scale. The XHX = K solver,
-pt_solve, is :func:`conditions.pt_solve`, whose four conditions are
-theorems that hold for every PSD H and K and take no tolerance.
+Riccati equation XA^{-1}X=B at matrix scale.
 
-Every solver returns one :class:`conditions.SolveResult`: ``solution``,
-``residual`` (always :func:`conditions.verify_solution`'s), ``conditions``,
-``detail`` and ``solvable``, plus null projectors from the three reduced
-solvers. Unsolvable instances are not errors: the reduced solvers return
-their least-squares candidate with the failed reports, and pt_solve with
-singular H returns its reports and no solution. Errors are reserved for
-malformed operands and for residuals that leave the floating-point range.
+Every solver returns one :class:`SolveResult`: ``solution``, ``residual``
+(always :func:`conditions.verify_solution`'s), ``conditions``, ``detail``
+and ``solvable``, plus null projectors from the three reduced solvers,
+which :func:`general_solution` expands. Unsolvable instances are not
+errors: the reduced solvers return their least-squares candidate with the
+failed reports, and pt_solve with singular H returns its reports and no
+solution. Errors are reserved for malformed operands and for residuals
+that leave the floating-point range.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
-from .conditions import (ConditionReport, SolveResult, TOL_RANGE, basis_inclusion, pt_solve,
-                         verify_solution)
+from .conditions import ConditionReport, TOL_RANGE, basis_inclusion, verify_solution
 from .linalg import (
     PSD_CLAMP_TOL,
     InputError,
     _definite_cholesky,
+    _hermitian_power,
     _hermitize,
     _prescaled,
     _psd_cholesky,
@@ -29,8 +30,33 @@ from .linalg import (
     as_matrix,
     cholesky,
     hermitian_part,
+    herm_eig,
     svd,
 )
+
+
+@dataclass(frozen=True)
+class SolveResult:
+    """What every solver returns, in all five families.
+
+    ``residual`` is :func:`conditions.verify_solution`'s for the family, and
+    None when no solution is emitted. ``conditions`` are the family's
+    reports, none for riccati. ``detail`` is what a report prints beside
+    them: pt's ``h_nonsingular``, ``norm_bound`` and for singular H a note,
+    else empty. The null projectors span the freedom of a reduced solver's
+    general solution (:func:`general_solution`); pt and riccati have none.
+    """
+
+    solution: np.ndarray | None
+    residual: float | None
+    conditions: list[ConditionReport]
+    detail: dict = field(default_factory=dict)
+    left_null_projector: np.ndarray | None = None
+    right_null_projector: np.ndarray | None = None
+
+    @property
+    def solvable(self) -> bool:
+        return self.solution is not None and all(c.holds for c in self.conditions)
 
 
 def douglas_reduced_solve(a, b, tol: float = TOL_RANGE) -> SolveResult:
@@ -139,6 +165,74 @@ def congruence_solve(a, c, tol: float = TOL_RANGE) -> SolveResult:
     n_a = _hermitize(np.eye(am.shape[1], dtype=np.complex128) - ap @ am)
     return SolveResult(x, residual, [psd_cond, cond1, cond2], left_null_projector=n_a,
                        right_null_projector=n_a.copy())
+
+
+def pt_solve(h, k) -> SolveResult:
+    """Solve XHX = K for the positive X, H and K Hermitian PSD: four
+    conditions and, for nonsingular H, the positive solution
+    X = H^{-1} # K with its residual. ``detail["h_nonsingular"]`` says which
+    case holds. ``detail["norm_bound"]`` is a_min, the least a with
+    (H^{1/2} K H^{1/2})^{1/2} <= a H, at every rank of H: for nonsingular H
+    the norm of the unique positive solution. For singular H a note says
+    why no solution is emitted: a positive solution X, when one exists, is
+    not unique, as X + t P solves too, P the projector onto ker(H), t >= 0.
+
+    One path serves every rank of H. :func:`linalg._psd_cholesky` factors
+    each of H and K once and refuses one that is not PSD; H = F F* and
+    K = G G* with F and G their truncated Cholesky factors, n x rank. Any
+    F with F F* = H gives F* X F = |M| for M = G* F, so one thin svd
+    M = W_r S_r V_r* gives |M| = V_r S_r V_r* at every rank of H. Only
+    F^{+*} depends on the rank: back substitution for positive definite
+    H, where X = F^{-*} (V_r W_r*) G*, else the pseudoinverse off one svd
+    of F, where X = F^{+*} |M| F^{+}. herm_eig runs once, for a_min, and
+    never on H or K. The sandwich H^{1/2} K H^{1/2} is never formed, so
+    kappa(H) kappa(K) is not squared. X(sH, tK) = sqrt(t/s) X, so all of it
+    runs on H and K scaled by :func:`linalg._prescaled`, and X and a_min
+    are scaled back; the residual is that of the scaled operands.
+
+    The conditions, necessary and not sufficient, are theorems for every
+    PSD H and K, stated with witness 0 and bound 0 and never computed:
+      ii-a  range((H^{1/2} K H^{1/2})^{1/2})      within range(H^{1/2})
+      ii-b  range((H^{1/2+} (...)^{1/2})*)        within range(H^{1/2})
+      iii   range((H^{1/2} K H^{1/2})^{1/4})      within range(H^{1/2})
+      iv    existence of lambda with (H^{1/2} K H^{1/2})^{1/2} <= lambda H
+    With r = rank(H), H^{1/2} = F Q* for a Q with orthonormal columns, so
+    ii-a, ii-b and iii compare the r-row ranges of |M|, (F^{+*} |M|)* and
+    |M|^{1/2} with C^r itself, every range being closed in finite
+    dimensions, and (iv) reads |M| <= lambda F* F, true for lambda = a_min:
+    y* |M| y = (Fy)* X (Fy) <= a_min y* F* F y, and for no less, as Fy runs
+    over range(H), which holds range(X)."""
+    hm, eh = _prescaled(hermitian_part(h, "H"))
+    km, ek = _prescaled(hermitian_part(k, "K"))
+    if hm.shape != km.shape:
+        raise InputError(f"H and K must have equal shape, got {hm.shape} vs {km.shape}")
+    shift = (ek - eh) // 2
+    hc = _psd_cholesky(hm, "H")
+    fh = hc.factor
+    # K = G G*: M = G* F = W_r S_r V_r* gives F* X F = |M| = V_r S_r V_r*
+    g_adj = _psd_cholesky(km, "K").factor.conj().T
+    f = svd(g_adj @ fh)
+    if hc.definite:
+        x = hc.solve_adjoint(f.right @ f.left.conj().T @ g_adj)
+    else:
+        fh_pinv = svd(fh).pinv()
+        sq = _hermitian_power(f.right[:, ::-1], f.singulars[: f.rank][::-1], 1.0)
+        x = (fh_pinv.conj().T @ sq) @ fh_pinv
+    x = _hermitize(x)
+
+    reports = [ConditionReport(name, 0.0, 0.0, "range identity in C^r, holds for every PSD H and K")
+               for name in ("ii-a", "ii-b", "iii")]
+    reports.append(ConditionReport("iv", 0.0, 0.0,
+                                   "holds for every PSD H and K, lambda = detail.norm_bound"))
+    lam = max(float(herm_eig(x).values[-1]), 0.0)
+    detail = {"h_nonsingular": hc.definite,
+              "norm_bound": float(_unscale(np.array([lam]), shift, "norm bound overflows")[0])}
+    if not hc.definite:
+        detail["note"] = ("singular H: only the necessity conditions are evaluated, "
+                          "no solution is emitted")
+        return SolveResult(None, None, reports, detail)
+    residual = verify_solution("xhx_k", x, h=hm, k=km)
+    return SolveResult(_unscale(x, shift, "solution overflows"), residual, reports, detail)
 
 
 def riccati_geomean(a, b) -> SolveResult:

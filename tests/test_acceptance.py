@@ -15,7 +15,6 @@ import pytest
 from opeq.cli import main
 from opeq.conditions import (
     majorization_lambda,
-    pt_conditions,
     range_inclusion,
     verify_solution,
 )
@@ -141,7 +140,7 @@ def test_criterion_04_pt_necessity_on_singular_h():
         # necessary range inclusions must both hold even though h is singular
         k = t @ h @ t
         k = 0.5 * (k + k.conj().T)
-        reports = pt_conditions(h, k)
+        reports = pt_solve(h, k).conditions
         assert reports[0].name == "ii-a" and reports[0].holds
         assert reports[1].name == "ii-b" and reports[1].holds
     print("[criterion 04] PASS necessity: 100 singular-h reachable instances, "

@@ -5,12 +5,11 @@ import pytest
 
 from opeq.conditions import (
     majorization_lambda,
-    pt_conditions,
-    pt_solve,
     range_inclusion,
     verify_solution,
 )
 from opeq.linalg import InputError, frob, psd_sqrt
+from opeq.solvers import pt_solve
 from opeq.sweep import (
     douglas_solvable_pair,
     douglas_unsolvable_pair,
@@ -58,7 +57,7 @@ def test_majorization_lambda_scales_quadratically():
 
 
 def test_pt_conditions_frozen_identity_h():
-    reports = pt_conditions(np.eye(2), np.diag([4.0, 1.0]))
+    reports = pt_solve(np.eye(2), np.diag([4.0, 1.0])).conditions
     names = [r.name for r in reports]
     assert names == ["ii-a", "ii-b", "iii", "iv"]
     assert all(r.holds for r in reports)
@@ -66,9 +65,9 @@ def test_pt_conditions_frozen_identity_h():
 
 def test_pt_conditions_rejects_non_psd():
     with pytest.raises(InputError):
-        pt_conditions(np.diag([1.0, -1.0]), np.eye(2))
+        pt_solve(np.diag([1.0, -1.0]), np.eye(2)).conditions
     with pytest.raises(InputError):
-        pt_conditions(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
+        pt_solve(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])).conditions
 
 
 def test_pt_conditions_necessity_on_singular_h():
@@ -80,7 +79,7 @@ def test_pt_conditions_necessity_on_singular_h():
         h = random_psd_singular(rng, n)
         t = random_psd(rng, n)
         k = t @ h @ t
-        reports = pt_conditions(h, 0.5 * (k + k.conj().T))
+        reports = pt_solve(h, 0.5 * (k + k.conj().T)).conditions
         assert reports[0].holds and reports[1].holds
 
 
@@ -104,8 +103,10 @@ def test_verify_solution_kinds():
     assert verify_solution("axb_c", x, a=a, b=b, c=c) <= 1e-14
     g = psd_sqrt(a @ b)  # commuting case: geometric mean is sqrt(ab)
     assert verify_solution("riccati", g, a=a, b=b) <= 1e-12
-    with pytest.raises(InputError):
-        verify_solution("nope", x, a=a, b=a)
+    # a kind is one of VERIFY_KINDS exactly: no case or dash folding
+    for kind in ("nope", "AX-B"):
+        with pytest.raises(InputError, match="unknown equation kind"):
+            verify_solution(kind, x, a=a, b=a)
 
 
 @pytest.mark.parametrize("kind, operands, shapes", [
@@ -123,7 +124,10 @@ def test_verify_solution_kinds():
      "candidate (2, 2) does not conform to h (3, 3), k (3, 3)"),
     ("riccati", dict(candidate=np.eye(3), a=np.eye(2), b=np.eye(2)),
      "candidate (3, 3) does not conform to a (2, 2), b (2, 2)"),
-], ids=["ax_b", "ax_b-broadcast", "axb_c", "axastar_c", "xhx_k", "riccati"])
+    # a non-square a is refused by its shape before it is factored
+    ("riccati", dict(candidate=np.ones((3, 2)), a=np.ones((3, 2)), b=np.ones((3, 2))),
+     "candidate (3, 2) does not conform to a (3, 2), b (3, 2)"),
+], ids=["ax_b", "ax_b-broadcast", "axb_c", "axastar_c", "xhx_k", "riccati", "riccati-non-square-a"])
 def test_verify_solution_refuses_non_conforming_shapes(kind, operands, shapes):
     with pytest.raises(InputError) as err:
         verify_solution(kind, **operands)

@@ -13,7 +13,7 @@ import pytest
 
 from opeq import linalg
 from opeq.cli import main
-from opeq.conditions import pt_conditions, verify_solution
+from opeq.conditions import verify_solution
 from opeq.linalg import InputError, spectral_norm, svd
 from opeq.matio import save_matrix
 from opeq.solvers import pt_solve, riccati_geomean
@@ -48,7 +48,7 @@ def _singular_h_pairs(seed, count):
 
 def test_singular_h_conditions_hold_with_reference_lambda():
     for h, k, t in _singular_h_pairs(18, 44):
-        reports = pt_conditions(h, k)
+        reports = pt_solve(h, k).conditions
         assert [c.holds for c in reports] == [True] * 4
         assert [c.witness for c in reports] == [0.0] * 4
         lam = pt_solve(h, k).detail["norm_bound"]

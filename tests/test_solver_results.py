@@ -1,9 +1,9 @@
 """One result shape and one residual across all five solve families.
 
 Every solver's residual must be verify_solution's for its kind, bit for bit;
-pt_conditions must be pt_solve's condition battery; and `opeq solve` must
-apply the same solved rule (conditions hold and residual <= tol) to pt as
-to every other family.
+pt_solve's battery and detail must keep their names and keys; and `opeq
+solve` must apply the same solved rule (conditions hold and residual <= tol)
+to pt as to every other family.
 """
 
 import json
@@ -13,10 +13,10 @@ import pytest
 
 from opeq import SolveResult as PackageSolveResult
 from opeq.cli import main
-from opeq.conditions import SolveResult, pt_conditions, verify_solution
+from opeq.conditions import verify_solution
 from opeq.matio import save_matrix
 from opeq.solvers import (
-    SolveResult as SolversSolveResult,
+    SolveResult,
     axb_reduced_solve,
     congruence_solve,
     douglas_reduced_solve,
@@ -64,7 +64,7 @@ def test_pt_conditions_is_pt_solve_battery(seed, h_rank):
     else:
         assert list(rep.detail) == ["h_nonsingular", "norm_bound"]
     assert rep.detail["norm_bound"] > 0.0
-    battery = pt_conditions(h, k)
+    battery = pt_solve(h, k).conditions
     assert [c.name for c in battery] == ["ii-a", "ii-b", "iii", "iv"]
     assert len(battery) == len(rep.conditions)
     for a, b in zip(battery, rep.conditions):
@@ -116,7 +116,7 @@ def test_solve_pt_above_tolerance_is_unsolvable(capsys, tmp_path):
 
 
 def test_one_result_shape():
-    assert SolveResult is SolversSolveResult is PackageSolveResult
+    assert SolveResult is PackageSolveResult
     rng = np.random.default_rng(5)
     a = _gauss(rng, 3, 3)
     spd = np.diag([4.0, 1.0, 2.0])

@@ -5,7 +5,7 @@ import pytest
 
 from opeq import linalg
 from opeq.cli import main
-from opeq.conditions import pt_conditions, verify_solution
+from opeq.conditions import verify_solution
 from opeq.linalg import InputError, frob, herm_eig, pinv, psd_sqrt, spectral_norm
 from opeq.matio import save_matrix
 from opeq.solvers import (
@@ -193,7 +193,7 @@ def test_pt_h_just_outside_psd_window_is_input_error(capsys, tmp_path):
     with pytest.raises(InputError, match="H is not PSD"):
         pt_solve(h, np.eye(2))
     with pytest.raises(InputError, match="H is not PSD"):
-        pt_conditions(h, np.eye(2))
+        pt_solve(h, np.eye(2)).conditions
     save_matrix(str(tmp_path / "h.json"), h.astype(complex))
     save_matrix(str(tmp_path / "k.json"), np.eye(2, dtype=complex))
     code = main(["solve", "pt", "--H", str(tmp_path / "h.json"), "--K", str(tmp_path / "k.json")])

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from opeq.cli import main
-from opeq.conditions import pt_conditions
 from opeq.linalg import cholesky, frob, svd
 from opeq.matio import save_matrix
+from opeq.solvers import pt_solve
 from opeq.sweep import random_psd, random_psd_singular
 
 
@@ -26,7 +26,7 @@ def test_singular_h_conditions_hold_at_any_tolerance():
         h = random_psd_singular(rng, n)
         t = random_psd(rng, n)
         k = 0.5 * (t @ h @ t + (t @ h @ t).conj().T)
-        ii_a, ii_b, iii, iv = pt_conditions(h, k)
+        ii_a, ii_b, iii, iv = pt_solve(h, k).conditions
         assert ii_a.witness == 0.0 and ii_b.witness == 0.0 and iii.witness == 0.0
         assert iv.witness >= 0.0
         assert ii_a.holds and ii_b.holds and iii.holds and iv.holds
