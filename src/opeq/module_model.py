@@ -37,9 +37,9 @@ DEFAULT_GRID_N = 1024
 # by at most this factor when the grid is doubled.
 STABLE_FACTOR = 1.1
 
-# thl2_decompose, op_psd_gap and ex2's constructive probes work in blocks
-# of this many node indices, so their scratch is 512 KiB of complex values
-# rather than a grid array.
+# thl2_decompose's pass, op_psd_gap and ex2's constructive probes work in
+# blocks of this many node indices, so their scratch is 512 KiB of complex
+# values rather than a grid array; demo_l2 keeps even g and h in it.
 BLOCK = 1 << 15
 
 # The modeled variants and the block size k of their operators.
@@ -485,34 +485,57 @@ def thl2_decompose(f: ModuleElement, p: PureState) -> LocalDecomposition:
     exactly 0 where h copies f, so it too is formed only past that. A ramp
     or quotient that overflows is refused with InputError.
 
-    Past x0/2 the work runs in blocks of BLOCK node indices, starting at
-    the first node past x0/2. Each block builds its nodes as j * (1/n),
-    the bits of :meth:`GridFunction.nodes`, fills its part of the ramp and
-    of g, checks that part of g for finiteness, and forms its residual in
-    scratch of one block's size. g and h are the only arrays on the whole
-    grid. The residual is the largest of the block maxima, taken by
-    ``np.max``, which keeps a NaN.
+    Past x0/2 the work is the blocked pass of :func:`_thl2_residual`,
+    which writes g and h into their grid arrays; these two are the only
+    arrays on the whole grid.
     """
     if f.variant != "l2":
         raise InputError("thl2_decompose expects an l2 element")
-    x0 = p.x0
-    if x0 <= 0.0:
+    if p.x0 <= 0.0:
         raise InputError("degenerate state: decomposition needs x0 > 0")
     n = f.n
+    g1 = np.zeros(n + 1, dtype=np.complex128)
+    h1 = np.zeros(n + 1, dtype=np.complex128)
+    residual = _thl2_residual(f.components[0].samples, p.x0, g1, h1)
+    g = ModuleElement(variant="l2", components=(GridFunction._checked(g1),))
+    h = ModuleElement(variant="l2", components=(GridFunction._checked(h1),))
+    return LocalDecomposition(g=g, h=h, residual=residual)
+
+
+def _thl2_residual(f1: np.ndarray, x0: float, g1=None, h1=None) -> float:
+    """The residual of :func:`thl2_decompose` on the samples f1 at a state
+    x0 > 0. Given g1 and h1, zero grid arrays, it fills them with g and h;
+    without them, each block's g and h live in scratch of one block's size
+    and are dropped, so no grid array is built.
+
+    The pass runs in blocks of BLOCK node indices, starting at the first
+    node past x0/2. Each block builds its nodes as j * (1/n), the bits of
+    :meth:`GridFunction.nodes`, fills its part of the ramp and of g, and
+    forms its residual in scratch of one block's size. From the first node
+    at or past x0, h is 0, so g is f / lambda and the residual
+    f - lambda g: f - 0 is f, and adding 0 to lambda g changes at most the
+    sign of a zero, never |f - (lambda g + h)|. The residual is the
+    largest of the block maxima, taken by ``np.max``, which keeps a NaN.
+    It is the one finiteness check: as f is finite and lambda > 0, a ramp
+    or quotient that overflows leaves it inf or NaN, and a finite residual
+    means finite g and h.
+    """
+    n = f1.size - 1
     step = 1.0 / n
-    f1 = f.components[0].samples
     half = 0.5 * x0
-    f_at_half = _interp(f1, half)
-    slope = 2.0 * f_at_half / x0
+    slope = 2.0 * _interp(f1, half) / x0
     # j/n <= half exactly when j <= half * n, as scaling by n = 2**k is
     # exact: nodes[:jh] are those at or below half, nodes[:jx] those below
     # x0. jh >= 1, since node 0 is at or below half, and jh <= n / 2 + 1.
     jh = math.floor(half * n) + 1
     jx = math.ceil(x0 * n)
-    h1 = np.zeros(n + 1, dtype=np.complex128)
-    h1[:jh] = f1[:jh]
-    g1 = np.zeros(n + 1, dtype=np.complex128)
     size = min(BLOCK, n + 1 - jh)
+    scratch = g1 is None
+    if scratch:
+        g1 = np.empty(size, dtype=np.complex128)
+        h1 = np.empty(size, dtype=np.complex128)
+    else:
+        h1[:jh] = f1[:jh]
     resid = np.empty(size, dtype=np.complex128)
     mag = np.empty(size, dtype=np.float64)
     maxima = []
@@ -520,24 +543,21 @@ def thl2_decompose(f: ModuleElement, p: PureState) -> LocalDecomposition:
         hi = min(lo + BLOCK, n + 1)
         nodes = np.arange(lo, hi, dtype=np.float64)
         nodes *= step
-        f_b, h_b, g_b = f1[lo:hi], h1[lo:hi], g1[lo:hi]
-        ramp = min(hi, jx) - lo
-        with np.errstate(over="ignore", invalid="ignore"):
-            if ramp > 0:
-                np.subtract(x0, nodes[:ramp], out=mag[:ramp])
-                np.multiply(slope, mag[:ramp], out=h_b[:ramp])
-            np.subtract(f_b, h_b, out=g_b)
-            g_b /= nodes
-        # a ramp that overflowed reaches g too
-        require_finite(g_b, "decomposition overflows")
+        at = slice(0, hi - lo) if scratch else slice(lo, hi)
+        f_b, h_b, g_b = f1[lo:hi], h1[at], g1[at]
+        ramp = max(min(hi, jx) - lo, 0)
         r_b = resid[: hi - lo]
-        np.multiply(nodes, g_b, out=r_b)
-        r_b += h_b
-        np.subtract(f_b, r_b, out=r_b)
-        maxima.append(np.max(np.abs(r_b, out=mag[: hi - lo])))
-    g = ModuleElement(variant="l2", components=(GridFunction._checked(g1),))
-    h = ModuleElement(variant="l2", components=(GridFunction._checked(h1),))
-    return LocalDecomposition(g=g, h=h, residual=float(np.max(maxima)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.subtract(x0, nodes[:ramp], out=mag[:ramp])
+            np.multiply(slope, mag[:ramp], out=h_b[:ramp])
+            np.subtract(f_b[:ramp], h_b[:ramp], out=g_b[:ramp])
+            np.divide(g_b[:ramp], nodes[:ramp], out=g_b[:ramp])
+            np.divide(f_b[ramp:], nodes[ramp:], out=g_b[ramp:])
+            np.multiply(nodes, g_b, out=r_b)
+            r_b[:ramp] += h_b[:ramp]
+            np.subtract(f_b, r_b, out=r_b)
+            maxima.append(np.max(np.abs(r_b, out=mag[: hi - lo])))
+    return require_finite(float(np.max(maxima)), "decomposition overflows")
 
 
 def _preimage_dict(rep: PreimageReport) -> dict:
@@ -696,12 +716,12 @@ def demo_l2(grid_n: int = DEFAULT_GRID_N) -> dict:
     coord = GridFunction.coordinate(grid_n)
     a_op = ModuleOperator.on_first_coordinate(coord)
     b_op = ModuleOperator.on_first_coordinate(GridFunction.constant(1.0, grid_n))
-    f = ModuleElement(variant="l2", components=(coord,))
     per_state = []
     for i in range(1, 10):
         x0 = i / 10
-        # only the residual is kept, so each state's g and h are freed
-        per_state.append({"x0": x0, "residual": thl2_decompose(f, PureState(x0)).residual})
+        # only the residual is kept, so g and h live in block scratch and
+        # are never built on the grid
+        per_state.append({"x0": x0, "residual": _thl2_residual(coord.samples, x0)})
     aa = op_compose(a_op, op_adjoint(a_op))
     bb = op_compose(b_op, op_adjoint(b_op))
     cs = [1.0, 10.0, 1e6]
