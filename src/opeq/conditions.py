@@ -16,6 +16,8 @@ from .linalg import (
     TOL_PSD,
     InputError,
     _definite_cholesky,
+    _prescaled,
+    _unscale,
     as_matrix,
     frob,
     psd_gap,
@@ -75,20 +77,29 @@ def majorization_lambda(b, a, tol: float = TOL_RANGE) -> float | None:
     In finite dimensions such a lambda exists exactly when range(B) is
     contained in range(A), and then equals the squared spectral norm of
     A^+ B. Both the inclusion and A^+ come from one ``svd(a)``. The value
-    is re-verified before being returned: Y = lambda (1 + LAMBDA_SLACK) A A*
-    must leave psd_gap(B B*, Y) >= -TOL_PSD (||B B*||_F + ||Y||_F).
+    is re-verified on A_s = 2**-ea A and B_s = 2**-eb B, each scaled by
+    :func:`linalg._prescaled`, before being returned: with lambda_s =
+    2**(2 (ea - eb)) lambda, read off the same A^+ B, and Y = lambda_s
+    (1 + LAMBDA_SLACK) A_s A_s*, psd_gap(B_s B_s*, Y) must be at least
+    -TOL_PSD (||B_s B_s*||_F + ||Y||_F). So neither product leaves the
+    floating-point range and lambda_s is not subnormal at any scale of A
+    or B. lambda is lambda_s scaled back, and InputError is raised when
+    that leaves the floating-point range.
     """
     bm = as_matrix(b)
     am = as_matrix(a)
     f = svd(am)
     if not basis_inclusion(bm, f.range_basis, tol).holds:
         return None
-    lam = spectral_norm(f.pinv() @ bm) ** 2
-    bb = bm @ bm.conj().T
-    aa = lam * (1.0 + LAMBDA_SLACK) * (am @ am.conj().T)
+    sa, ea = _prescaled(am)
+    sb, eb = _prescaled(bm)
+    # A_s^+ B_s = 2**(ea - eb) A^+ B
+    lam = spectral_norm(_unscale(f.pinv(), ea, "pseudoinverse overflows") @ sb) ** 2
+    bb = sb @ sb.conj().T
+    aa = lam * (1.0 + LAMBDA_SLACK) * (sa @ sa.conj().T)
     if not psd_gap(bb, aa) >= -TOL_PSD * (frob(bb) + frob(aa)):
         return None
-    return lam
+    return float(_unscale(np.array([lam]), 2 * (eb - ea), "majorization constant overflows")[0])
 
 
 VERIFY_KINDS = ("ax_b", "axb_c", "axastar_c", "xhx_k", "riccati")

@@ -19,9 +19,12 @@ BLAS call per side is still cheaper than numpy's batched 2x2 products,
 which call BLAS once per pair, and the gather that moved the layout.
 One rule,
 :func:`_prescaled`, picks the power of two that keeps an operand in range;
-herm_eig, svd, cholesky, orthonormalize, the one Hermitian input check
-(:func:`_hermitian_norm`) and the two root-taking solvers (pt_solve,
-riccati_geomean) scale by it, frob by its own. So norms
+herm_eig, svd, cholesky and orthonormalize scale by it, frob by its own.
+Every Hermitian operand, of herm_eig and cholesky as of the solvers
+pt_solve, riccati_geomean and congruence_solve, goes through one path,
+:func:`_hermitian_prescaled`: scaled by that rule, checked square and
+Hermitian on the scaled copy, then replaced by its Hermitian part, so the
+part is never taken at the operand's own scale. So norms
 neither overflow nor underflow, and non-convergence raises
 :class:`InputError`. A result that leaves the floating-point range
 anyway is refused by :func:`require_finite`, never returned as inf or NaN.
@@ -121,17 +124,6 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def _hermitian_norm(a: np.ndarray, label: str) -> float:
-    """||a||_F of a square :func:`_prescaled` array a, checked Hermitian:
-    ||a - a*||_F above TOL_PSD * ||a||_F raises
-    InputError(f"{label} is not Hermitian within tolerance"). a's largest
-    part lies in [2**-33, 2**31), so numpy's norm is safe."""
-    norm = float(np.linalg.norm(a))
-    if float(np.linalg.norm(a - a.conj().T)) > TOL_PSD * norm:
-        raise InputError(f"{label} is not Hermitian within tolerance")
-    return norm
-
-
 def _prescaled(m: np.ndarray) -> tuple[np.ndarray, int]:
     """A C-ordered copy of the complex128 matrix m times 2**-e, and e =
     64 * floor((f + 32) / 64) for f the frexp exponent of its largest real
@@ -143,6 +135,23 @@ def _prescaled(m: np.ndarray) -> tuple[np.ndarray, int]:
     exp = 64 * ((math.frexp(float(np.abs(parts).max()))[1] + 32) // 64)
     np.ldexp(parts, -exp, out=parts)
     return a, exp
+
+
+def _hermitian_prescaled(m: np.ndarray, label: str) -> tuple[np.ndarray, int, float]:
+    """The Hermitian part of the :func:`_prescaled` copy of the complex128
+    matrix m, its exponent e and its Frobenius norm: the one Hermitian input
+    check. m must be square, else InputError(f"{label} must be square"),
+    and the copy a must satisfy ||a - a*||_F <= TOL_PSD * ||a||_F, else
+    InputError(f"{label} is not Hermitian within tolerance"). a's largest
+    part lies in [2**-33, 2**31), so neither numpy's norm nor (a + a*) / 2
+    leaves the floating-point range at any scale of m."""
+    a, exp = _prescaled(m)
+    if a.shape[0] != a.shape[1]:
+        raise InputError(f"{label} must be square, got {a.shape}")
+    norm = float(np.linalg.norm(a))
+    if float(np.linalg.norm(a - a.conj().T)) > TOL_PSD * norm:
+        raise InputError(f"{label} is not Hermitian within tolerance")
+    return _hermitize(a), exp, norm
 
 
 def require_finite(values, what: str):
@@ -446,19 +455,14 @@ def herm_eig(m) -> HermitianEig:
 
 def _herm_eig_jacobi(a: np.ndarray) -> HermitianEig:
     """herm_eig's kernel, on a matrix already coerced by :func:`as_matrix`."""
-    a, exp = _prescaled(a)
-    n, nc = a.shape
-    if n != nc:
-        raise InputError(f"eigendecomposition needs a square matrix, got {a.shape}")
+    a, exp, scale = _hermitian_prescaled(a, "matrix")
+    n = a.shape[0]
     size = n + n % 2
     # A (rows :size) stacked above V (rows size:): one product with Q
     # rotates and moves the columns of both
     state = np.zeros((2 * size, size), dtype=np.complex128)
     top = state[:size]
     top[:n, :n] = a
-    scale = _hermitian_norm(top, "matrix")
-    top += top.conj().T
-    top *= 0.5
     state.reshape(-1)[size * size :: size + 1] = 1.0
     scatter, moved, off_mask = _sweep_plan(size)
     target = JACOBI_OFF_TOL * scale
@@ -605,12 +609,8 @@ def cholesky(m) -> Cholesky:
 
 def _cholesky_pivoted(a: np.ndarray) -> Cholesky:
     """cholesky's kernel, on a matrix already coerced by :func:`as_matrix`."""
-    a, exp = _prescaled(a)
-    n, nc = a.shape
-    if n != nc:
-        raise InputError(f"Cholesky factorization needs a square matrix, got {a.shape}")
-    norm = _hermitian_norm(a, "matrix")
-    a = _hermitize(a)
+    a, exp, norm = _hermitian_prescaled(a, "matrix")
+    n = a.shape[0]
     lower = np.zeros((n, n), dtype=np.complex128)
     perm = np.arange(n)
     # the diagonal of the Schur complement the steps so far leave
@@ -642,16 +642,6 @@ def _cholesky_pivoted(a: np.ndarray) -> Cholesky:
 def pinv(m) -> np.ndarray:
     """Moore-Penrose pseudoinverse, read off :func:`svd`."""
     return svd(m).pinv()
-
-
-def hermitian_part(m, label: str) -> np.ndarray:
-    """Check that m is square and Hermitian within TOL_PSD * ||m||_F, and
-    return its exact Hermitian part."""
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise InputError(f"{label} must be square, got {a.shape}")
-    _hermitian_norm(_prescaled(a)[0], label)
-    return _hermitize(a)
 
 
 def _psd_cholesky(m, label: str) -> Cholesky:

@@ -23,14 +23,15 @@ from .linalg import (
     InputError,
     _definite_cholesky,
     _hermitian_power,
+    _hermitian_prescaled,
     _hermitize,
     _prescaled,
     _psd_cholesky,
     _unscale,
     as_matrix,
     cholesky,
-    hermitian_part,
     herm_eig,
+    require_finite,
     svd,
 )
 
@@ -73,7 +74,8 @@ def douglas_reduced_solve(a, b, tol: float = TOL_RANGE) -> SolveResult:
         raise InputError(f"row mismatch: A is {am.shape}, B is {bm.shape}")
     fa = svd(am)
     ap = fa.pinv()
-    d = ap @ bm
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = require_finite(ap @ bm, "solution overflows")
     residual = verify_solution("ax_b", d, a=am, b=bm)
     cond = basis_inclusion(bm, fa.range_basis, tol, name="range(B) in range(A)")
     n_left = _hermitize(np.eye(am.shape[1], dtype=np.complex128) - ap @ am)
@@ -100,7 +102,8 @@ def axb_reduced_solve(a, b, c, tol: float = TOL_RANGE) -> SolveResult:
     fb = svd(bm)
     ap = fa.pinv()
     bp = fb.pinv()
-    d = ap @ cm @ bp
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = require_finite(ap @ cm @ bp, "solution overflows")
     residual = verify_solution("axb_c", d, a=am, b=bm, c=cm)
     cond1 = basis_inclusion(cm, fa.range_basis, tol, name="range(C) in range(A)")
     # range(B*) is spanned by the kept right singular vectors of B
@@ -147,7 +150,9 @@ def congruence_solve(a, c, tol: float = TOL_RANGE) -> SolveResult:
     instance, not an input error; non-Hermitian C is rejected outright.
     """
     am = as_matrix(a)
-    cm = hermitian_part(c, "C")
+    cs, ec, _ = _hermitian_prescaled(as_matrix(c), "C")
+    # C at its own scale, for the residual, the PSD test and the range tests
+    cm = _unscale(cs, ec, "C overflows")
     if am.shape[0] != cm.shape[0]:
         raise InputError(f"row mismatch: A is {am.shape}, C is {cm.shape}")
 
@@ -156,7 +161,9 @@ def congruence_solve(a, c, tol: float = TOL_RANGE) -> SolveResult:
 
     fa = svd(am)
     ap = fa.pinv()
-    x = _hermitize(ap @ cm @ ap.conj().T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs, ex = _prescaled(require_finite(ap @ cm @ ap.conj().T, "solution overflows"))
+    x = _unscale(_hermitize(xs), ex, "solution overflows")
     residual = verify_solution("axastar_c", x, a=am, c=cm)
     cond1 = basis_inclusion(cm, fa.range_basis, tol, name="range(C) in range(A)")
     cond2 = basis_inclusion(
@@ -202,8 +209,8 @@ def pt_solve(h, k) -> SolveResult:
     dimensions, and (iv) reads |M| <= lambda F* F, true for lambda = a_min:
     y* |M| y = (Fy)* X (Fy) <= a_min y* F* F y, and for no less, as Fy runs
     over range(H), which holds range(X)."""
-    hm, eh = _prescaled(hermitian_part(h, "H"))
-    km, ek = _prescaled(hermitian_part(k, "K"))
+    hm, eh, _ = _hermitian_prescaled(as_matrix(h), "H")
+    km, ek, _ = _hermitian_prescaled(as_matrix(k), "K")
     if hm.shape != km.shape:
         raise InputError(f"H and K must have equal shape, got {hm.shape} vs {km.shape}")
     shift = (ek - eh) // 2
@@ -261,8 +268,8 @@ def riccati_geomean(a, b) -> SolveResult:
         raise InputError(f"need square matrices of equal shape, got {am.shape} and {bm.shape}")
     # (sA) # (tB) = sqrt(st) (A # B), so the mean is taken on the operands
     # scaled by _prescaled and scaled back by sqrt(st), an exact power of two
-    sa, ea = _prescaled(hermitian_part(am, "a"))
-    tb, eb = _prescaled(hermitian_part(bm, "b"))
+    sa, ea, _ = _hermitian_prescaled(am, "a")
+    tb, eb, _ = _hermitian_prescaled(bm, "b")
     ac = _definite_cholesky(sa, "a")
     g = _psd_cholesky(tb, "b").factor
     f = svd(ac.solve(g).conj().T)
