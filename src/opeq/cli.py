@@ -162,7 +162,6 @@ def _cmd_check(args) -> RunReport:
         lam = majorization_lambda(mats["B"], mats["A"], tol=tol)
         residuals["least_squares"] = douglas_reduced_solve(mats["A"], mats["B"], tol=tol).residual
         detail["lambda"] = lam
-        ok = ok and lam is not None
 
     return RunReport(
         command=f"check {args.battery}",

@@ -7,7 +7,7 @@ import pytest
 
 from opeq import cli
 from opeq.cli import main
-from opeq.conditions import majorization_lambda, range_inclusion
+from opeq.conditions import majorization_lambda
 from opeq.matio import load_matrix, save_matrix
 
 
@@ -198,23 +198,54 @@ def test_check_douglas_lambda_present(capsys, mats):
     assert doc["detail"]["lambda"] == pytest.approx(16.0, rel=1e-8)
 
 
-def test_check_douglas_lambda_recheck_refuses_a_loose_inclusion(capsys, tmp_path):
+def test_check_douglas_lambda_of_a_loose_inclusion(capsys, tmp_path):
     # at tol 0.9 the projector residual 0.5 of B = [1; 0.5] passes as an
-    # inclusion into range(diag(1, 0)), but no lambda gives B B* <= lambda A A*:
-    # majorization_lambda's re-check returns None, and check douglas fails
+    # inclusion into range(diag(1, 0)); check douglas follows that verdict,
+    # and lambda = ||A^+ B||^2 = ||A^+ B_hat||^2 = 1 is exact for the admitted
+    # part B_hat = U_r U_r* B = [1; 0], as A^+ annihilates the leak
     a = np.diag([1.0, 0.0])
     b = np.array([[1.0], [0.5]])
-    assert range_inclusion(b, a, tol=0.9).holds
-    assert majorization_lambda(b, a, tol=0.9) is None
+    b_hat = np.array([[1.0], [0.0]])
+    assert majorization_lambda(b, a, tol=0.9) == 1.0
+    assert majorization_lambda(b_hat, a) == 1.0
     paths = {}
     for name, m in (("A", a), ("B", b)):
         paths[name] = str(tmp_path / f"{name}.json")
         save_matrix(paths[name], m.astype(complex))
     code, doc = run(capsys, "check", "douglas", "--A", paths["A"], "--B", paths["B"], "--tol", "0.9")
-    assert code == 1
-    assert doc["outcome"] == "unsolvable"
-    assert doc["conditions"][0]["holds"] is True
-    assert doc["detail"]["lambda"] is None
+    assert code == 0
+    assert doc["outcome"] == "solved"
+    cond = doc["conditions"][0]
+    assert cond["holds"] is True
+    assert cond["witness"] == pytest.approx(0.5, rel=1e-12)
+    assert cond["bound"] == pytest.approx(0.9 * np.sqrt(1.25), rel=1e-12)
+    assert doc["detail"]["lambda"] == 1.0
+
+
+@pytest.mark.parametrize("tol", [None, "1e-6", "1e-3", "0.9"])
+def test_check_douglas_verdict_is_check_range_verdict(capsys, tmp_path, tol):
+    # B = A C plus a leak orthogonal to range(A) of the given size relative
+    # to ||A C||_F: check douglas has check range's exit code and outcome at
+    # every tol, and its lambda is None exactly when that exit code is 1
+    rng = np.random.default_rng(36)
+    left = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+    a = left @ (rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6)))
+    solvable_part = a @ (rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3)))
+    q = np.linalg.qr(left, mode="complete")[0][:, 4:]
+    w = q @ (rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)))
+    w *= np.linalg.norm(solvable_part) / np.linalg.norm(w)
+    a_path = str(tmp_path / "A.json")
+    save_matrix(a_path, a)
+    tol_args = [] if tol is None else ["--tol", tol]
+    for leak in (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.5):
+        b_path = str(tmp_path / f"B-{leak}.json")
+        save_matrix(b_path, solvable_part + leak * w)
+        operands = ["--A", a_path, "--B", b_path, *tol_args]
+        code_range, doc_range = run(capsys, "check", "range", *operands)
+        code, doc = run(capsys, "check", "douglas", *operands)
+        assert code in (0, 1)
+        assert (code, doc["outcome"]) == (code_range, doc_range["outcome"]), leak
+        assert (doc["detail"]["lambda"] is None) == (code == 1), leak
 
 
 def test_check_pt_conditions(capsys, mats):

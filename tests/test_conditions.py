@@ -8,7 +8,7 @@ from opeq.conditions import (
     range_inclusion,
     verify_solution,
 )
-from opeq.linalg import InputError, frob, psd_sqrt
+from opeq.linalg import TOL_PSD, InputError, frob, psd_gap, psd_sqrt
 from opeq.solvers import pt_solve
 from opeq.sweep import (
     douglas_solvable_pair,
@@ -54,6 +54,27 @@ def test_majorization_lambda_scales_quadratically():
     lam = majorization_lambda(b, a)
     lam_scaled = majorization_lambda(3.0 * b, a)
     assert lam_scaled == pytest.approx(9.0 * lam, rel=1e-8)
+
+
+def test_majorization_lambda_is_least_in_the_psd_order():
+    # the inequality itself, decided by psd_gap as an independent reference:
+    # B B* <= lambda (1 + 1e-6) A A* holds and lambda (1 - 1e-6) fails, each
+    # within TOL_PSD of the norms; a zero lambda only comes with B = 0
+    def gap_holds(bb, y):
+        return psd_gap(bb, y) >= -TOL_PSD * (frob(bb) + frob(y))
+
+    rng = np.random.default_rng(36)
+    for _ in range(200):
+        m, n, k = (int(rng.integers(2, 7)) for _ in range(3))
+        a, b = douglas_solvable_pair(rng, m, n, k)
+        lam = majorization_lambda(b, a)
+        bb = b @ b.conj().T
+        aa = a @ a.conj().T
+        assert gap_holds(bb, lam * (1.0 + 1e-6) * aa)
+        if lam == 0.0:
+            assert frob(b) == 0.0
+        else:
+            assert not gap_holds(bb, lam * (1.0 - 1e-6) * aa)
 
 
 def test_pt_conditions_frozen_identity_h():
