@@ -24,7 +24,8 @@ from .linalg import (
     svd,
 )
 
-# Default decision tolerance for range tests; CLI --tol and OPEQ_TOL land here.
+# Default decision tolerance for range tests, and the bound `opeq solve` puts
+# on the residual; CLI --tol and OPEQ_TOL land here.
 TOL_RANGE = 1e-8
 
 

@@ -81,7 +81,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Relative tolerance of every Hermitian check and of every x <= y gap;
+# Relative tolerance of every Hermitian check, ||a - a*||_F <= TOL_PSD ||a||_F;
 # PSD verdicts are PSD_CLAMP_TOL's.
 TOL_PSD = 1e-9
 
@@ -700,8 +700,9 @@ def psd_sqrt(m) -> np.ndarray:
 
 
 def psd_gap(x, y) -> float:
-    """Smallest eigenvalue of y - x, the raw signed gap from which
-    :mod:`conditions` decides the operator inequality x <= y."""
+    """Smallest eigenvalue of y - x, the raw signed gap of the operator
+    inequality x <= y. A reference only: the sweep's checks and the tests
+    read it, and no solver or condition does."""
     a = as_matrix(x)
     b = as_matrix(y)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:

@@ -3,12 +3,12 @@ Riccati equation XA^{-1}X=B at matrix scale.
 
 Every solver returns one :class:`SolveResult`: ``solution``, ``residual``
 (always :func:`conditions.verify_solution`'s), ``conditions``, ``detail``
-and ``solvable``, plus null projectors from the three reduced solvers,
-which :func:`general_solution` expands. Unsolvable instances are not
-errors: the reduced solvers return their least-squares candidate with the
-failed reports, and pt_solve with singular H returns its reports and no
-solution. Errors are reserved for malformed operands and for residuals
-that leave the floating-point range.
+and ``solvable``. :func:`general_solution` expands a solution of
+AXB = C, AX = B or AXA* = C by the null projectors of its operands.
+Unsolvable instances are not errors: the reduced solvers return their
+least-squares candidate with the failed reports, and pt_solve with
+singular H returns its reports and no solution. Errors are reserved for
+malformed operands and for residuals that leave the floating-point range.
 """
 
 from __future__ import annotations
@@ -44,16 +44,13 @@ class SolveResult:
     None when no solution is emitted. ``conditions`` are the family's
     reports, none for riccati. ``detail`` is what a report prints beside
     them: pt's ``h_nonsingular``, ``norm_bound`` and for singular H a note,
-    else empty. The null projectors span the freedom of a reduced solver's
-    general solution (:func:`general_solution`); pt and riccati have none.
+    else empty. These four are what ``opeq solve`` prints.
     """
 
     solution: np.ndarray | None
     residual: float | None
     conditions: list[ConditionReport]
     detail: dict = field(default_factory=dict)
-    left_null_projector: np.ndarray | None = None
-    right_null_projector: np.ndarray | None = None
 
     @property
     def solvable(self) -> bool:
@@ -64,9 +61,8 @@ def douglas_reduced_solve(a, b, tol: float = TOL_RANGE) -> SolveResult:
     """Solve AX = B through the pseudoinverse: X = A^+ B.
 
     Solvable exactly when range(B) lies inside range(A); the returned
-    candidate is the least-squares minimizer either way. The right null
-    projector is zero because the right factor of this equation is the
-    identity.
+    candidate is the least-squares minimizer either way, and it lies in
+    range(A*). Every solution is :func:`general_solution` of it with b = I.
     """
     am = as_matrix(a)
     bm = as_matrix(b)
@@ -78,17 +74,15 @@ def douglas_reduced_solve(a, b, tol: float = TOL_RANGE) -> SolveResult:
         d = require_finite(ap @ bm, "solution overflows")
     residual = verify_solution("ax_b", d, a=am, b=bm)
     cond = basis_inclusion(bm, fa.range_basis, tol, name="range(B) in range(A)")
-    n_left = _hermitize(np.eye(am.shape[1], dtype=np.complex128) - ap @ am)
-    n_right = np.zeros((bm.shape[1], bm.shape[1]), dtype=np.complex128)
-    return SolveResult(d, residual, [cond], left_null_projector=n_left, right_null_projector=n_right)
+    return SolveResult(d, residual, [cond])
 
 
 def axb_reduced_solve(a, b, c, tol: float = TOL_RANGE) -> SolveResult:
     """Solve AXB = C through the reduced candidate X = A^+ C B^+.
 
     Solvable exactly when range(C) lies in range(A) and range((A^+ C)*)
-    lies in range(B*). The candidate is annihilated by both returned null
-    projectors, which is what makes it the reduced solution.
+    lies in range(B*). The candidate is annihilated by both null projectors
+    of :func:`general_solution`, which is what makes it the reduced solution.
     """
     am = as_matrix(a)
     bm = as_matrix(b)
@@ -103,40 +97,34 @@ def axb_reduced_solve(a, b, c, tol: float = TOL_RANGE) -> SolveResult:
     ap = fa.pinv()
     bp = fb.pinv()
     with np.errstate(over="ignore", invalid="ignore"):
-        d = require_finite(ap @ cm @ bp, "solution overflows")
+        ac = ap @ cm
+        d = require_finite(ac @ bp, "solution overflows")
     residual = verify_solution("axb_c", d, a=am, b=bm, c=cm)
     cond1 = basis_inclusion(cm, fa.range_basis, tol, name="range(C) in range(A)")
     # range(B*) is spanned by the kept right singular vectors of B
-    cond2 = basis_inclusion((ap @ cm).conj().T, fb.right, tol, name="range((A+C)*) in range(B*)")
-    n_left = _hermitize(np.eye(am.shape[1], dtype=np.complex128) - ap @ am)
-    n_right = _hermitize(np.eye(bm.shape[0], dtype=np.complex128) - bm @ bp)
-    return SolveResult(d, residual, [cond1, cond2], left_null_projector=n_left,
-                       right_null_projector=n_right)
+    cond2 = basis_inclusion(ac.conj().T, fb.right, tol, name="range((A+C)*) in range(B*)")
+    return SolveResult(d, residual, [cond1, cond2])
 
 
-def general_solution(reduced: SolveResult, v1, v2) -> np.ndarray:
-    """Expand a reduced solution by its null-space freedom: every solution
-    of the underlying equation is solution + N_left @ v1 + v2 @ N_right.
+def general_solution(a, b, x, v1, v2) -> np.ndarray:
+    """Expand a solution x of A X B = C by its null-space freedom:
+    x + N_A v1 + v2 N_B, with N_A = I - A^+ A and N_B = I - B B^+ (Penrose,
+    1955). When x solves the equation, as the reduced solution A^+ C B^+
+    does, these are exactly its solutions. AX = B is the case b = I and
+    AXA* = C the case b = A*.
 
-    Needs the null projectors of a douglas, axb or congruence result; both
-    parameter blocks must match the solution's shape.
+    x, v1 and v2 must all be A.cols x B.rows.
     """
-    if reduced.left_null_projector is None:
-        raise InputError("general_solution needs a douglas, axb or congruence result: "
-                         "a pt or riccati result has no null projectors")
-    v1m = as_matrix(v1)
-    v2m = as_matrix(v2)
-    shape = reduced.solution.shape
-    if v1m.shape != shape or v2m.shape != shape:
+    am, bm, xm, v1m, v2m = (as_matrix(m) for m in (a, b, x, v1, v2))
+    shape = (am.shape[1], bm.shape[0])
+    if xm.shape != shape or v1m.shape != shape or v2m.shape != shape:
         raise InputError(
-            f"parameter blocks must match solution shape {shape}, "
-            f"got {v1m.shape} and {v2m.shape}"
+            f"x, v1 and v2 must be A.cols x B.rows = {shape} for A {am.shape} and "
+            f"B {bm.shape}, got {xm.shape}, {v1m.shape} and {v2m.shape}"
         )
-    return (
-        reduced.solution
-        + reduced.left_null_projector @ v1m
-        + v2m @ reduced.right_null_projector
-    )
+    n_a = _hermitize(np.eye(am.shape[1], dtype=np.complex128) - svd(am).pinv() @ am)
+    n_b = _hermitize(np.eye(bm.shape[0], dtype=np.complex128) - bm @ svd(bm).pinv())
+    return xm + n_a @ v1m + v2m @ n_b
 
 
 def congruence_solve(a, c, tol: float = TOL_RANGE) -> SolveResult:
@@ -162,16 +150,13 @@ def congruence_solve(a, c, tol: float = TOL_RANGE) -> SolveResult:
     fa = svd(am)
     ap = fa.pinv()
     with np.errstate(over="ignore", invalid="ignore"):
-        xs, ex = _prescaled(require_finite(ap @ cm @ ap.conj().T, "solution overflows"))
+        ac = ap @ cm
+        xs, ex = _prescaled(require_finite(ac @ ap.conj().T, "solution overflows"))
     x = _unscale(_hermitize(xs), ex, "solution overflows")
     residual = verify_solution("axastar_c", x, a=am, c=cm)
     cond1 = basis_inclusion(cm, fa.range_basis, tol, name="range(C) in range(A)")
-    cond2 = basis_inclusion(
-        (ap @ cm).conj().T, fa.range_basis, tol, name="range((A+C)*) in range(A)"
-    )
-    n_a = _hermitize(np.eye(am.shape[1], dtype=np.complex128) - ap @ am)
-    return SolveResult(x, residual, [psd_cond, cond1, cond2], left_null_projector=n_a,
-                       right_null_projector=n_a.copy())
+    cond2 = basis_inclusion(ac.conj().T, fa.range_basis, tol, name="range((A+C)*) in range(A)")
+    return SolveResult(x, residual, [psd_cond, cond1, cond2])
 
 
 def pt_solve(h, k) -> SolveResult:

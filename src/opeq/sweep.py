@@ -362,7 +362,7 @@ def suite_axb_family(rng, trials, max_dim):
             continue
         v1 = random_matrix(rng, n, p, rank=min(n, p))
         v2 = random_matrix(rng, n, p, rank=min(n, p))
-        x = general_solution(rep, v1, v2)
+        x = general_solution(a, b, rep.solution, v1, v2)
         scale = 1.0 + frob(c)
         fam = frob(a @ x @ b - c) / scale
         pinned = frob(a @ (x - rep.solution) @ b) / scale

@@ -29,6 +29,11 @@ from opeq.sweep import (
 )
 
 
+def _null(a):
+    """N_A = I - A^+ A, off pinv rather than general_solution's own svd."""
+    return np.eye(a.shape[1]) - pinv(a) @ a
+
+
 # --- AX = B ------------------------------------------------------------------
 
 
@@ -49,7 +54,22 @@ def test_douglas_solvable_roundtrip_and_uniqueness():
         assert rep.solvable
         assert rep.residual <= 1e-8
         # the reduced solution lives in range(A*): N_A D = 0
-        assert frob(rep.left_null_projector @ rep.solution) <= 1e-8 * (1.0 + frob(rep.solution))
+        assert frob(_null(a) @ rep.solution) <= 1e-8 * (1.0 + frob(rep.solution))
+
+
+def test_general_solution_of_ax_b():
+    # AX = B is A X I = B: b = I, so N_B = 0 and the freedom is N_A v1
+    rng = np.random.default_rng(19)
+    for _ in range(60):
+        m, n, k = (int(rng.integers(2, 7)) for _ in range(3))
+        a, b = douglas_solvable_pair(rng, m, n, k)
+        rep = douglas_reduced_solve(a, b)
+        assert rep.solvable
+        assert frob(_null(a) @ rep.solution) <= 1e-8 * (1.0 + frob(rep.solution))
+        v1 = random_matrix(rng, n, k)
+        v2 = random_matrix(rng, n, k)
+        x = general_solution(a, np.eye(k), rep.solution, v1, v2)
+        assert frob(a @ x - b) / (1.0 + frob(b)) <= 1e-8
 
 
 def test_douglas_unsolvable_flagged():
@@ -76,7 +96,7 @@ def test_axb_reduced_and_general_family():
         assert rep.solvable
         v1 = random_matrix(rng, n, p)
         v2 = random_matrix(rng, n, p)
-        x = general_solution(rep, v1, v2)
+        x = general_solution(a, b, rep.solution, v1, v2)
         scale = 1.0 + frob(c)
         assert frob(a @ x @ b - c) / scale <= 1e-8
         # every member of the family projects back to the same reduced core
@@ -89,20 +109,14 @@ def test_axb_shape_mismatch():
 
 
 def test_general_solution_block_shape_check():
-    rep = axb_reduced_solve(np.eye(2), np.eye(2), np.eye(2))
-    with pytest.raises(InputError):
-        general_solution(rep, np.zeros((3, 3)), np.zeros((2, 2)))
-
-
-@pytest.mark.parametrize("family, solve", [("pt", pt_solve), ("riccati", riccati_geomean)])
-def test_general_solution_refuses_a_result_without_null_projectors(family, solve):
-    # pt and riccati return their unique positive solution and no null
-    # projectors, so there is no freedom to expand: a refusal that names
-    # the family, not a TypeError from None @ v1
-    rep = solve(np.eye(2), np.diag([4.0, 1.0]))
-    assert rep.left_null_projector is None and rep.right_null_projector is None
-    with pytest.raises(InputError, match=family):
-        general_solution(rep, np.zeros((2, 2)), np.zeros((2, 2)))
+    # A X B with A 3 x 2 and B 4 x 3 needs x, v1 and v2 of shape 2 x 4;
+    # the transpose of any one operand no longer conforms
+    ops = {"a": np.ones((3, 2)), "b": np.ones((4, 3)), "x": np.zeros((2, 4)),
+           "v1": np.ones((2, 4)), "v2": np.ones((2, 4))}
+    assert general_solution(**ops).shape == (2, 4)
+    for bad in ops:
+        with pytest.raises(InputError, match=r"A.cols x B.rows"):
+            general_solution(**{**ops, bad: ops[bad].T})
 
 
 # --- AXA* = C ----------------------------------------------------------------
@@ -123,6 +137,21 @@ def test_congruence_solvable_psd_output():
         rep = congruence_solve(a, c)
         assert rep.solvable and rep.residual <= 1e-8
         assert herm_eig(rep.solution).values[0] >= -1e-9 * (1.0 + spectral_norm(rep.solution))
+
+
+def test_general_solution_of_axastar_c():
+    # AXA* = C is A X B = C with b = A*, so N_B = I - A* (A*)^+
+    rng = np.random.default_rng(20)
+    for _ in range(60):
+        m, n = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+        a, c = congruence_solvable_pair(rng, m, n)
+        rep = congruence_solve(a, c)
+        assert rep.solvable
+        assert frob(_null(a) @ rep.solution) <= 1e-8 * (1.0 + frob(rep.solution))
+        v1 = random_matrix(rng, n, n)
+        v2 = random_matrix(rng, n, n)
+        x = general_solution(a, a.conj().T, rep.solution, v1, v2)
+        assert frob(a @ x @ a.conj().T - c) / (1.0 + frob(c)) <= 1e-8
 
 
 def test_congruence_unsolvable_both_kinds():
