@@ -61,10 +61,13 @@ def basis_inclusion(b, basis: np.ndarray, tol: float = TOL_RANGE,
 def range_inclusion(b, a, tol: float = TOL_RANGE) -> ConditionReport:
     """Does the column space of b lie inside the column space of a?
 
-    Decided against the range basis U_r of ``svd(a)``: holds iff
-    ||B - U_r U_r* B||_F <= tol * ||B||_F.
+    For B_s and A_s, b and a scaled by :func:`linalg._prescaled`, and U_r
+    the range basis of ``svd(A_s)``: holds iff ||B_s - U_r U_r* B_s||_F <=
+    tol ||B_s||_F. Witness and bound are B_s's, so B's for every B whose
+    largest part lies in [2**-33, 2**31).
     """
-    return basis_inclusion(b, svd(a).range_basis, tol)
+    (am, _), (bm, _) = (_prescaled(as_matrix(m)) for m in (a, b))
+    return basis_inclusion(bm, svd(am).range_basis, tol)
 
 
 def majorization_lambda(b, a, tol: float = TOL_RANGE) -> float | None:
@@ -73,24 +76,20 @@ def majorization_lambda(b, a, tol: float = TOL_RANGE) -> float | None:
 
     M_n is a W*-algebra whose ranges are all closed, so by Douglas's lemma
     such a lambda exists iff range(B) lies in range(A), and the least one
-    is ||A^+ B||_2^2. The inclusion test and A^+ come from one ``svd(a)``.
-    A loose tol may admit a leak E = B - U_r U_r* B; A^+ annihilates it,
-    so lambda is then exact for the admitted part U_r U_r* B, and the leak
-    is the range witness the report shows. lambda_s = ||A_s^+ B_s||_2^2 =
-    2**(2 (ea - eb)) lambda is read off the same A^+, for A_s = 2**-ea A and
-    B_s = 2**-eb B scaled by :func:`linalg._prescaled`, so no scale of A or
-    B makes it subnormal. lambda is lambda_s scaled back, and InputError is
-    raised when that leaves the floating-point range.
+    is ||A^+ B||_2^2 = 2**(2 (eb - ea)) ||A_s^+ B_s||_2^2 for A_s = 2**-ea A
+    and B_s = 2**-eb B scaled by :func:`linalg._prescaled`. The inclusion
+    test and A_s^+ come from one ``svd(A_s)``, whose kept singular values
+    are at least about 2**-83, so no scale of A or B makes A_s^+ B_s
+    overflow. A loose tol may admit a leak E = B_s - U_r U_r* B_s; A_s^+
+    annihilates it, so lambda is then exact for the admitted part, and the
+    leak is the range witness. InputError is raised when lambda leaves
+    the floating-point range.
     """
-    bm = as_matrix(b)
-    am = as_matrix(a)
+    (am, ea), (bm, eb) = (_prescaled(as_matrix(m)) for m in (a, b))
     f = svd(am)
     if not basis_inclusion(bm, f.range_basis, tol).holds:
         return None
-    _, ea = _prescaled(am)
-    sb, eb = _prescaled(bm)
-    # A_s^+ B_s = 2**(ea - eb) A^+ B
-    lam = spectral_norm(_unscale(f.pinv(), ea, "pseudoinverse overflows") @ sb) ** 2
+    lam = spectral_norm(f.pinv() @ bm) ** 2
     return float(_unscale(np.array([lam]), 2 * (eb - ea), "majorization constant overflows")[0])
 
 

@@ -20,11 +20,13 @@ which call BLAS once per pair, and the gather that moved the layout.
 One rule,
 :func:`_prescaled`, picks the power of two that keeps an operand in range;
 herm_eig, svd, cholesky and orthonormalize scale by it, frob by its own.
-Every Hermitian operand, of herm_eig and cholesky as of the solvers
-pt_solve, riccati_geomean and congruence_solve, goes through one path,
-:func:`_hermitian_prescaled`: scaled by that rule, checked square and
-Hermitian on the scaled copy, then replaced by its Hermitian part, so the
-part is never taken at the operand's own scale. So norms
+Every Hermitian operand, of herm_eig and cholesky as of the solvers,
+goes through one path, :func:`_hermitian_prescaled`: scaled by that rule,
+checked square and Hermitian on the scaled copy, then replaced by its
+Hermitian part, so the part is never taken at the operand's own scale.
+The solvers and range checks run on operands scaled by that rule and
+scale their one answer back by :func:`_unscale` (see :mod:`opeq.solvers`),
+so their residuals and witnesses are those of the scaled operands. So norms
 neither overflow nor underflow, and non-convergence raises
 :class:`InputError`. A result that leaves the floating-point range
 anyway is refused by :func:`require_finite`, never returned as inf or NaN.

@@ -8,7 +8,18 @@ AXB = C, AX = B or AXA* = C by the null projectors of its operands.
 Unsolvable instances are not errors: the reduced solvers return their
 least-squares candidate with the failed reports, and pt_solve with
 singular H returns its reports and no solution. Errors are reserved for
-malformed operands and for residuals that leave the floating-point range.
+malformed operands and for answers that leave the floating-point range.
+
+One scale rule serves every solver, as the equations are homogeneous:
+each operand is scaled once by :func:`linalg._prescaled` (a Hermitian one
+by :func:`linalg._hermitian_prescaled`), the candidate, its residual and
+every range test run on the scaled copies, and X alone is scaled back by
+:func:`linalg._unscale`, by 2**d for d = eb - ea (AX = B), ec - ea - eb
+(AXB = C), ec - 2 ea (AXA* = C), (ek - eh) / 2 (XHX = K) or (ea + eb) / 2
+(riccati). A scaled operand keeps no singular value below 2**-83, so its
+pseudoinverse and the candidate are finite. Residuals and witnesses are
+the scaled operands', so the given ones' when each largest real or
+imaginary part lies in [2**-33, 2**31).
 """
 
 from __future__ import annotations
@@ -31,7 +42,6 @@ from .linalg import (
     as_matrix,
     cholesky,
     herm_eig,
-    require_finite,
     svd,
 )
 
@@ -40,11 +50,12 @@ from .linalg import (
 class SolveResult:
     """What every solver returns, in all five families.
 
-    ``residual`` is :func:`conditions.verify_solution`'s for the family, and
-    None when no solution is emitted. ``conditions`` are the family's
-    reports, none for riccati. ``detail`` is what a report prints beside
-    them: pt's ``h_nonsingular``, ``norm_bound`` and for singular H a note,
-    else empty. These four are what ``opeq solve`` prints.
+    ``residual`` is :func:`conditions.verify_solution`'s for the family on
+    the scaled operands of the module's scale rule, and None when no
+    solution is emitted. ``conditions`` are the family's reports, none for
+    riccati. ``detail`` is what a report prints beside them: pt's
+    ``h_nonsingular``, ``norm_bound`` and for singular H a note, else
+    empty. These four are what ``opeq solve`` prints.
     """
 
     solution: np.ndarray | None
@@ -64,17 +75,14 @@ def douglas_reduced_solve(a, b, tol: float = TOL_RANGE) -> SolveResult:
     candidate is the least-squares minimizer either way, and it lies in
     range(A*). Every solution is :func:`general_solution` of it with b = I.
     """
-    am = as_matrix(a)
-    bm = as_matrix(b)
+    (am, ea), (bm, eb) = (_prescaled(as_matrix(m)) for m in (a, b))
     if am.shape[0] != bm.shape[0]:
         raise InputError(f"row mismatch: A is {am.shape}, B is {bm.shape}")
     fa = svd(am)
-    ap = fa.pinv()
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = require_finite(ap @ bm, "solution overflows")
+    d = fa.pinv() @ bm
     residual = verify_solution("ax_b", d, a=am, b=bm)
     cond = basis_inclusion(bm, fa.range_basis, tol, name="range(B) in range(A)")
-    return SolveResult(d, residual, [cond])
+    return SolveResult(_unscale(d, eb - ea, "solution overflows"), residual, [cond])
 
 
 def axb_reduced_solve(a, b, c, tol: float = TOL_RANGE) -> SolveResult:
@@ -84,9 +92,7 @@ def axb_reduced_solve(a, b, c, tol: float = TOL_RANGE) -> SolveResult:
     lies in range(B*). The candidate is annihilated by both null projectors
     of :func:`general_solution`, which is what makes it the reduced solution.
     """
-    am = as_matrix(a)
-    bm = as_matrix(b)
-    cm = as_matrix(c)
+    (am, ea), (bm, eb), (cm, ec) = (_prescaled(as_matrix(m)) for m in (a, b, c))
     if am.shape[0] != cm.shape[0] or bm.shape[1] != cm.shape[1]:
         raise InputError(
             f"shape mismatch: A {am.shape}, B {bm.shape}, C {cm.shape} "
@@ -94,16 +100,13 @@ def axb_reduced_solve(a, b, c, tol: float = TOL_RANGE) -> SolveResult:
         )
     fa = svd(am)
     fb = svd(bm)
-    ap = fa.pinv()
-    bp = fb.pinv()
-    with np.errstate(over="ignore", invalid="ignore"):
-        ac = ap @ cm
-        d = require_finite(ac @ bp, "solution overflows")
+    ac = fa.pinv() @ cm
+    d = ac @ fb.pinv()
     residual = verify_solution("axb_c", d, a=am, b=bm, c=cm)
     cond1 = basis_inclusion(cm, fa.range_basis, tol, name="range(C) in range(A)")
     # range(B*) is spanned by the kept right singular vectors of B
     cond2 = basis_inclusion(ac.conj().T, fb.right, tol, name="range((A+C)*) in range(B*)")
-    return SolveResult(d, residual, [cond1, cond2])
+    return SolveResult(_unscale(d, ec - ea - eb, "solution overflows"), residual, [cond1, cond2])
 
 
 def general_solution(a, b, x, v1, v2) -> np.ndarray:
@@ -137,10 +140,8 @@ def congruence_solve(a, c, tol: float = TOL_RANGE) -> SolveResult:
     on C within PSD_CLAMP_TOL. An indefinite C is reported as an unsolvable
     instance, not an input error; non-Hermitian C is rejected outright.
     """
-    am = as_matrix(a)
-    cs, ec, _ = _hermitian_prescaled(as_matrix(c), "C")
-    # C at its own scale, for the residual, the PSD test and the range tests
-    cm = _unscale(cs, ec, "C overflows")
+    am, ea = _prescaled(as_matrix(a))
+    cm, ec, _ = _hermitian_prescaled(as_matrix(c), "C")
     if am.shape[0] != cm.shape[0]:
         raise InputError(f"row mismatch: A is {am.shape}, C is {cm.shape}")
 
@@ -149,14 +150,13 @@ def congruence_solve(a, c, tol: float = TOL_RANGE) -> SolveResult:
 
     fa = svd(am)
     ap = fa.pinv()
-    with np.errstate(over="ignore", invalid="ignore"):
-        ac = ap @ cm
-        xs, ex = _prescaled(require_finite(ac @ ap.conj().T, "solution overflows"))
-    x = _unscale(_hermitize(xs), ex, "solution overflows")
+    ac = ap @ cm
+    x = _hermitize(ac @ ap.conj().T)
     residual = verify_solution("axastar_c", x, a=am, c=cm)
     cond1 = basis_inclusion(cm, fa.range_basis, tol, name="range(C) in range(A)")
     cond2 = basis_inclusion(ac.conj().T, fa.range_basis, tol, name="range((A+C)*) in range(A)")
-    return SolveResult(x, residual, [psd_cond, cond1, cond2])
+    return SolveResult(_unscale(x, ec - 2 * ea, "solution overflows"), residual,
+                       [psd_cond, cond1, cond2])
 
 
 def pt_solve(h, k) -> SolveResult:
@@ -178,9 +178,8 @@ def pt_solve(h, k) -> SolveResult:
     H, where X = F^{-*} (V_r W_r*) G*, else the pseudoinverse off one svd
     of F, where X = F^{+*} |M| F^{+}. herm_eig runs once, for a_min, and
     never on H or K. The sandwich H^{1/2} K H^{1/2} is never formed, so
-    kappa(H) kappa(K) is not squared. X(sH, tK) = sqrt(t/s) X, so all of it
-    runs on H and K scaled by :func:`linalg._prescaled`, and X and a_min
-    are scaled back; the residual is that of the scaled operands.
+    kappa(H) kappa(K) is not squared. X(sH, tK) = sqrt(t/s) X, so a_min is
+    scaled back with X by the module's scale rule.
 
     The conditions, necessary and not sufficient, are theorems for every
     PSD H and K, stated with witness 0 and bound 0 and never computed:
@@ -243,21 +242,17 @@ def riccati_geomean(a, b) -> SolveResult:
     Appl. 23, 2016). The thin factors suffice, as V_r W_r* M = |M|. No
     square root is taken and the sandwich A^{-1/2} B A^{-1/2} is never
     formed, so kappa(A) kappa(B) is not squared. Two cholesky calls and
-    one svd at every rank of B, and no herm_eig. The residual is
-    :func:`conditions.verify_solution`'s on a and b as given; there are no
-    conditions, so the result is solvable.
+    one svd at every rank of B, and no herm_eig; the residual reuses the
+    Cholesky factor of the scaled A. There are no conditions, so the
+    result is solvable.
     """
-    am = as_matrix(a)
-    bm = as_matrix(b)
-    if am.shape[0] != am.shape[1] or am.shape != bm.shape:
-        raise InputError(f"need square matrices of equal shape, got {am.shape} and {bm.shape}")
-    # (sA) # (tB) = sqrt(st) (A # B), so the mean is taken on the operands
-    # scaled by _prescaled and scaled back by sqrt(st), an exact power of two
-    sa, ea, _ = _hermitian_prescaled(am, "a")
-    tb, eb, _ = _hermitian_prescaled(bm, "b")
+    sa, ea, _ = _hermitian_prescaled(as_matrix(a), "a")
+    tb, eb, _ = _hermitian_prescaled(as_matrix(b), "b")
+    if sa.shape != tb.shape:
+        raise InputError(f"a and b must have equal shape, got {sa.shape} vs {tb.shape}")
     ac = _definite_cholesky(sa, "a")
     g = _psd_cholesky(tb, "b").factor
     f = svd(ac.solve(g).conj().T)
     x = _hermitize(ac.factor @ (f.right @ f.left.conj().T) @ g.conj().T)
-    x = _unscale(x, (ea + eb) // 2, "geometric mean overflows")
-    return SolveResult(x, verify_solution("riccati", x, a=am, b=bm), [])
+    residual = verify_solution("riccati", x, a=sa, b=tb)
+    return SolveResult(_unscale(x, (ea + eb) // 2, "geometric mean overflows"), residual, [])

@@ -6,12 +6,15 @@ finite, so every command must print one JSON report and exit 0, 1 or 2
 with no RuntimeWarning, and no refusal may call its input non-finite. The
 grid pins no other verdict.
 (b) Exact probes against closed forms at the edges of the range.
+(c) Every solve douglas, axb and congruence command of the grid whose exact
+X is solvable and normal is solved, within 1e-12 of that X.
 """
 
 import itertools
 import json
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -128,3 +131,59 @@ def test_check_douglas_refuses_a_lambda_out_of_range(capsys, files):
     code, doc = _douglas(capsys, files, (1e-300, "P"), (1.0, "P"))
     assert code == 2 and doc["outcome"] == "error"
     assert doc["detail"]["message"] == "majorization constant overflows the floating-point range"
+
+
+# For operands s_i M, each family's X is prod(s_i ** p_i) times a form in M
+# and M^+: the powers follow the flags of cli.SOLVE_FLAGS.
+CLOSED_FORMS = {
+    # X = (s_B / s_A) M^+ M
+    "douglas": ((-1, 1), lambda m, mp: mp @ m),
+    # X = s_C / (s_A s_B) M^+ M M^+ = s_C / (s_A s_B) M^+
+    "axb": ((-1, -1, 1), lambda m, mp: mp),
+    # X = s_C / s_A^2 M^+ M M^+*, for Hermitian PSD M only
+    "congruence": ((-2, 1), lambda m, mp: mp @ m @ mp.conj().T),
+}
+
+
+def _closed_form(family, label, scales):
+    """The exact X of the grid command, its scale an exact power of ten
+    times a mantissa, or None when that X is not solvable or not normal:
+    not finite, or its largest entry below the normal range."""
+    m = MATRICES[label]
+    if family == "congruence" and not np.array_equal(m, m.T):
+        return None
+    powers, form = CLOSED_FORMS[family]
+    factor = math.prod(Decimal(repr(s)) ** p for s, p in zip(scales, powers))
+    ref = np.array([[float(Decimal(float(v)) * factor) for v in row]
+                    for row in form(m, np.linalg.pinv(m))])
+    if not np.isfinite(ref).all() or np.abs(ref).max() < np.finfo(float).tiny:
+        return None
+    return ref
+
+
+def test_every_normal_solvable_answer_of_the_grid_is_solved(capsys, files, tmp_path):
+    faults = []
+    for family in CLOSED_FORMS:
+        flags = cli.SOLVE_FLAGS[family]
+        for label in MATRICES:
+            for scales in itertools.product(SCALES, repeat=len(flags)):
+                ref = _closed_form(family, label, scales)
+                if ref is None:
+                    continue
+                argv = ["solve", family]
+                for flag, s in zip(flags, scales):
+                    argv += [f"--{flag}", files[_name(s, label)]]
+                code, doc = _run(capsys, argv)
+                if code != 0:
+                    faults.append((argv, code, doc["detail"].get("message")))
+                    continue
+                err = np.max(np.abs(_solution(doc) - ref)) / np.max(np.abs(ref))
+                if not err <= 1e-12:
+                    faults.append((argv, err))
+    # A = B = 1e-310 P, subnormal: A^+ overflows, X = I does not
+    path = str(tmp_path / "subnormal-P.json")
+    save_matrix(path, (1e-310 * MATRICES["P"]).astype(complex))
+    code, doc = _run(capsys, ["solve", "douglas", "--A", path, "--B", path])
+    if code != 0 or np.max(np.abs(_solution(doc) - np.eye(2))) > 1e-12:
+        faults.append(("1e-310 P", code, doc["detail"]))
+    assert faults == []

@@ -172,3 +172,22 @@ def test_cli_command_factors_each_operand_once(monkeypatch, tmp_path, capsys,
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == inside
     assert len(calls) == unshared
+
+
+def test_solve_riccati_factors_a_nearly_hermitian_a_once(monkeypatch, tmp_path, capsys):
+    # A is Hermitian only within TOL_PSD: its Hermitian part, which the mean
+    # is taken on, is not its bytes, so a residual on A as given would factor
+    # A a second time. The residual is taken on the scaled Hermitian operands,
+    # so the command factors A once and B once.
+    rng = np.random.default_rng(12)
+    a = _definite(rng, 3) + 1e-13 * random_matrix(rng, 3, 3, rank=3)
+    b = _definite(rng, 3)
+    assert not np.array_equal(a, a.conj().T)
+    argv = ["solve", "riccati"]
+    for name, m in (("A", a), ("B", 0.5 * (b + b.conj().T))):
+        path = str(tmp_path / f"{name}.json")
+        save_matrix(path, m)
+        argv += [f"--{name}", path]
+    calls = _counting(monkeypatch, "_cholesky_pivoted")
+    assert cli.main(argv) == 0
+    assert len(calls) == 2
