@@ -5,12 +5,15 @@ round-robin schedule (Brent and Luk) and one rotation rule: :func:`herm_eig`
 rotates a Hermitian matrix from both sides, :func:`svd` rotates the columns
 of m itself and never squares it, the columns of m* when m is wide. A
 round rotates n/2 disjoint pairs at once in a fixed order, so the same
-input bits give the same output bits within one build. The rotations are
-computed pair by pair in Python scalars, because a round at the sizes
-opeq runs has at most a dozen pairs and numpy's fixed cost per call would
-outweigh their arithmetic; two steps stay in numpy to keep its bits, the
-vectorized |pivot| and the phase through 1 / |pivot| (see
-:func:`_rotations`). A round folds its rotations J and the move P to the
+input bits give the same output bits within one build. svd's stop test
+reads the Gram matrix that the first round of each sweep forms: when every
+column pair in it is settled, that sweep is the last and rotates nothing,
+as in LAPACK's xGESVJ (Drmac and Veselic, SIAM J. Matrix Anal. Appl. 29,
+2008). The rotations are computed pair by pair in Python scalars, because
+a round at the sizes opeq runs has at most a dozen pairs and numpy's
+fixed cost per call would outweigh their arithmetic; two steps stay in
+numpy to keep its bits, the vectorized |pivot| and the phase through
+1 / |pivot| (see :func:`_rotations`). A round folds its rotations J and the move P to the
 next layout into one matrix Q = J P (see :func:`_sweep_plan`) and applies
 it with one matrix product per side: [A; V] Q, then Q* A for herm_eig,
 [A; V] Q alone for svd. Q is dense, so a round costs O(n^3) where the
@@ -90,8 +93,10 @@ TOL_PSD = 1e-9
 # The clamp window of every PSD verdict, for its Cholesky.remainder.
 PSD_CLAMP_TOL = 1e-10
 
-# Jacobi sweep control: herm_eig's off-diagonal mass and svd's column-pair
-# inner products must fall to JACOBI_OFF_TOL relative to the norms involved.
+# Jacobi sweep control: herm_eig stops when its off-diagonal mass is at most
+# JACOBI_OFF_TOL times the input norm, svd when every column pair's inner
+# product is at most JACOBI_OFF_TOL times the two column norms, so the
+# cosines between svd's returned columns are at most about JACOBI_OFF_TOL.
 JACOBI_OFF_TOL = 1e-14
 JACOBI_MAX_SWEEPS = 100
 
@@ -215,8 +220,8 @@ class SvdResult:
     ``left`` is U_r, rows x r, and ``right`` is V_r, cols x r, both with
     orthonormal columns. ``singulars`` has min(rows, cols) entries sorted
     descending, zeros below the rank cutoff, so r is its nonzero count.
-    ``sweeps`` counts the Jacobi sweeps, the last one included. Frozen,
-    arrays read-only.
+    ``sweeps`` counts the Jacobi sweeps, the last one included, which
+    tests every column pair and rotates nothing. Frozen, arrays read-only.
     """
 
     left: np.ndarray
@@ -436,6 +441,31 @@ def _rotations(app, aqq, pivots, q_flat: np.ndarray, scatter) -> list[float]:
     return lows + highs
 
 
+def _gram_settled(gram: np.ndarray, app, aqq, pivots, small: float) -> bool:
+    """Whether every column pair (p, q) of the Gram matrix G = A* A is
+    settled: |g_pq| <= JACOBI_OFF_TOL sqrt(g_pp g_qq), or min(g_pp, g_qq)
+    at most floor = small times the largest g_jj. app, aqq and pivots are
+    the round's own pairs (see :func:`_pair_entries`); they are tested
+    first, one at a time, so a round with a pair left to rotate, as in
+    every sweep but the last, pays no numpy call on the whole of G. At
+    size 2 they are the only pair."""
+    ps, qs = app.tolist(), aqq.tolist()
+    floor = small * max(max(ps), max(qs))
+    if not all(
+        m <= JACOBI_OFF_TOL * math.sqrt(p * q) or min(p, q) <= floor
+        for p, q, m in zip(ps, qs, np.abs(pivots).tolist())
+    ):
+        return False
+    if len(ps) == 1:
+        return True
+    diag = gram.diagonal().real
+    # a column at or below the floor settles every pair it is in
+    live = np.where(diag > floor, diag, np.inf)
+    bound = JACOBI_OFF_TOL * np.sqrt(np.outer(live, live))
+    bound.flat[:: len(diag) + 1] = np.inf
+    return bool((np.abs(gram) <= bound).all())
+
+
 def herm_eig(m) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix by round-robin Jacobi rotations.
 
@@ -513,11 +543,14 @@ def svd(m) -> SvdResult:
     to the next layout, accumulating V (see :func:`_sweep_plan`). A pair is
     settled when |a_p* a_q| <= JACOBI_OFF_TOL ||a_p|| ||a_q||, or when its
     smaller column is at most c = max(rows, cols) * RANK_CUTOFF times the
-    largest. The first sweep that finds every pair settled before rotating
-    it ends the iteration, and more than JACOBI_MAX_SWEEPS sweeps raise
-    InputError. sigma are the column norms sorted descending, zero at or
-    below c * sigma_max; the kept columns over sigma are the left singular
-    vectors U_r, and the same columns of V are V_r. A wide m (rows < cols)
+    largest. Each sweep's first round tests its own pairs, and when they
+    are settled every other pair of the Gram matrix it has formed, in one
+    vectorized test (:func:`_gram_settled`). The first sweep that finds
+    every pair settled ends the iteration there, before rotating anything,
+    and more than JACOBI_MAX_SWEEPS sweeps raise InputError. sigma are
+    the column norms sorted descending, zero at or below c * sigma_max;
+    the kept columns over sigma are the left singular vectors U_r, and the
+    same columns of V are V_r. A wide m (rows < cols)
     is factored as m*, whose left and right factors are m's right and left
     ones, so the kernel rotates min(rows, cols) columns. Inside a
     :func:`_shared_factors` scope a repeated input returns the stored result.
@@ -550,20 +583,15 @@ def _svd_jacobi(a: np.ndarray) -> SvdResult:
     app, aqq, pivots = _pair_entries(gram)
     small = (max(rows, cols) * RANK_CUTOFF) ** 2
     for sweeps in range(1, JACOBI_MAX_SWEEPS + 1):
-        settled = True
-        for _ in range(size - 1):
+        for step in range(size - 1):
             (state, top), (buf, _) = layouts
             np.conjugate(top, out=top_conj)
             np.matmul(top_conj.T, top, out=gram)
+            # a sweep's first round decides whether it is the last one, which
+            # tests every pair and rotates nothing
+            settled = step == 0 and _gram_settled(gram, app, aqq, pivots, small)
             if settled:
-                # in Python scalars: numpy's fixed cost per call outweighs
-                # the arithmetic on n/2 pairs, as in _rotations
-                ps, qs = app.tolist(), aqq.tolist()
-                floor = small * max(max(ps), max(qs))
-                settled = all(
-                    m <= JACOBI_OFF_TOL * math.sqrt(p * q) or min(p, q) <= floor
-                    for p, q, m in zip(ps, qs, np.abs(pivots).tolist())
-                )
+                break
             _rotations(app, aqq, pivots, q_flat, scatter)
             np.matmul(state, q, out=buf)
             layouts.reverse()

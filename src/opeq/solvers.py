@@ -112,9 +112,11 @@ def axb_reduced_solve(a, b, c, tol: float = TOL_RANGE) -> SolveResult:
 def general_solution(a, b, x, v1, v2) -> np.ndarray:
     """Expand a solution x of A X B = C by its null-space freedom:
     x + N_A v1 + v2 N_B, with N_A = I - A^+ A and N_B = I - B B^+ (Penrose,
-    1955). When x solves the equation, as the reduced solution A^+ C B^+
-    does, these are exactly its solutions. AX = B is the case b = I and
-    AXA* = C the case b = A*.
+    1955), read off :func:`linalg.svd` as I - V_r V_r* of A and I - U_r U_r*
+    of B: no pseudoinverse is formed, so neither projector depends on the
+    operands' scale. When x solves the equation, as the reduced solution
+    A^+ C B^+ does, these are exactly its solutions. AX = B is the case
+    b = I and AXA* = C the case b = A*.
 
     x, v1 and v2 must all be A.cols x B.rows.
     """
@@ -125,8 +127,9 @@ def general_solution(a, b, x, v1, v2) -> np.ndarray:
             f"x, v1 and v2 must be A.cols x B.rows = {shape} for A {am.shape} and "
             f"B {bm.shape}, got {xm.shape}, {v1m.shape} and {v2m.shape}"
         )
-    n_a = _hermitize(np.eye(am.shape[1], dtype=np.complex128) - svd(am).pinv() @ am)
-    n_b = _hermitize(np.eye(bm.shape[0], dtype=np.complex128) - bm @ svd(bm).pinv())
+    v, u = svd(am).right, svd(bm).left
+    n_a = _hermitize(np.eye(am.shape[1], dtype=np.complex128) - v @ v.conj().T)
+    n_b = _hermitize(np.eye(bm.shape[0], dtype=np.complex128) - u @ u.conj().T)
     return xm + n_a @ v1m + v2m @ n_b
 
 

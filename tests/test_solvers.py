@@ -72,6 +72,20 @@ def test_general_solution_of_ax_b():
         assert frob(a @ x - b) / (1.0 + frob(b)) <= 1e-8
 
 
+def test_general_solution_projectors_at_extreme_scale():
+    # A = 1e-310 P is subnormal and invertible, so A^+ overflows but N_A = 0
+    # and the family of X = I is X itself
+    p = np.array([[2.0, 1.0], [1.0, 3.0]]) / 3.0
+    a = 1e-310 * p
+    x = douglas_reduced_solve(a, a).solution
+    assert frob(x - np.eye(2)) <= 1e-14
+    g = general_solution(a, np.eye(2), x, np.eye(2), np.zeros((2, 2)))
+    assert frob(g - x) <= 1e-14
+    # and B = 1e-310 P on the right: N_B = 0 too
+    g = general_solution(np.eye(2), a, x, np.zeros((2, 2)), np.eye(2))
+    assert frob(g - x) <= 1e-14
+
+
 def test_douglas_unsolvable_flagged():
     rng = np.random.default_rng(14)
     for _ in range(100):
