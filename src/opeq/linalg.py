@@ -217,9 +217,12 @@ class HermitianEig:
 class SvdResult:
     """Thin factorization m = U_r diag(sigma_r) V_r* at the numerical rank r.
 
-    ``left`` is U_r, rows x r, and ``right`` is V_r, cols x r, both with
-    orthonormal columns. ``singulars`` has min(rows, cols) entries sorted
-    descending, zeros below the rank cutoff, so r is its nonzero count.
+    ``left`` is U_r, rows x r, and ``right`` is V_r, cols x r. The factor
+    the kernel rotates (V_r, or U_r for a wide m) has orthonormal columns
+    to rounding; the other one's columns are orthonormal to about
+    JACOBI_OFF_TOL, the stop test's bound on their cosines. ``singulars``
+    has min(rows, cols) entries sorted descending, zeros below the rank
+    cutoff, so r is its nonzero count.
     ``sweeps`` counts the Jacobi sweeps, the last one included, which
     tests every column pair and rotates nothing. Frozen, arrays read-only.
     """
@@ -238,7 +241,9 @@ class SvdResult:
 
     @property
     def range_basis(self) -> np.ndarray:
-        """Orthonormal basis U_r of the column space: ``left`` itself."""
+        """Basis U_r of the column space, ``left`` itself: orthonormal to
+        about JACOBI_OFF_TOL for a tall or square m, to rounding for a
+        wide one (see :class:`SvdResult`)."""
         return self.left
 
     def pinv(self) -> np.ndarray:

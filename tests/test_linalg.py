@@ -3,6 +3,7 @@ import pytest
 
 from opeq import linalg
 from opeq.linalg import (
+    JACOBI_OFF_TOL,
     InputError,
     _hermitian_prescaled,
     _unscale,
@@ -22,6 +23,8 @@ from opeq.linalg import (
 )
 from opeq.solvers import congruence_solve
 from opeq.sweep import random_matrix, random_psd
+
+EPS = np.finfo(np.float64).eps
 
 
 def test_herm_eig_frozen_pauli_x():
@@ -112,8 +115,12 @@ def _check_svd(m):
     scale = max(frob(m), 1.0)
     recon = (f.left * f.singulars[:r]) @ f.right.conj().T
     assert frob(recon - m) / scale <= 1e-10
-    assert frob(f.left.conj().T @ f.left - np.eye(r)) <= 1e-10
-    assert frob(f.right.conj().T @ f.right - np.eye(r)) <= 1e-10
+    # the stop test bounds every kept pair's cosine by JACOBI_OFF_TOL, up to
+    # the rounding of the Gram matrix it reads; V_r (U_r for a wide m) is
+    # only ever rotated, so it departs from orthonormal by rounding alone
+    normed, rotated = (f.right, f.left) if rows < cols else (f.left, f.right)
+    for basis, bound in ((normed, 4 * JACOBI_OFF_TOL), (rotated, 128 * EPS)):
+        assert np.linalg.norm(basis.conj().T @ basis - np.eye(r), 2) <= bound
     ref = np.linalg.svd(m, compute_uv=False)
     assert np.max(np.abs(f.singulars - ref)) <= 1e-12 * max(ref[0], np.finfo(float).tiny)
     again = svd(m.copy())
@@ -124,6 +131,8 @@ def _check_svd(m):
 
 def test_svd_round_robin_edge_cases():
     rng = np.random.default_rng(37)
+    # the graded and Q D cases draw from their own stream
+    extra = np.random.default_rng(38)
     for k in range(1, 25):
         c = int(rng.integers(1, 25))
         # every row and column count in 1..24, tall and wide, odd ones padded
@@ -146,6 +155,36 @@ def test_svd_round_robin_edge_cases():
             b[:br, :bc] = g[:br, :bc]
             b[br:, bc:] = g[br:, bc:]
             _check_svd(b)
+            # columns graded over twelve decades, in a random order
+            g = random_matrix(extra, rows, cols, rank=min(rows, cols))
+            _check_svd(g * np.logspace(0, -12, cols)[extra.permutation(cols)])
+            # orthogonal columns Q D: settled as given, so V_r is I with its
+            # columns sorted by sigma
+            k_ = min(rows, cols)
+            q = np.linalg.qr(random_matrix(extra, max(rows, cols), k_, rank=k_))[0]
+            q = q * extra.uniform(1.0, 2.0, k_)
+            f = _check_svd(q.conj().T if rows < cols else q)
+            assert f.sweeps == 1
+            v = f.left if rows < cols else f.right
+            assert np.array_equal(v, np.eye(k_)[:, np.argmax(np.abs(v), axis=0)])
+
+
+@pytest.mark.parametrize("n", range(2, 25))
+def test_svd_last_sweep_rotates_nothing(n, monkeypatch):
+    # the sweep that finds every pair settled stops before rotating, so
+    # _rotations runs once per round of every sweep but the last
+    calls = []
+    rotations = linalg._rotations
+    monkeypatch.setattr(linalg, "_rotations", lambda *args: calls.append(1) or rotations(*args))
+    rng = np.random.default_rng(200 + n)
+    size = n + n % 2
+    for rows, cols in ((n, n), (n + 3, n), (n, n + 3)):
+        full = random_matrix(rng, rows, cols, rank=n)
+        deficient = random_matrix(rng, rows, cols, rank=int(rng.integers(0, n)))
+        for a in (full, deficient, full * np.logspace(0, -12, cols)):
+            calls.clear()
+            f = svd(a)
+            assert len(calls) == (f.sweeps - 1) * (size - 1)
 
 
 def test_round_robin_schedule_meets_every_pair_once_per_sweep():
