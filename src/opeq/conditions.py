@@ -62,12 +62,12 @@ def range_inclusion(b, a, tol: float = TOL_RANGE) -> ConditionReport:
     """Does the column space of b lie inside the column space of a?
 
     For B_s and A_s, b and a scaled by :func:`linalg._prescaled`, and U_r
-    the range basis of ``svd(A_s)``: holds iff ||B_s - U_r U_r* B_s||_F <=
+    the left factor of ``svd(A_s)``: holds iff ||B_s - U_r U_r* B_s||_F <=
     tol ||B_s||_F. Witness and bound are B_s's, so B's for every B whose
     largest part lies in [2**-33, 2**31).
     """
     (am, _), (bm, _) = (_prescaled(as_matrix(m)) for m in (a, b))
-    return basis_inclusion(bm, svd(am).range_basis, tol)
+    return basis_inclusion(bm, svd(am).left, tol)
 
 
 def majorization_lambda(b, a, tol: float = TOL_RANGE) -> float | None:
@@ -87,7 +87,7 @@ def majorization_lambda(b, a, tol: float = TOL_RANGE) -> float | None:
     """
     (am, ea), (bm, eb) = (_prescaled(as_matrix(m)) for m in (a, b))
     f = svd(am)
-    if not basis_inclusion(bm, f.range_basis, tol).holds:
+    if not basis_inclusion(bm, f.left, tol).holds:
         return None
     lam = spectral_norm(f.pinv() @ bm) ** 2
     return float(_unscale(np.array([lam]), 2 * (eb - ea), "majorization constant overflows")[0])

@@ -239,13 +239,6 @@ class SvdResult:
     def rank(self) -> int:
         return int(np.count_nonzero(self.singulars))
 
-    @property
-    def range_basis(self) -> np.ndarray:
-        """Basis U_r of the column space, ``left`` itself: orthonormal to
-        about JACOBI_OFF_TOL for a tall or square m, to rounding for a
-        wide one (see :class:`SvdResult`)."""
-        return self.left
-
     def pinv(self) -> np.ndarray:
         """Moore-Penrose pseudoinverse V_r diag(1/sigma) U_r*; raises
         InputError when it leaves the floating-point range."""
@@ -749,7 +742,7 @@ def psd_gap(x, y) -> float:
 
 def range_projector(m) -> np.ndarray:
     """Orthogonal projector U_r U_r* onto the column space, from :func:`svd`."""
-    u = svd(m).range_basis
+    u = svd(m).left
     return u @ u.conj().T
 
 

@@ -97,8 +97,10 @@ def parse_matrix_doc(doc) -> np.ndarray:
 
 def _finite_pairs(data: list, count: int) -> np.ndarray | None:
     """data as a (count, 2) float64 array when it is count [re, im] pairs of
-    finite int or float numbers, else None. numpy converts an int entry as
-    float() does, so every entry has the bits the entrywise loop gives it."""
+    finite int or float numbers, at least one of them a float, else None:
+    all-int data gets an integer dtype and is left to the entrywise loop.
+    numpy converts an int entry beside a float as float() does, so every
+    entry has the bits the entrywise loop gives it."""
     try:
         a = np.array(data)
     except ValueError:

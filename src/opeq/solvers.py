@@ -5,10 +5,13 @@ Every solver returns one :class:`SolveResult`: ``solution``, ``residual``
 (always :func:`conditions.verify_solution`'s), ``conditions``, ``detail``
 and ``solvable``. :func:`general_solution` expands a solution of
 AXB = C, AX = B or AXA* = C by the null projectors of its operands.
-Unsolvable instances are not errors: the reduced solvers return their
-least-squares candidate with the failed reports, and pt_solve with
-singular H returns its reports and no solution. Errors are reserved for
-malformed operands and for answers that leave the floating-point range.
+The reduced solvers' range conditions (Penrose, 1955) test an operand
+against a factor of another's svd, never the candidate or a
+pseudoinverse, so ||A^+|| amplifies none. Unsolvable instances are not
+errors: the reduced solvers return their least-squares candidate with
+the failed reports, and pt_solve with singular H returns its reports and
+no solution. Errors are reserved for malformed operands and for answers
+that leave the floating-point range.
 
 One scale rule serves every solver, as the equations are homogeneous:
 each operand is scaled once by :func:`linalg._prescaled` (a Hermitian one
@@ -81,16 +84,18 @@ def douglas_reduced_solve(a, b, tol: float = TOL_RANGE) -> SolveResult:
     fa = svd(am)
     d = fa.pinv() @ bm
     residual = verify_solution("ax_b", d, a=am, b=bm)
-    cond = basis_inclusion(bm, fa.range_basis, tol, name="range(B) in range(A)")
+    cond = basis_inclusion(bm, fa.left, tol, name="range(B) in range(A)")
     return SolveResult(_unscale(d, eb - ea, "solution overflows"), residual, [cond])
 
 
 def axb_reduced_solve(a, b, c, tol: float = TOL_RANGE) -> SolveResult:
     """Solve AXB = C through the reduced candidate X = A^+ C B^+.
 
-    Solvable exactly when range(C) lies in range(A) and range((A^+ C)*)
-    lies in range(B*). The candidate is annihilated by both null projectors
-    of :func:`general_solution`, which is what makes it the reduced solution.
+    Solvable exactly when range(C) lies in range(A) and range(C*) in
+    range(B*) (Penrose, Proc. Cambridge Philos. Soc. 51, 1955), tested
+    against U_r of A and V_r of B. The candidate is annihilated by both
+    null projectors of :func:`general_solution`, which is what makes it
+    the reduced solution.
     """
     (am, ea), (bm, eb), (cm, ec) = (_prescaled(as_matrix(m)) for m in (a, b, c))
     if am.shape[0] != cm.shape[0] or bm.shape[1] != cm.shape[1]:
@@ -100,12 +105,11 @@ def axb_reduced_solve(a, b, c, tol: float = TOL_RANGE) -> SolveResult:
         )
     fa = svd(am)
     fb = svd(bm)
-    ac = fa.pinv() @ cm
-    d = ac @ fb.pinv()
+    d = fa.pinv() @ cm @ fb.pinv()
     residual = verify_solution("axb_c", d, a=am, b=bm, c=cm)
-    cond1 = basis_inclusion(cm, fa.range_basis, tol, name="range(C) in range(A)")
+    cond1 = basis_inclusion(cm, fa.left, tol, name="range(C) in range(A)")
     # range(B*) is spanned by the kept right singular vectors of B
-    cond2 = basis_inclusion(ac.conj().T, fb.right, tol, name="range((A+C)*) in range(B*)")
+    cond2 = basis_inclusion(cm.conj().T, fb.right, tol, name="range(C*) in range(B*)")
     return SolveResult(_unscale(d, ec - ea - eb, "solution overflows"), residual, [cond1, cond2])
 
 
@@ -136,12 +140,14 @@ def general_solution(a, b, x, v1, v2) -> np.ndarray:
 def congruence_solve(a, c, tol: float = TOL_RANGE) -> SolveResult:
     """Positive solution of AXA* = C, when one exists.
 
-    The candidate X = A^+ C (A^+)* is Hermitian PSD whenever the instance
-    is solvable, which requires C Hermitian PSD together with range(C) in
-    range(A) and range((A^+ C)*) in range(A). "C is PSD" is opeq's one PSD
-    rule, :attr:`linalg.Cholesky.psd`: the remainder of :func:`linalg.cholesky`
-    on C within PSD_CLAMP_TOL. An indefinite C is reported as an unsolvable
-    instance, not an input error; non-Hermitian C is rejected outright.
+    A PSD solution exists exactly when C is PSD and range(C) lies in
+    range(A), and X = A^+ C (A^+)* is then one: this is AXB = C with
+    B = A*, whose second Penrose condition, range(C*) in range(A), is the
+    first for Hermitian C (Penrose, Proc. Cambridge Philos. Soc. 51,
+    1955). "C is PSD" is opeq's one PSD rule, :attr:`linalg.Cholesky.psd`:
+    the remainder of :func:`linalg.cholesky` on C within PSD_CLAMP_TOL.
+    An indefinite C is reported as an unsolvable instance, not an input
+    error; non-Hermitian C is rejected outright.
     """
     am, ea = _prescaled(as_matrix(a))
     cm, ec, _ = _hermitian_prescaled(as_matrix(c), "C")
@@ -153,13 +159,10 @@ def congruence_solve(a, c, tol: float = TOL_RANGE) -> SolveResult:
 
     fa = svd(am)
     ap = fa.pinv()
-    ac = ap @ cm
-    x = _hermitize(ac @ ap.conj().T)
+    x = _hermitize(ap @ cm @ ap.conj().T)
     residual = verify_solution("axastar_c", x, a=am, c=cm)
-    cond1 = basis_inclusion(cm, fa.range_basis, tol, name="range(C) in range(A)")
-    cond2 = basis_inclusion(ac.conj().T, fa.range_basis, tol, name="range((A+C)*) in range(A)")
-    return SolveResult(_unscale(x, ec - 2 * ea, "solution overflows"), residual,
-                       [psd_cond, cond1, cond2])
+    cond = basis_inclusion(cm, fa.left, tol, name="range(C) in range(A)")
+    return SolveResult(_unscale(x, ec - 2 * ea, "solution overflows"), residual, [psd_cond, cond])
 
 
 def pt_solve(h, k) -> SolveResult:
@@ -245,9 +248,10 @@ def riccati_geomean(a, b) -> SolveResult:
     Appl. 23, 2016). The thin factors suffice, as V_r W_r* M = |M|. No
     square root is taken and the sandwich A^{-1/2} B A^{-1/2} is never
     formed, so kappa(A) kappa(B) is not squared. Two cholesky calls and
-    one svd at every rank of B, and no herm_eig; the residual reuses the
-    Cholesky factor of the scaled A. There are no conditions, so the
-    result is solvable.
+    one svd at every rank of B, and no herm_eig; the residual factors the
+    scaled A again, unless a :func:`linalg._shared_factors` scope (as in
+    ``opeq solve``) has stored it. There are no conditions, so the result
+    is solvable.
     """
     sa, ea, _ = _hermitian_prescaled(as_matrix(a), "a")
     tb, eb, _ = _hermitian_prescaled(as_matrix(b), "b")

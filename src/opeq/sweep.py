@@ -422,7 +422,7 @@ def suite_pt_necessity(rng, trials, max_dim):
         # reference for the lambda of iv.
         k = _hermitize(t @ h @ t)
         lam = pt_solve(h, k).detail["norm_bound"]
-        u = svd(h).range_basis
+        u = svd(h).left
         gap = abs(lam - spectral_norm(u.conj().T @ t @ u)) / lam
         res.observe(gap <= 1e-8, lambda_gap=gap)
     return res

@@ -374,7 +374,7 @@ def test_psd_power_derives_rank_basis_and_pseudoinverse_powers():
         m = random_psd(rng, n, rank=r)
         c = cholesky(m)
         assert c.rank == r and not c.definite
-        u = svd(c.factor).range_basis
+        u = svd(c.factor).left
         assert u.shape == (n, r)
         assert frob(u @ u.conj().T - range_projector(m)) <= 1e-10
         half = psd_power(m, 0.5)

@@ -56,7 +56,7 @@ def test_singular_h_conditions_hold_with_reference_lambda():
         assert abs(lam - ref) <= 1e-8 * ref
         if t is not None:
             # K = T H T: U_r* T U_r solves the reduced equation on range(H)
-            u = svd(h).range_basis
+            u = svd(h).left
             assert abs(lam - spectral_norm(u.conj().T @ t @ u)) <= 1e-8 * lam
 
 

@@ -76,8 +76,6 @@ def test_results_are_read_only_inside_and_outside():
             f.left[0, 0] = 1.0
         with pytest.raises(ValueError):
             f.singulars[0] = 1.0
-        with pytest.raises(ValueError):
-            f.range_basis[0, 0] = 1.0
 
 
 def test_refusal_is_not_stored(monkeypatch):
