@@ -97,15 +97,19 @@ def parse_matrix_doc(doc) -> np.ndarray:
 
 def _finite_pairs(data: list, count: int) -> np.ndarray | None:
     """data as a (count, 2) float64 array when it is count [re, im] pairs of
-    finite int or float numbers, at least one of them a float, else None:
-    all-int data gets an integer dtype and is left to the entrywise loop.
-    numpy converts an int entry beside a float as float() does, so every
-    entry has the bits the entrywise loop gives it."""
+    finite int or float numbers, else None. numpy reads all-int data within
+    int64 with an integer dtype, cast here to float64, and an int beside a
+    float or past int64 as float64; either way it rounds as float() does,
+    so every entry has the bits the entrywise loop gives it. Data numpy
+    keeps as objects (ints past the double range among them) or as bools
+    is left to the entrywise loop, which reads or refuses it."""
     try:
         a = np.array(data)
     except ValueError:
         # ragged or too deeply nested
         return None
+    if np.issubdtype(a.dtype, np.integer):
+        a = a.astype(np.float64)
     if not (
         a.dtype == np.float64
         and a.shape == (count, 2)

@@ -39,7 +39,8 @@ STABLE_FACTOR = 1.1
 
 # thl2_decompose's pass, op_psd_gap and ex2's constructive probes work in
 # blocks of this many node indices, so their scratch is 512 KiB of complex
-# values rather than a grid array; demo_l2 keeps even g and h in it.
+# values rather than a grid array. demo_l2 keeps even g and h in it, and
+# one sweep over the blocks serves all nine of its states.
 BLOCK = 1 << 15
 
 # The modeled variants and the block size k of their operators.
@@ -485,9 +486,10 @@ def thl2_decompose(f: ModuleElement, p: PureState) -> LocalDecomposition:
     exactly 0 where h copies f, so it too is formed only past that. A ramp
     or quotient that overflows is refused with InputError.
 
-    Past x0/2 the work is the blocked pass of :func:`_thl2_residual`,
-    which writes g and h into their grid arrays; these two are the only
-    arrays on the whole grid.
+    Past x0/2 the work is the blocked pass of :func:`_thl2_residuals`,
+    run for this one state with g and h's grid arrays as its destinations;
+    these two are the only arrays on the whole grid. demo_l2 runs the same
+    pass once for its nine states, with g and h in block scratch.
     """
     if f.variant != "l2":
         raise InputError("thl2_decompose expects an l2 element")
@@ -496,68 +498,93 @@ def thl2_decompose(f: ModuleElement, p: PureState) -> LocalDecomposition:
     n = f.n
     g1 = np.zeros(n + 1, dtype=np.complex128)
     h1 = np.zeros(n + 1, dtype=np.complex128)
-    residual = _thl2_residual(f.components[0].samples, p.x0, g1, h1)
+    (residual,) = _thl2_residuals(f.components[0].samples, [p.x0], g1, h1)
     g = ModuleElement(variant="l2", components=(GridFunction._checked(g1),))
     h = ModuleElement(variant="l2", components=(GridFunction._checked(h1),))
     return LocalDecomposition(g=g, h=h, residual=residual)
 
 
-def _thl2_residual(f1: np.ndarray, x0: float, g1=None, h1=None) -> float:
-    """The residual of :func:`thl2_decompose` on the samples f1 at a state
-    x0 > 0. Given g1 and h1, zero grid arrays, it fills them with g and h;
-    without them, each block's g and h live in scratch of one block's size
-    and are dropped, so no grid array is built.
+def _thl2_residuals(f1: np.ndarray, states, g1=None, h1=None) -> list:
+    """The residuals of :func:`thl2_decompose` on the samples f1 at the
+    states x0 > 0 of the list states, in its order, from one pass over the
+    grid. Given g1 and h1, zero grid arrays, with one state, it fills them
+    with that state's g and h; otherwise g and h live in scratch of one
+    block's size and are dropped, so no grid array is built.
 
     The pass runs in blocks of BLOCK node indices, starting at the first
-    node past x0/2. Each block builds its nodes as j * (1/n), the bits of
-    :meth:`GridFunction.nodes`, fills its part of the ramp and of g, and
-    forms its residual in scratch of one block's size. From the first node
-    at or past x0, h is 0, so g is f / lambda and the residual
-    f - lambda g: f - 0 is f, and adding 0 to lambda g changes at most the
-    sign of a zero, never |f - (lambda g + h)|. The residual is the
-    largest of the block maxima, taken by ``np.max``, which keeps a NaN.
-    It is the one finiteness check: as f is finite and lambda > 0, a ramp
-    or quotient that overflows leaves it inf or NaN, and a finite residual
-    means finite g and h.
+    node past the least x0/2. Each block builds its nodes as j * (1/n),
+    the bits of :meth:`GridFunction.nodes`. For each state it fills the
+    block's part of the state's ramp, the nodes strictly between x0/2 and
+    x0, and of g, and forms the ramp's residual. From the first node at or
+    past x0, h is 0, so g is f / lambda and the residual f - lambda g:
+    f - 0 is f, and adding 0 to lambda g changes at most the sign of a
+    zero, never |f - (lambda g + h)|. That tail residual does not depend
+    on x0, so it is formed once per node, from the least x0 on, and each
+    state takes the maximum over its own suffix. Every node's value comes
+    from the same ufuncs, one state or many, and a state's residual is the
+    largest of its maxima, taken by ``np.max``, which keeps a NaN and does
+    not depend on the order of the maxima. It is the one finiteness check:
+    as f is finite and lambda > 0, a ramp or quotient that overflows
+    leaves it inf or NaN, and a finite residual means finite g and h. The
+    first state, in list order, whose residual is not finite is refused.
     """
     n = f1.size - 1
     step = 1.0 / n
-    half = 0.5 * x0
-    slope = 2.0 * _interp(f1, half) / x0
-    # j/n <= half exactly when j <= half * n, as scaling by n = 2**k is
-    # exact: nodes[:jh] are those at or below half, nodes[:jx] those below
-    # x0. jh >= 1, since node 0 is at or below half, and jh <= n / 2 + 1.
-    jh = math.floor(half * n) + 1
-    jx = math.ceil(x0 * n)
-    size = min(BLOCK, n + 1 - jh)
+    ramps = []
+    for x0 in states:
+        half = 0.5 * x0
+        # j/n <= half exactly when j <= half * n, as scaling by n = 2**k is
+        # exact: nodes[:jh] are those at or below half, nodes[:jx] those
+        # below x0. jh >= 1, since node 0 is at or below half, and
+        # jh <= n / 2 + 1.
+        jh = math.floor(half * n) + 1
+        ramps.append((x0, 2.0 * _interp(f1, half) / x0, jh, math.ceil(x0 * n)))
+    start = min(r[2] for r in ramps)
+    tail = min(r[3] for r in ramps)
+    size = min(BLOCK, n + 1 - start)
     scratch = g1 is None
     if scratch:
         g1 = np.empty(size, dtype=np.complex128)
         h1 = np.empty(size, dtype=np.complex128)
     else:
-        h1[:jh] = f1[:jh]
+        # one state, so start is its jh
+        h1[:start] = f1[:start]
     resid = np.empty(size, dtype=np.complex128)
     mag = np.empty(size, dtype=np.float64)
-    maxima = []
-    for lo in range(jh, n + 1, BLOCK):
+    maxima = [[] for _ in ramps]
+    for lo in range(start, n + 1, BLOCK):
         hi = min(lo + BLOCK, n + 1)
         nodes = np.arange(lo, hi, dtype=np.float64)
         nodes *= step
-        at = slice(0, hi - lo) if scratch else slice(lo, hi)
-        f_b, h_b, g_b = f1[lo:hi], h1[at], g1[at]
-        ramp = max(min(hi, jx) - lo, 0)
-        r_b = resid[: hi - lo]
+        off = 0 if scratch else lo
         with np.errstate(over="ignore", invalid="ignore"):
-            np.subtract(x0, nodes[:ramp], out=mag[:ramp])
-            np.multiply(slope, mag[:ramp], out=h_b[:ramp])
-            np.subtract(f_b[:ramp], h_b[:ramp], out=g_b[:ramp])
-            np.divide(g_b[:ramp], nodes[:ramp], out=g_b[:ramp])
-            np.divide(f_b[ramp:], nodes[ramp:], out=g_b[ramp:])
-            np.multiply(nodes, g_b, out=r_b)
-            r_b[:ramp] += h_b[:ramp]
+            for (x0, slope, jh, jx), out in zip(ramps, maxima):
+                a, b = max(jh, lo) - lo, min(jx, hi) - lo
+                if a >= b:
+                    continue
+                x_b, f_b = nodes[a:b], f1[lo + a : lo + b]
+                h_b, g_b = h1[off + a : off + b], g1[off + a : off + b]
+                r_b, m_b = resid[a:b], mag[a:b]
+                np.subtract(x0, x_b, out=m_b)
+                np.multiply(slope, m_b, out=h_b)
+                np.subtract(f_b, h_b, out=g_b)
+                np.divide(g_b, x_b, out=g_b)
+                np.multiply(x_b, g_b, out=r_b)
+                r_b += h_b
+                np.subtract(f_b, r_b, out=r_b)
+                out.append(np.max(np.abs(r_b, out=m_b)))
+            a, b = max(tail, lo) - lo, hi - lo
+            if a >= b:
+                continue
+            x_b, f_b, g_b, r_b = nodes[a:], f1[lo + a : hi], g1[off + a : off + b], resid[a:b]
+            np.divide(f_b, x_b, out=g_b)
+            np.multiply(x_b, g_b, out=r_b)
             np.subtract(f_b, r_b, out=r_b)
-            maxima.append(np.max(np.abs(r_b, out=mag[: hi - lo])))
-    return require_finite(float(np.max(maxima)), "decomposition overflows")
+            np.abs(r_b, out=mag[a:b])
+        for (_, _, _, jx), out in zip(ramps, maxima):
+            if jx < hi:
+                out.append(np.max(mag[max(jx, lo) - lo : b]))
+    return [require_finite(float(np.max(m)), "decomposition overflows") for m in maxima]
 
 
 def _preimage_dict(rep: PreimageReport) -> dict:
@@ -712,16 +739,21 @@ def demo_l2(grid_n: int = DEFAULT_GRID_N) -> dict:
     B f = A g + h admits a decomposition at each x0 > 0 with h killed by
     the state, yet B B* <= c A A* fails for every c: the multiplier
     comparison 1 <= c lambda^2 collapses at the left endpoint.
+
+    The nine residuals come from one call of thl2_decompose's blocked
+    pass, :func:`_thl2_residuals`, with the bits thl2_decompose gives each
+    state. Past a state's x0 the residual does not depend on x0, so that
+    tail is formed once per node for all nine states; only each state's
+    ramp between x0/2 and x0 is formed per state.
     """
     coord = GridFunction.coordinate(grid_n)
     a_op = ModuleOperator.on_first_coordinate(coord)
     b_op = ModuleOperator.on_first_coordinate(GridFunction.constant(1.0, grid_n))
-    per_state = []
-    for i in range(1, 10):
-        x0 = i / 10
-        # only the residual is kept, so g and h live in block scratch and
-        # are never built on the grid
-        per_state.append({"x0": x0, "residual": _thl2_residual(coord.samples, x0)})
+    states = [i / 10 for i in range(1, 10)]
+    # only the residuals are kept, so g and h live in block scratch and
+    # are never built on the grid
+    residuals = _thl2_residuals(coord.samples, states)
+    per_state = [{"x0": x0, "residual": r} for x0, r in zip(states, residuals)]
     aa = op_compose(a_op, op_adjoint(a_op))
     bb = op_compose(b_op, op_adjoint(b_op))
     cs = [1.0, 10.0, 1e6]

@@ -3,7 +3,9 @@ blocks of BLOCK node indices and give the bits of their full-grid forms on
 grids of more than one block. thl2_decompose's blocks start at the first
 node past x0/2, so the states put x0/2 and x0 on, one node before and one
 node after a multiple of BLOCK, and put the end of the ramp on a block
-boundary."""
+boundary. The same pass serves many states in one call, as demo_l2 runs
+it; its blocks then start past the least x0/2, and each state's residual
+must still be its own full-grid one, in any order of the states."""
 
 import warnings
 
@@ -17,6 +19,7 @@ from opeq.module_model import (
     ModuleElement,
     ModuleOperator,
     PureState,
+    _thl2_residuals,
     demo_ex2,
     in_ideal_M,
     multiplier_preimage,
@@ -71,6 +74,17 @@ def test_thl2_decompose_across_blocks_gives_the_full_grid_bits(n):
             assert _bits(dec.residual) == _bits(residual), (label, x0)
 
 
+@pytest.mark.parametrize("n", BLOCK_GRIDS)
+def test_one_pass_over_many_states_gives_each_its_full_grid_bits(n):
+    states = _block_states(n)
+    shuffled = [states[k] for k in np.random.default_rng(n).permutation(len(states))]
+    for label, f1 in _functions(n, n).items():
+        want = {x0: _bits(_thl2_reference(f1, x0)[2]) for x0 in states}
+        for order in (states, states[::-1], shuffled):
+            got = _thl2_residuals(f1, order)
+            assert [_bits(r) for r in got] == [want[x0] for x0 in order], label
+
+
 def test_quotient_overflow_in_the_last_block_is_refused():
     # f is 0 except at the node 7/8, where 1.7e308 divided by the node
     # leaves the floating-point range; past x0/2 = 1/16 the blocks start at
@@ -84,6 +98,25 @@ def test_quotient_overflow_in_the_last_block_is_refused():
         warnings.simplefilter("error")
         with pytest.raises(InputError, match="^decomposition overflows the floating-point range$"):
             thl2_decompose(f, PureState(0.125))
+
+
+def test_one_pass_refuses_a_call_with_one_state_that_overflows():
+    # the node 7/8 lies past x0/2 for every state, so each overflows alone;
+    # moved to the node 1/4, the spike is copied into h for x0 = 1, whose
+    # residual stays 0, and it still overflows the states below 1/2
+    n = 1 << 17
+    seven_eighths = _spike(n, 7 * n // 8, 1.7e308).samples
+    quarter = _spike(n, n // 4, 1.7e308).samples
+    assert _thl2_residuals(quarter, [1.0]) == [0.0]
+    for f1, states in (
+        (seven_eighths, [*_block_states(n), 0.125]),
+        (quarter, [1.0, 0.125]),
+        (quarter, [0.125, 1.0]),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="^decomposition overflows the floating-point range$"):
+                _thl2_residuals(f1, states)
 
 
 @pytest.mark.parametrize("n", BLOCK_GRIDS)

@@ -227,6 +227,19 @@ def test_parsed_data_matches_the_entrywise_loop_bit_for_bit():
         # the written file reads back to the same bits
         assert parse_matrix_text(json.dumps(doc)).tobytes() == want
     assert fast >= 60
+    # all-int data, which numpy reads with an integer dtype, takes the numpy
+    # path too; the cast rounds 2^53 + 1 as float() does
+    data = [[0, -7], [2**53 + 1, -(2**53 + 1)], [-(2**63), 0]]
+    doc = {"rows": 3, "cols": 1, "data": data}
+    want = _entrywise(doc).tobytes()
+    assert np.array(data).dtype == np.int64
+    pairs = matio._finite_pairs(data, 3)
+    assert pairs is not None and pairs.tobytes() == want
+    # bools, alone or beside ints, are still left to the entrywise loop
+    assert matio._finite_pairs([[True, False]], 1) is None
+    assert matio._finite_pairs([[True, 1]], 1) is None
+    assert parse_matrix_doc(doc).tobytes() == want
+    assert parse_matrix_text(json.dumps(doc)).tobytes() == want
 
 
 # Each refused second entry and the message of the entrywise loop, which the

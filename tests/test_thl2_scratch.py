@@ -1,9 +1,10 @@
-"""demo_l2 takes each state's residual from thl2_decompose's blocked pass
-with g and h in scratch of one block's size, never on the grid. That pass
-gives the residual bits of thl2_decompose, which writes g and h into grid
-arrays, and both refuse the same overflows. Past x0 the pass skips the
-f - 0 and + 0 of h = 0, and its one finiteness check is on the residual,
-so an overflow of g past x0 alone must still be refused."""
+"""demo_l2 takes its nine residuals from one call of thl2_decompose's
+blocked pass, with g and h in scratch of one block's size, never on the
+grid. That pass gives the residual bits of thl2_decompose, which writes g
+and h into grid arrays, for one state or many in one call, and both
+refuse the same overflows. Past x0 the pass skips the f - 0 and + 0 of
+h = 0, and its one finiteness check is on the residual, so an overflow of
+g past x0 alone must still be refused."""
 
 import warnings
 
@@ -15,7 +16,7 @@ from opeq.module_model import (
     GridFunction,
     ModuleElement,
     PureState,
-    _thl2_residual,
+    _thl2_residuals,
     demo_l2,
     thl2_decompose,
 )
@@ -42,9 +43,11 @@ def test_demo_l2_residuals_are_thl2_decompose_bits(n):
 def _check_scratch_bits(n, states):
     for label, f1 in _functions(n, n).items():
         f = _element(f1)
-        for x0 in states:
+        together = _thl2_residuals(f1, states)
+        for x0, got in zip(states, together):
             ref = thl2_decompose(f, PureState(x0)).residual
-            assert _bits(_thl2_residual(f1, x0)) == _bits(ref), (label, x0)
+            assert _bits(_thl2_residuals(f1, [x0])[0]) == _bits(ref), (label, x0)
+            assert _bits(got) == _bits(ref), (label, x0)
 
 
 @pytest.mark.parametrize("n", GRIDS)
@@ -60,7 +63,7 @@ def test_scratch_pass_across_blocks_gives_the_residual_bits(n):
 
 
 def _refuses_in_both(f1, x0):
-    for call in (lambda: thl2_decompose(_element(f1), PureState(x0)), lambda: _thl2_residual(f1, x0)):
+    for call in (lambda: thl2_decompose(_element(f1), PureState(x0)), lambda: _thl2_residuals(f1, [x0])):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InputError, match="^decomposition overflows the floating-point range$"):
@@ -99,4 +102,4 @@ def test_finite_extremes_past_x0_are_kept():
     dec = thl2_decompose(_element(f1), PureState(0.25))
     assert np.isfinite(dec.g.components[0].samples).all()
     assert dec.g.components[0].samples[N] == f1[N]
-    assert _bits(_thl2_residual(f1, 0.25)) == _bits(dec.residual) == _bits(0.0)
+    assert _bits(_thl2_residuals(f1, [0.25])[0]) == _bits(dec.residual) == _bits(0.0)
